@@ -1,6 +1,8 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <map>
+#include <mutex>
 
 namespace jsmt {
 
@@ -32,18 +34,21 @@ Rng::Rng(std::uint64_t seed)
     }
 }
 
-Rng::GeoDist&
+const Rng::GeoDist Rng::kNoGeoDist{};
+
+const Rng::GeoDist&
 Rng::geoDistFor(double p)
 {
-    for (std::uint32_t i = 0; i < kGeoDists; ++i) {
-        if (_geo[i].p == p) {
-            _geoMru = i;
-            return _geo[i];
-        }
-    }
-    _geoMru = _geoEvict;
-    GeoDist& dist = _geo[_geoEvict];
-    _geoEvict = (_geoEvict + 1) % kGeoDists;
+    // Built once per distinct p and never freed (the registry itself
+    // is deliberately leaked): std::map nodes never move, so
+    // references handed out stay valid through later insertions,
+    // across threads and through static destruction.
+    static std::mutex mutex;
+    static auto* const tables = new std::map<double, GeoDist>();
+    const std::lock_guard<std::mutex> lock(mutex);
+    GeoDist& dist = (*tables)[p];
+    if (dist.p == p)
+        return dist;
     dist.p = p;
     dist.logDenom = std::log1p(-p);
     // Interval for result k, shrunk by kMargin in quotient units on
@@ -52,7 +57,6 @@ Rng::geoDistFor(double p)
     // expm1 below is itself faithful, so any u inside [lo, hi] is
     // guaranteed to floor to k in the reference computation.
     constexpr double kMargin = 1e-6;
-    dist.len = 0;
     for (std::size_t k = 0; k < dist.lo.size(); ++k) {
         const double q = static_cast<double>(k);
         const double lo = -std::expm1((q + kMargin) * dist.logDenom);

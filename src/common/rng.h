@@ -12,6 +12,7 @@
 #define JSMT_COMMON_RNG_H
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 namespace jsmt {
@@ -86,11 +87,47 @@ class Rng
         return uniform() < p;
     }
 
+    /** threshold() of any p >= 1: every draw lies below it. */
+    static constexpr std::uint64_t kAlways = std::uint64_t{1} << 53;
+
+    /**
+     * Integer form of the comparison `uniform() < p`: with
+     * x = next() >> 11, the draw is x * 2^-53, and x * 2^-53 < p holds
+     * exactly when x < threshold(p) = ceil(p * 2^53) (the scaling by a
+     * power of two is exact, and x is an integer). Clamped to 0 for
+     * p <= 0 and to kAlways for p >= 1, so the equivalence holds for
+     * every p; NaN maps to 0 (profiles reject NaN fractions).
+     */
+    static std::uint64_t
+    threshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return kAlways;
+        return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+    }
+
+    /**
+     * chance(p) for a precomputed threshold(p): bit-identical result
+     * and draw consumption (no draw when p <= 0 or p >= 1), but one
+     * integer compare instead of a conversion and two float compares.
+     */
+    bool
+    chanceBelow(std::uint64_t threshold)
+    {
+        // One unsigned compare catches both no-draw edges: 0 wraps
+        // to the maximum, kAlways lands exactly on the bound.
+        if (threshold - 1 >= kAlways - 1)
+            return threshold != 0;
+        return (next() >> 11) < threshold;
+    }
+
     /**
      * Geometric distribution: number of failures before first success
      * with success probability p, clamped to [0, cap].
      *
-     * Inline hot path: one draw plus a short scan of the cached
+     * Inline hot path: one draw plus a short scan of the shared
      * acceptance intervals for p (see GeoDist); the table build and
      * the boundary-sliver reference computation stay out of line.
      */
@@ -101,8 +138,9 @@ class Rng
             return 0;
         if (p <= 0.0)
             return cap;
-        const GeoDist& dist =
-            _geo[_geoMru].p == p ? _geo[_geoMru] : geoDistFor(p);
+        if (_geo->p != p)
+            _geo = &geoDistFor(p);
+        const GeoDist& dist = *_geo;
         // O(1) dispatch: buckets provably inside one acceptance
         // interval store its k. The draw u is raw * 2^-53 and the
         // bucket count is a power of two, so the bucket index
@@ -138,7 +176,8 @@ class Rng
     }
 
     /**
-     * Cached acceptance intervals for one geometric(p).
+     * Acceptance intervals for one geometric(p), shared by every Rng
+     * in the process (see geoDistFor).
      *
      * The reference draw is n = floor(log1p(-u) / log1p(-p)). For
      * each small n this precomputes a slightly-shrunk u interval on
@@ -173,23 +212,29 @@ class Rng
         std::array<std::uint8_t, kBuckets> bucket{};
     };
 
-    /** @return interval table for @p p, building/evicting as needed. */
-    GeoDist& geoDistFor(double p);
+    /**
+     * @return the process-wide interval table for @p p, built on
+     * first use. Tables are immutable and never freed, so the
+     * returned reference stays valid for the life of the process and
+     * may be shared by any number of threads.
+     */
+    static const GeoDist& geoDistFor(double p);
 
     /** Reference computation for draws outside the interval table. */
     static std::uint64_t geometricSlow(double u, const GeoDist& dist,
                                        std::uint64_t cap);
 
+    /** Sentinel table (p = -1) that no geometric(p) call matches. */
+    static const GeoDist kNoGeoDist;
+
     std::array<std::uint64_t, 4> _state;
 
-    // Each Rng sees at most a handful of distinct p values (app,
-    // kernel and collector profiles), so a tiny table cache with
-    // round-robin eviction suffices; the MRU slot index keeps the
-    // common consecutive-same-p case to a single compare.
-    static constexpr std::uint32_t kGeoDists = 4;
-    std::array<GeoDist, kGeoDists> _geo{};
-    std::uint32_t _geoEvict = 0;
-    std::uint32_t _geoMru = 0;
+    // Most-recently-used shared table: each Rng sees at most a
+    // handful of distinct p values (app, kernel and collector
+    // profiles) and mostly the same one back to back, so the common
+    // case is a single compare; a change of p costs one registry
+    // lookup.
+    const GeoDist* _geo = &kNoGeoDist;
 };
 
 } // namespace jsmt

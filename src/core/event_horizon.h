@@ -104,6 +104,9 @@ class EventHorizon
         return _schedEvent > now ? _schedEvent : now;
     }
 
+    /** @return the earlier of sampleEdge() and cancelEdge(). */
+    Cycle nextEdge() const { return _nextEdge; }
+
     /** @return the cycle edge at which onSample fires next. */
     Cycle sampleEdge() const { return _nextSample; }
 
@@ -154,6 +157,7 @@ class EventHorizon
         _cap = std::min(
             {_end, _nextSample - 1, _nextCancel - 1,
              _componentFloor});
+        _nextEdge = std::min(_nextSample, _nextCancel);
     }
 
     const Scheduler& _scheduler;
@@ -164,6 +168,7 @@ class EventHorizon
     Cycle _nextCancel;
     Cycle _componentFloor = kNoCycle;
     Cycle _cap = 0;
+    Cycle _nextEdge = 0;
     std::uint64_t _schedEpoch;
     Cycle _schedEvent = 0;
 };

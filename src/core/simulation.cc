@@ -164,6 +164,7 @@ Simulation::Stepper::advance(Cycle bound)
 {
     Simulation& sim = _sim;
     Machine& machine = sim._machine;
+    SmtCore& core = machine.core();
 
     // _retireOnlyUntil: cycles below it provably perform no
     // allocation and need no scheduler tick (see the probe below);
@@ -171,9 +172,15 @@ Simulation::Stepper::advance(Cycle bound)
     // slim path elides the per-cycle stall spans a traced run would
     // emit. The bound carries across advance() calls — it is a
     // property of the machine state, not of the stepping grain.
+    //
+    // Loop invariants are read once here; the stop flag and the live
+    // set change only at the edge checks and the completion scan.
+    const Cycle limit = std::min(bound, _horizon.end());
+    const bool fast_forward = _options.fastForward;
+    const Cycle slim_cap = _tracing ? 0 : kNoCycle;
 
-    while (!_stopRequested && !sim.allProcessesComplete() &&
-           sim._cycle < _horizon.end() && sim._cycle < bound) {
+    while (sim._cycle < limit && !_stopRequested &&
+           !sim.allProcessesComplete()) {
         // Publish the clock as this core's commit horizon: every
         // shared-L2 access it makes from here on is keyed at
         // (_cycle, core) or later. Release-ordered, so a core the
@@ -183,43 +190,44 @@ Simulation::Stepper::advance(Cycle bound)
 
         SmtCore::CycleOutcome outcome;
         if (sim._cycle < _retireOnlyUntil) {
-            outcome = machine.core().retireOnlyCycle(sim._cycle);
+            outcome = core.retireOnlyCycle(sim._cycle);
         } else {
             if (_horizon.schedulerDue(sim._cycle)) {
                 machine.scheduler().tick(sim._cycle);
                 _horizon.noteTicked();
             }
-            outcome = machine.core().cycle(sim._cycle);
+            outcome = core.cycle(sim._cycle);
         }
         ++sim._cycle;
 
-        if (sim._cycle >= _horizon.sampleEdge()) {
-            // Land the batched cycle accounting so the sample
-            // callback reads exact counts.
-            machine.core().flushAccounting();
-            if (_options.onSample)
-                _options.onSample(sim, sim._cycle);
-            if (_tracing) {
-                _sink->instant(trace::Track::kSim, "sample",
-                               sim._cycle);
+        // One compare covers both lattices on ordinary cycles.
+        if (sim._cycle >= _horizon.nextEdge()) {
+            if (sim._cycle >= _horizon.sampleEdge()) {
+                // Land the batched cycle accounting so the sample
+                // callback reads exact counts.
+                core.flushAccounting();
+                if (_options.onSample)
+                    _options.onSample(sim, sim._cycle);
+                if (_tracing) {
+                    _sink->instant(trace::Track::kSim, "sample",
+                                   sim._cycle);
+                }
+                _horizon.advanceSample();
             }
-            _horizon.advanceSample();
-        }
-
-        if (sim._cycle >= _horizon.cancelEdge()) {
-            if (_options.cancellation->cancelled()) {
-                _cancelled = true;
-                _stopRequested = true;
+            if (sim._cycle >= _horizon.cancelEdge()) {
+                if (_options.cancellation->cancelled()) {
+                    _cancelled = true;
+                    _stopRequested = true;
+                }
+                _horizon.advanceCancel();
             }
-            _horizon.advanceCancel();
         }
 
         // Detect completions among the (few) live processes. A
-        // process can only flip to complete on a cycle that retired
-        // µops or on which a thread declined a fetch bundle
-        // (generation drained inside nextBundle), so all other
-        // cycles skip the scan entirely.
-        if (outcome.retired > 0 || outcome.threadEvent) {
+        // process can only flip to complete inside a retire hook or
+        // when a thread declines a fetch bundle (generation drained
+        // inside nextBundle), so all other cycles skip the scan.
+        if (outcome.threadEvent) {
             _justCompleted.clear();
             for (std::size_t i = 0; i < sim._live.size();) {
                 if (sim._live[i]->complete()) {
@@ -238,7 +246,7 @@ Simulation::Stepper::advance(Cycle bound)
                                        process->profile().name);
                 }
                 if (_options.onProcessExit) {
-                    machine.core().flushAccounting();
+                    core.flushAccounting();
                     if (!_options.onProcessExit(sim, *process))
                         _stopRequested = true;
                 }
@@ -257,17 +265,21 @@ Simulation::Stepper::advance(Cycle bound)
         // A jump may pass the caller's bound: the skipped window
         // provably performs no memory accesses, so overshooting
         // cannot reorder anything the bound protects.
-        if (_options.fastForward && outcome.allocated == 0 &&
+        if (fast_forward && outcome.allocated == 0 &&
             !_stopRequested && !sim.allProcessesComplete()) {
-            ScopedStageTimer timer(
-                _profiler, &StageProfiler::fastForwardSeconds);
+            // Timed when the cycle before it was (one in the
+            // profiler's sample period).
+            StageStopwatch clock(
+                _profiler != nullptr && _profiler->timingStages()
+                    ? _profiler
+                    : nullptr);
             // When every context is provably stalled until a known
             // future cycle, jump the clock there and bulk-account
             // the skipped cycles instead of simulating them.
             const Cycle sched_bound =
                 _horizon.schedulerBound(sim._cycle);
             const SmtCore::CoreBounds core_bounds =
-                machine.core().bounds(sim._cycle);
+                core.bounds(sim._cycle);
             const Cycle jump_bound =
                 std::min(core_bounds.stall, sched_bound);
             Cycle alloc_bound = core_bounds.alloc;
@@ -278,13 +290,11 @@ Simulation::Stepper::advance(Cycle bound)
                 const Cycle target =
                     std::min(jump_bound, _horizon.jumpCap());
                 if (target > sim._cycle) {
-                    machine.core().fastForwardAccount(sim._cycle,
-                                                      target);
+                    core.fastForwardAccount(sim._cycle, target);
                     sim._cycle = target;
                     // The clock moved: slot parity and fetch gates
                     // are relative to the new cycle.
-                    alloc_bound =
-                        machine.core().allocBound(sim._cycle);
+                    alloc_bound = core.allocBound(sim._cycle);
                 }
             }
             // Windows that retire but provably cannot allocate take
@@ -294,8 +304,8 @@ Simulation::Stepper::advance(Cycle bound)
             // next iteration uses it; a scheduler event inside the
             // window is impossible (sched_bound caps it).
             _retireOnlyUntil =
-                _tracing ? 0
-                         : std::min(alloc_bound, sched_bound);
+                std::min({alloc_bound, sched_bound, slim_cap});
+            clock.lap(&StageProfiler::fastForwardSeconds);
         }
     }
 

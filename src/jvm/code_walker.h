@@ -77,6 +77,8 @@ class CodeWalker
     const WorkloadProfile& _profile;
     Rng _rng;
     Addr _base;
+    /** Rng::threshold() of the profile's codeJumpLocal. */
+    std::uint64_t _jumpLocal;
     std::uint32_t _line = 0;
     std::uint32_t _runRemaining = 0;
     bool _lastWasJump = false;

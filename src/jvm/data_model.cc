@@ -23,12 +23,17 @@ DataModel::DataModel(const WorkloadProfile& profile, Rng rng,
       _threadIndex(thread_index),
       _numThreads(std::max(1u, num_threads)),
       _privateStride(roundUpToPage(profile.privateBytes)),
-      _privHot(std::min(profile.hotBytes, profile.privateBytes)),
-      _privWarm(std::min(profile.warmBytes, profile.privateBytes)),
-      _privCold(profile.privateBytes),
-      _sharedHot(std::min(profile.hotBytes, profile.sharedBytes)),
-      _sharedWarm(std::min(profile.warmBytes, profile.sharedBytes)),
-      _sharedCold(profile.sharedBytes),
+      _private(Rng::threshold(profile.privateFrac)),
+      _crossThread(Rng::threshold(profile.crossThreadFrac)),
+      _sweep(Rng::threshold(profile.sweepFrac)),
+      _hot(Rng::threshold(profile.hotFrac)),
+      _hotWarm(Rng::threshold(profile.hotFrac + profile.warmFrac)),
+      _privTiers{ExactDiv(std::min(profile.hotBytes, profile.privateBytes)),
+                 ExactDiv(std::min(profile.warmBytes, profile.privateBytes)),
+                 ExactDiv(profile.privateBytes)},
+      _sharedTiers{ExactDiv(std::min(profile.hotBytes, profile.sharedBytes)),
+                   ExactDiv(std::min(profile.warmBytes, profile.sharedBytes)),
+                   ExactDiv(profile.sharedBytes)},
       _peerPick(_numThreads > 1 ? _numThreads - 1 : 0)
 {
 }
@@ -41,53 +46,47 @@ DataModel::privateBaseOf(std::uint32_t index) const
 }
 
 Addr
-DataModel::regionAddr(Addr base, const ExactDiv& hot,
-                      const ExactDiv& warm, const ExactDiv& cold)
+DataModel::regionAddr(Addr base, const Tiers& tiers)
 {
     // Three-tier reuse model: hot (cache-resident), warm
-    // (L2-resident), cold (whole footprint). The spans are the
-    // same min(tier, footprint) values the divisors were built
-    // from, and ExactDiv::draw() reproduces Rng::below() exactly.
-    const double r = _rng.uniform();
-    const ExactDiv& span =
-        r < _profile.hotFrac
-            ? hot
-            : r < _profile.hotFrac + _profile.warmFrac ? warm
-                                                       : cold;
-    return (base + span.draw(_rng)) & ~Addr{7};
+    // (L2-resident), cold (whole footprint). The tier is the number
+    // of ascending thresholds the draw crossed — the same outcome as
+    // comparing uniform() against hotFrac and hotFrac + warmFrac —
+    // and ExactDiv::draw() reproduces Rng::below() exactly.
+    const std::uint64_t x = _rng.next() >> 11;
+    const std::size_t tier = static_cast<std::size_t>(x >= _hot) +
+                             static_cast<std::size_t>(x >= _hotWarm);
+    return (base + tiers[tier].draw(_rng)) & ~Addr{7};
 }
 
 Addr
 DataModel::nextAddr()
 {
-    if (_rng.chance(_profile.privateFrac)) {
+    if (_rng.chanceBelow(_private)) {
         // Private-region access, possibly to another thread's data
         // (reduction/communication traffic). Cross-thread accesses
         // span the peer's whole region — no reuse tiers — so the
         // aggregate working set grows with the thread count.
-        if (_numThreads > 1 &&
-            _rng.chance(_profile.crossThreadFrac)) {
+        if (_numThreads > 1 && _rng.chanceBelow(_crossThread)) {
             std::uint32_t owner = static_cast<std::uint32_t>(
                 _peerPick.draw(_rng));
             if (owner >= _threadIndex)
                 ++owner;
             return (privateBaseOf(owner) +
-                    _privCold.draw(_rng)) &
+                    _privTiers[2].draw(_rng)) &
                    ~Addr{7};
         }
-        return regionAddr(privateBaseOf(_threadIndex), _privHot,
-                          _privWarm, _privCold);
+        return regionAddr(privateBaseOf(_threadIndex), _privTiers);
     }
 
     // Shared-region access: phase-aligned sweep or tiered random.
-    if (_rng.chance(_profile.sweepFrac)) {
+    if (_rng.chanceBelow(_sweep)) {
         const Addr addr =
-            kSharedBase + _sharedCold.mod(_sweepPos);
+            kSharedBase + _sharedTiers[2].mod(_sweepPos);
         _sweepPos += _profile.sweepStride;
         return addr & ~Addr{7};
     }
-    return regionAddr(kSharedBase, _sharedHot, _sharedWarm,
-                      _sharedCold);
+    return regionAddr(kSharedBase, _sharedTiers);
 }
 
 } // namespace jsmt

@@ -23,6 +23,7 @@
 #ifndef JSMT_JVM_DATA_MODEL_H
 #define JSMT_JVM_DATA_MODEL_H
 
+#include <array>
 #include <cstdint>
 
 #include "common/exact_div.h"
@@ -60,8 +61,10 @@ class DataModel
     std::uint64_t privateStride() const { return _privateStride; }
 
   private:
-    Addr regionAddr(Addr base, const ExactDiv& hot,
-                    const ExactDiv& warm, const ExactDiv& cold);
+    /** Reuse-tier spans of one region: hot, warm, cold (whole). */
+    using Tiers = std::array<ExactDiv, 3>;
+
+    Addr regionAddr(Addr base, const Tiers& tiers);
 
     const WorkloadProfile& _profile;
     Rng _rng;
@@ -70,15 +73,19 @@ class DataModel
     std::uint64_t _privateStride;
     std::uint64_t _sweepPos = 0;
 
+    // Rng::threshold() of the profile's fractions, so every random
+    // decision is one integer compare on a raw draw.
+    std::uint64_t _private;
+    std::uint64_t _crossThread;
+    std::uint64_t _sweep;
+    std::uint64_t _hot;
+    std::uint64_t _hotWarm;
+
     // Reduction spans are fixed per profile, so the `% span` on
     // every generated address uses a precomputed exact divide
     // (bit-identical to the hardware `%`, far cheaper).
-    ExactDiv _privHot;
-    ExactDiv _privWarm;
-    ExactDiv _privCold;
-    ExactDiv _sharedHot;
-    ExactDiv _sharedWarm;
-    ExactDiv _sharedCold;
+    Tiers _privTiers;
+    Tiers _sharedTiers;
     ExactDiv _peerPick;
 };
 

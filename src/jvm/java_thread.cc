@@ -1,6 +1,7 @@
 #include "jvm/java_thread.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/log.h"
@@ -72,6 +73,10 @@ JavaThread::JavaThread(ThreadId id, JavaProcess& process,
       _data(process.profile(), _rng.fork(), app_index,
             process.numAppThreads()),
       _kernelDataModel(kernelProfileRef(), _rng.fork(), 0, 1),
+      _userMix(UopMix::of(kind == ThreadKind::kCollector
+                              ? collectorProfileRef()
+                              : process.profile())),
+      _kernelMix(UopMix::of(kernelProfileRef())),
       _quota(quota_uops)
 {
     const WorkloadProfile& profile = process.profile();
@@ -142,79 +147,91 @@ JavaThread::gcScanAddr()
            rest % _data.privateStride();
 }
 
+JavaThread::UopMix
+JavaThread::UopMix::of(const WorkloadProfile& profile)
+{
+    UopMix mix;
+    mix.depP = 1.0 / profile.meanDepDist;
+    // The cumulative sums keep the reference left-to-right
+    // association, so each threshold decides exactly what the
+    // comparison against the summed double did.
+    const double load_hi = profile.loadFrac;
+    const double store_hi = load_hi + profile.storeFrac;
+    const double fp_hi = store_hi + profile.fpFrac;
+    const double branch_hi = fp_hi + profile.branchFrac;
+    mix.bounds = {Rng::threshold(load_hi), Rng::threshold(store_hi),
+                  Rng::threshold(fp_hi), Rng::threshold(branch_hi)};
+    mix.mispredict = static_cast<float>(profile.mispredictRate);
+    mix.rebuild = static_cast<float>(profile.traceDiversity);
+    return mix;
+}
+
 void
 JavaThread::fillBundle(FetchBundle& bundle, CodeWalker& walker,
                        bool kernel_mode, bool memory_heavy)
 {
-    const WorkloadProfile& profile =
-        kernel_mode ? kernelProfileRef()
-        : _kind == ThreadKind::kCollector && memory_heavy
-            ? collectorProfileRef()
-            : _process.profile();
+    // Collectors only synthesize user code with memory_heavy set, so
+    // the user mix of a collector is the collector profile's.
+    const UopMix& mix = kernel_mode ? _kernelMix : _userMix;
+    DataModel& data = kernel_mode ? _kernelDataModel : _data;
 
     bundle.lineVaddr = walker.currentAddr();
     bundle.traceAddr = walker.currentDenseAddr();
     bundle.asid = kernel_mode ? kKernelAsid : _process.asid();
     bundle.kernelMode = kernel_mode;
-    bundle.rebuildProb =
-        static_cast<float>(profile.traceDiversity);
+    bundle.rebuildProb = mix.rebuild;
     bundle.count = 0;
 
     walker.nextLine();
     const bool ends_in_jump = walker.lastStepWasJump();
 
-    // Per-bundle invariants, hoisted out of the µop loop (this loop
-    // is the hottest workload-synthesis path in the simulator). The
-    // threshold sums keep the reference left-to-right association so
-    // the comparisons are bit-identical to the per-µop forms.
-    const double dep_p = 1.0 / profile.meanDepDist;
-    const double load_hi = profile.loadFrac;
-    const double store_hi = load_hi + profile.storeFrac;
-    const double fp_hi = store_hi + profile.fpFrac;
-    const double branch_hi = fp_hi + profile.branchFrac;
-    const auto mispredict = static_cast<float>(profile.mispredictRate);
+    // µop classes in threshold order: a draw below bounds[0] is a
+    // load, below bounds[1] a store, and so on; past every bound it
+    // is an ALU op. The class is the number of bounds the draw
+    // crossed, so picking it is arithmetic plus one table load
+    // instead of a compare chain on a random outcome.
+    static constexpr UopType kClassType[] = {
+        UopType::kLoad, UopType::kStore, UopType::kFp, UopType::kBranch,
+        UopType::kAlu};
+    static constexpr std::uint16_t kClassLatency[] = {1, 1, 5, 1, 1};
+    constexpr std::size_t kBranchClass = 3;
 
     const auto line_uops =
         static_cast<std::uint8_t>(kUopsPerTraceLine);
+    std::uint32_t memory_uops = 0; // Bit i: µop i is a load/store.
     for (std::uint8_t i = 0; i < line_uops; ++i) {
         // Field writes instead of a whole-struct reset: the pipeline
-        // reads dataVaddr only for loads/stores and mispredictProb
-        // only for branches, so a stale value in an unused field is
-        // unobservable; every consumed field is written below
-        // (execLatency is read for every type).
+        // reads dataVaddr only for loads/stores, so a stale value in
+        // a non-memory µop is unobservable; every other field is
+        // written here.
         Uop& uop = bundle.uops[i];
         uop.kernelMode = kernel_mode;
         uop.pc = bundle.traceAddr + static_cast<Addr>(i) * 4;
         uop.depDist = static_cast<std::uint8_t>(std::min<std::uint64_t>(
-            1 + _rng.geometric(dep_p, kMaxDepDist), kMaxDepDist));
-        uop.execLatency = 1;
+            1 + _rng.geometric(mix.depP, kMaxDepDist), kMaxDepDist));
 
-        const bool is_last = (i + 1 == line_uops);
-        const double r = _rng.uniform();
-        if (is_last && ends_in_jump) {
-            uop.type = UopType::kBranch;
-            uop.mispredictProb = mispredict;
-        } else if (r < load_hi) {
-            uop.type = UopType::kLoad;
-            uop.dataVaddr = memory_heavy ? gcScanAddr()
-                            : kernel_mode
-                                ? _kernelDataModel.nextAddr()
-                                : _data.nextAddr();
-        } else if (r < store_hi) {
-            uop.type = UopType::kStore;
-            uop.dataVaddr = memory_heavy ? gcScanAddr()
-                            : kernel_mode
-                                ? _kernelDataModel.nextAddr()
-                                : _data.nextAddr();
-        } else if (r < fp_hi) {
-            uop.type = UopType::kFp;
-            uop.execLatency = 5;
-        } else if (r < branch_hi) {
-            uop.type = UopType::kBranch;
-            uop.mispredictProb = mispredict;
-        } else {
-            uop.type = UopType::kAlu;
-        }
+        // The class draw is consumed even when a line-ending jump
+        // forces the last µop to be a branch.
+        const std::uint64_t x = _rng.next() >> 11;
+        std::size_t cls = static_cast<std::size_t>(x >= mix.bounds[0]) +
+                          static_cast<std::size_t>(x >= mix.bounds[1]) +
+                          static_cast<std::size_t>(x >= mix.bounds[2]) +
+                          static_cast<std::size_t>(x >= mix.bounds[3]);
+        if (ends_in_jump && i + 1 == line_uops)
+            cls = kBranchClass;
+        uop.type = kClassType[cls];
+        uop.execLatency = kClassLatency[cls];
+        uop.mispredictProb = mix.mispredict;
+        memory_uops |= static_cast<std::uint32_t>(cls <= 1) << i;
+    }
+    // Data addresses in a second pass over the memory µops only. The
+    // address streams (data model or GC sweep) draw nothing from
+    // _rng, so every stream still sees its draws in program order,
+    // and the random load/store pattern costs one loop exit instead
+    // of a branch per µop.
+    for (; memory_uops != 0; memory_uops &= memory_uops - 1) {
+        bundle.uops[std::countr_zero(memory_uops)].dataVaddr =
+            memory_heavy ? gcScanAddr() : data.nextAddr();
     }
     bundle.count = line_uops;
     noteGenerated(bundle.count);

@@ -14,6 +14,7 @@
 #ifndef JSMT_JVM_JAVA_THREAD_H
 #define JSMT_JVM_JAVA_THREAD_H
 
+#include <array>
 #include <cstdint>
 
 #include "common/rng.h"
@@ -87,6 +88,22 @@ class JavaThread : public SoftwareThread
     void grantMonitor();
 
   private:
+    /** Per-profile constants of fillBundle, computed once. */
+    struct UopMix
+    {
+        /** Success probability of the dependence-distance draw. */
+        double depP = 1.0;
+        /**
+         * Rng::threshold() of the cumulative load, +store, +fp and
+         * +branch fractions (see fillBundle).
+         */
+        std::array<std::uint64_t, 4> bounds{};
+        float mispredict = 0.0f;
+        float rebuild = 0.0f;
+
+        static UopMix of(const WorkloadProfile& profile);
+    };
+
     /** Emit one trace line of user µops from @p walker. */
     void fillBundle(FetchBundle& bundle, CodeWalker& walker,
                     bool kernel_mode, bool memory_heavy);
@@ -107,6 +124,8 @@ class JavaThread : public SoftwareThread
     CodeWalker _kernelWalker;
     DataModel _data;
     DataModel _kernelDataModel;
+    UopMix _userMix;
+    UopMix _kernelMix;
 
     std::uint64_t _quota;
     std::uint64_t _userGenerated = 0;

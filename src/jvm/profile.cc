@@ -10,7 +10,9 @@ void
 checkFraction(double value, const std::string& what,
               const std::string& profile_name)
 {
-    if (value < 0.0 || value > 1.0)
+    // Written so NaN fails too: fractions feed Rng::threshold(),
+    // whose exact equivalence with chance() assumes a number.
+    if (!(value >= 0.0 && value <= 1.0))
         fatal("profile " + profile_name + ": " + what +
               " must be in [0,1]");
 }

@@ -129,19 +129,16 @@ MemorySystem::setHyperThreading(bool enabled)
 Addr
 MemorySystem::translate(Asid asid, Addr vaddr) const
 {
+    // Recomputed on every call: the hash is a few multiplies, cheaper
+    // than the mispredicted memo check it would need on data streams
+    // that alternate between pages. 1 GB of simulated physical
+    // memory, as on the paper's machine.
     const Addr vpn = vaddr >> _pageShift;
-    if (asid != _trMemoAsid || vpn != _trMemoVpn) {
-        // 1 GB of simulated physical memory, as on the paper's
-        // machine.
-        const Addr phys_pages = (1ULL << 30) >> _pageShift;
-        const Addr ppn =
-            mix64((static_cast<std::uint64_t>(asid) << 40) ^ vpn) &
-            (phys_pages - 1);
-        _trMemoAsid = asid;
-        _trMemoVpn = vpn;
-        _trMemoPageBase = ppn << _pageShift;
-    }
-    return _trMemoPageBase + (vaddr & (_config.pageBytes - 1));
+    const Addr phys_pages = (1ULL << 30) >> _pageShift;
+    const Addr ppn =
+        mix64((static_cast<std::uint64_t>(asid) << 40) ^ vpn) &
+        (phys_pages - 1);
+    return (ppn << _pageShift) + (vaddr & (_config.pageBytes - 1));
 }
 
 std::uint32_t
@@ -305,7 +302,6 @@ MemorySystem::flushAll()
         table.fill(Cache::AccessMemo{});
     for (AccessMemoTable& table : _dtlbMemo)
         table.fill(Cache::AccessMemo{});
-    _trMemoVpn = ~Addr{0};
 }
 
 } // namespace jsmt

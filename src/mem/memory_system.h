@@ -252,12 +252,6 @@ class MemorySystem
     std::array<Cache::AccessMemo, kNumContexts> _tcMemo{};
     std::array<AccessMemoTable, kNumContexts> _l1dMemo{};
     std::array<AccessMemoTable, kNumContexts> _dtlbMemo{};
-
-    // Single-entry translate() memo (translate is pure, so this is
-    // a straight cache of its last result; mutable for constness).
-    mutable Asid _trMemoAsid = 0;
-    mutable Addr _trMemoVpn = ~Addr{0};
-    mutable Addr _trMemoPageBase = 0;
 };
 
 } // namespace jsmt

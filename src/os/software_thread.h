@@ -93,6 +93,20 @@ class SoftwareThread
             onRetireHook(uop, now);
     }
 
+    /**
+     * onRetire() for @p n µops at once. Only threads without a retire
+     * hook can take it: @return false, retiring nothing, when the
+     * hook is set, so the caller falls back to per-µop onRetire().
+     */
+    bool
+    tryRetireBulk(std::uint64_t n)
+    {
+        if (_retireHook)
+            return false;
+        _retiredUops += n;
+        return true;
+    }
+
     /** @return OS-visible thread id. */
     ThreadId id() const { return _id; }
 

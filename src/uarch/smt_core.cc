@@ -180,39 +180,26 @@ SmtCore::reset()
 Cycle
 SmtCore::findIssueSlot(Cycle earliest)
 {
-    Cycle c = earliest;
     const Cycle horizon = earliest + kIssueRingSize - 1;
     const std::uint64_t width = _config.issueWidth;
-    while (c < horizon) {
+    for (Cycle c = earliest; c < horizon; ++c) {
         std::uint64_t& slot = _issueSlot[c & (kIssueRingSize - 1)];
-        if ((slot >> 8) != c) {
-            slot = (c << 8) | 1;
+        // A slot stamped with another cycle is stale: it counts as
+        // empty. Selecting the count instead of branching on the
+        // stamp leaves one (almost always taken) exit branch.
+        const std::uint64_t used = (slot >> 8) == c ? slot & 0xff : 0;
+        if (used < width) {
+            slot = (c << 8) + used + 1;
             return c;
         }
-        if ((slot & 0xff) < width) {
-            ++slot;
-            return c;
-        }
-        ++c;
     }
     // Pathologically far in the future: stop constraining.
-    return c;
+    return horizon;
 }
 
-std::uint32_t
-SmtCore::retireStage(Cycle now)
+void
+SmtCore::retireHeads(Cycle now)
 {
-    // Nothing can retire before either ROB head completes (entries
-    // retire in order, so only the heads matter). The cached head
-    // completions are exact (kNoCycle when empty; an inactive
-    // context's stays kNoCycle), making this early-out record the
-    // same single kRetire0 event the full scan would.
-    if (_ctx[0].headCompletion > now &&
-        _ctx[1].headCompletion > now) {
-        _pmu.record(EventId::kRetire0, 0);
-        return 0;
-    }
-
     std::uint32_t budget = _config.retireWidth;
     std::uint32_t retired_total = 0;
     const std::uint32_t contexts = activeContexts();
@@ -226,36 +213,52 @@ SmtCore::retireStage(Cycle now)
         const ContextId ctx =
             static_cast<ContextId>((first + k) & (contexts - 1));
         ContextState& cs = _ctx[ctx];
+        if (cs.headCompletion > now)
+            continue;
+
+        // The completed prefix of the ROB (entries retire in order),
+        // counted by type in one pass. The per-type counts are 8-bit
+        // lanes of one register (a prefix holds at most retireWidth
+        // <= 3 µops), so counting is a shift and an add instead of a
+        // branch on each entry's random type.
+        const std::uint32_t limit = std::min(budget, cs.rob.size());
+        std::uint64_t by_type = 0;
+        SoftwareThread* const owner = cs.rob.front().thread;
+        bool one_owner = true;
         std::uint32_t uops = 0;
-        std::uint32_t branches = 0;
-        Uop retired_uop;
-        while (budget > 0 && !cs.rob.empty() &&
-               cs.rob.front().completion <= now) {
-            RobEntry& entry = cs.rob.front();
-            if (entry.type == UopType::kLoad)
-                --cs.ldqOcc;
-            else if (entry.type == UopType::kStore)
-                --cs.stqOcc;
-            else if (entry.type == UopType::kBranch)
-                ++branches;
-            retired_uop.type = entry.type;
-            retired_uop.kernelMode = entry.kernelMode;
-            entry.thread->onRetire(retired_uop, now);
-            cs.rob.pop_front();
-            --budget;
+        while (uops < limit && cs.rob.entry(uops).completion <= now) {
+            const RobEntry& entry = cs.rob.entry(uops);
+            by_type += std::uint64_t{1}
+                       << (8 * static_cast<std::uint32_t>(entry.type));
+            one_owner &= entry.thread == owner;
             ++uops;
         }
+        const auto count = [by_type](UopType type) {
+            return static_cast<std::uint32_t>(
+                (by_type >> (8 * static_cast<std::uint32_t>(type))) &
+                0xff);
+        };
+        // A prefix owned by one hook-free thread retires as a single
+        // counter add; otherwise every µop takes onRetire() in
+        // program order, exactly as a per-entry loop would. Only a
+        // retire hook can complete a process, so only this path
+        // cues the driver's completion scan.
+        if (!one_owner || !owner->tryRetireBulk(uops))
+            retireEach(cs.rob, uops, now);
+        cs.rob.pop_front(uops);
+        cs.ldqOcc -= count(UopType::kLoad);
+        cs.stqOcc -= count(UopType::kStore);
+        budget -= uops;
+        cs.headCompletion =
+            cs.rob.empty() ? kNoCycle : cs.rob.front().completion;
         // Per-cycle batched counter updates (hot path: one PMU
-        // access per event line instead of one per retired µop).
-        if (uops > 0) {
-            cs.headCompletion = cs.rob.empty()
-                                    ? kNoCycle
-                                    : cs.rob.front().completion;
-            _pmu.recordBulk(EventId::kUopsRetired, ctx, uops);
-            _pmu.recordBulk(EventId::kInstrRetired, ctx, uops);
-            _pmu.recordBulk(EventId::kBranchRetired, ctx, branches);
-            retired_total += uops;
-        }
+        // access per event line instead of one per retired µop;
+        // record() adds a zero count without a branch).
+        _pmu.record(EventId::kUopsRetired, ctx, uops);
+        _pmu.record(EventId::kInstrRetired, ctx, uops);
+        _pmu.record(EventId::kBranchRetired, ctx,
+                    count(UopType::kBranch));
+        retired_total += uops;
     }
 
     // Machine-wide retirement histogram (Figure 2).
@@ -264,9 +267,22 @@ SmtCore::retireStage(Cycle now)
         EventId::kRetire3};
     _pmu.record(kHistogram[std::min<std::uint32_t>(retired_total, 3)],
                 0);
-    return retired_total;
 }
 
+void
+SmtCore::retireEach(const RobRing& rob, std::uint32_t uops, Cycle now)
+{
+    _threadEvent = true;
+    Uop retired_uop;
+    for (std::uint32_t i = 0; i < uops; ++i) {
+        const RobEntry& entry = rob.entry(i);
+        retired_uop.type = entry.type;
+        retired_uop.kernelMode = entry.kernelMode;
+        entry.thread->onRetire(retired_uop, now);
+    }
+}
+
+template <bool kProfiled>
 std::uint32_t
 SmtCore::allocFromContext(ContextId ctx, Cycle now,
                           std::uint32_t budget)
@@ -330,14 +346,11 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
             const bool stale_trace =
                 fe.bundle.rebuildProb > 0.0f &&
                 _rng.chance(fe.bundle.rebuildProb);
-            FetchLineResult fetch;
-            {
-                ScopedStageTimer timer(
-                    _profiler, &StageProfiler::memorySeconds);
-                fetch = _mem.fetchLine(
-                    fe.bundle.asid, fe.bundle.lineVaddr,
-                    fe.bundle.traceAddr, ctx, now, stale_trace);
-            }
+            StageClock<kProfiled> clock(_memoryProbe);
+            const FetchLineResult fetch = _mem.fetchLine(
+                fe.bundle.asid, fe.bundle.lineVaddr,
+                fe.bundle.traceAddr, ctx, now, stale_trace);
+            clock.lap(&StageProfiler::memorySeconds);
             if (fetch.latency > 0) {
                 // Trace-cache miss: µops deliverable after rebuild.
                 fe.bundleReadyAt = now + fetch.latency;
@@ -361,21 +374,25 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
             _acctKernelFlip = true;
         }
 
+        // Window room, derived once per delivered line instead of
+        // three fullness checks per µop: only this context allocates
+        // during the call and nothing retires, so each allocation
+        // just uses up room.
+        WindowRoom room = windowRoom(ctx);
         while (used < budget && fe.pos < fe.bundle.count) {
             const Uop& uop = fe.bundle.uops[fe.pos];
+            const bool is_load = uop.type == UopType::kLoad;
+            const bool is_store = uop.type == UopType::kStore;
 
             // Window resource checks (divided per the configured
-            // partition policy in HT mode).
-            if (robFull(ctx)) {
-                _pmu.record(EventId::kRobFullStall, ctx);
-                return used;
-            }
-            if (uop.type == UopType::kLoad && ldqFull(ctx)) {
-                _pmu.record(EventId::kLdqFullStall, ctx);
-                return used;
-            }
-            if (uop.type == UopType::kStore && stqFull(ctx)) {
-                _pmu.record(EventId::kStqFullStall, ctx);
+            // partition policy in HT mode), folded into one rarely
+            // taken branch; the event keeps the check order.
+            if ((room.rob == 0) | (is_load & (room.ldq == 0)) |
+                (is_store & (room.stq == 0))) {
+                _pmu.record(room.rob == 0 ? EventId::kRobFullStall
+                            : is_load     ? EventId::kLdqFullStall
+                                          : EventId::kStqFullStall,
+                            ctx);
                 return used;
             }
 
@@ -387,34 +404,19 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
             Cycle latency = uop.execLatency;
             bool mispredicted = false;
             std::uint32_t fetch_bubble = 0;
-
-            switch (uop.type) {
-              case UopType::kLoad: {
-                DataAccessResult access;
-                {
-                    ScopedStageTimer timer(
-                        _profiler, &StageProfiler::memorySeconds);
-                    access = _mem.dataAccess(fe.bundle.asid,
-                                             uop.dataVaddr, ctx,
-                                             false, ready);
-                }
-                latency = access.latency;
-                if (!access.l1Hit) {
-                    _pmu.record(EventId::kMemStallCycles, ctx,
-                                access.latency);
-                }
-                break;
-              }
-              case UopType::kStore: {
-                // Buffered: affects caches, not the critical path.
-                ScopedStageTimer timer(
-                    _profiler, &StageProfiler::memorySeconds);
-                _mem.dataAccess(fe.bundle.asid, uop.dataVaddr, ctx,
-                                true, ready);
-                latency = 1;
-                break;
-              }
-              case UopType::kBranch: {
+            if (is_load | is_store) {
+                // Stores are buffered: they affect the caches, not
+                // the critical path.
+                StageClock<kProfiled> clock(_memoryProbe);
+                const DataAccessResult access =
+                    _mem.dataAccess(fe.bundle.asid, uop.dataVaddr,
+                                    ctx, is_store, ready);
+                clock.lap(&StageProfiler::memorySeconds);
+                latency = is_load ? access.latency : 1;
+                _pmu.record(EventId::kMemStallCycles, ctx,
+                            is_load && !access.l1Hit ? access.latency
+                                                     : 0);
+            } else if (uop.type == UopType::kBranch) {
                 const bool line_end =
                     fe.pos + 1 == fe.bundle.count;
                 const BranchOutcome outcome = _branch.predict(
@@ -422,11 +424,6 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
                     uop.mispredictProb, _rng, line_end);
                 mispredicted = outcome.mispredicted;
                 fetch_bubble = outcome.fetchBubble;
-                break;
-              }
-              case UopType::kAlu:
-              case UopType::kFp:
-                break;
             }
 
             const Cycle issue = findIssueSlot(ready);
@@ -440,10 +437,11 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
             entry.kernelMode = uop.kernelMode;
             if (cs.rob.size() == 1)
                 cs.headCompletion = completion;
-            if (uop.type == UopType::kLoad)
-                ++cs.ldqOcc;
-            else if (uop.type == UopType::kStore)
-                ++cs.stqOcc;
+            --room.rob;
+            room.ldq -= is_load;
+            room.stq -= is_store;
+            cs.ldqOcc += is_load;
+            cs.stqOcc += is_store;
             ++fe.pos;
             ++used;
 
@@ -470,6 +468,7 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
     return used;
 }
 
+template <bool kProfiled>
 std::uint32_t
 SmtCore::fetchAllocStage(Cycle now)
 {
@@ -485,7 +484,7 @@ SmtCore::fetchAllocStage(Cycle now)
     ContextId ctx = first;
     if (contexts > 1 && _scheduler.active(first) == nullptr)
         ctx = static_cast<ContextId>((first + 1) & 1);
-    return allocFromContext(ctx, now, budget);
+    return allocFromContext<kProfiled>(ctx, now, budget);
 }
 
 void
@@ -539,30 +538,30 @@ SmtCore::flushAccounting()
         _pmu.recordBulk(EventId::kSingleThreadCycles, 0, n);
 }
 
+template <bool kProfiled>
 SmtCore::CycleOutcome
-SmtCore::cycle(Cycle now)
+SmtCore::cycleStages(Cycle now)
 {
     CycleOutcome outcome;
     _threadEvent = false;
-    {
-        ScopedStageTimer timer(_profiler,
-                               &StageProfiler::retireSeconds);
-        outcome.retired = retireStage(now);
-    }
-    {
-        ScopedStageTimer timer(_profiler,
-                               &StageProfiler::fetchAllocSeconds);
-        outcome.allocated = fetchAllocStage(now);
-    }
-    {
-        ScopedStageTimer timer(_profiler,
-                               &StageProfiler::accountSeconds);
-        accountWindow(1);
-    }
-    if (_profiler != nullptr)
-        ++_profiler->cycles;
+    StageClock<kProfiled> clock(sampleProbes<kProfiled>());
+    retireStage(now);
+    clock.lap(&StageProfiler::retireSeconds);
+    outcome.allocated = fetchAllocStage<kProfiled>(now);
+    clock.lap(&StageProfiler::fetchAllocSeconds);
+    accountWindow(1);
+    clock.lap(&StageProfiler::accountSeconds);
     outcome.threadEvent = _threadEvent;
     return outcome;
+}
+
+SmtCore::CycleOutcome
+SmtCore::cycle(Cycle now)
+{
+    // The one profiler check of the cycle: the unprofiled variant
+    // carries no timer code at all.
+    return _profiler != nullptr ? cycleStages<true>(now)
+                                : cycleStages<false>(now);
 }
 
 Cycle
@@ -657,15 +656,15 @@ SmtCore::bounds(Cycle now) const
     return b;
 }
 
+template <bool kProfiled>
 SmtCore::CycleOutcome
-SmtCore::retireOnlyCycle(Cycle now)
+SmtCore::retireOnlyStages(Cycle now)
 {
     CycleOutcome outcome;
-    {
-        ScopedStageTimer timer(_profiler,
-                               &StageProfiler::retireSeconds);
-        outcome.retired = retireStage(now);
-    }
+    _threadEvent = false;
+    StageClock<kProfiled> clock(sampleProbes<kProfiled>());
+    retireStage(now);
+    clock.lap(&StageProfiler::retireSeconds);
     // Replicate the one stall event the slot-owning context would
     // have recorded in fetchAllocStage (the window precondition
     // guarantees it cannot allocate or call nextBundle this cycle).
@@ -676,14 +675,17 @@ SmtCore::retireOnlyCycle(Cycle now)
         ctx = static_cast<ContextId>((ctx + 1) & 1);
     if (_scheduler.active(ctx) != nullptr)
         _pmu.record(stallEventFor(ctx, now), ctx);
-    {
-        ScopedStageTimer timer(_profiler,
-                               &StageProfiler::accountSeconds);
-        accountWindow(1);
-    }
-    if (_profiler != nullptr)
-        ++_profiler->cycles;
+    accountWindow(1);
+    clock.lap(&StageProfiler::accountSeconds);
+    outcome.threadEvent = _threadEvent;
     return outcome;
+}
+
+SmtCore::CycleOutcome
+SmtCore::retireOnlyCycle(Cycle now)
+{
+    return _profiler != nullptr ? retireOnlyStages<true>(now)
+                                : retireOnlyStages<false>(now);
 }
 
 EventId

@@ -64,25 +64,16 @@ class SmtCore
     /** What one call to cycle() did (drives the simulation loop). */
     struct CycleOutcome
     {
-        /** µops retired this cycle (all contexts). */
-        std::uint32_t retired = 0;
         /** µops allocated this cycle. */
         std::uint32_t allocated = 0;
         /**
          * A thread declined to produce a fetch bundle this cycle
-         * (it blocked or finished generation). Process completion
-         * can only flip on a cycle with retired > 0 or this flag
-         * set, so the driver's completion scan is skipped on all
-         * other cycles.
+         * (it blocked or finished generation), or a retirement ran
+         * a thread's retire hook. Process completion can only flip
+         * on a cycle with this flag set, so the driver's completion
+         * scan is skipped on all other cycles.
          */
         bool threadEvent = false;
-
-        /** Whether the cycle retired or allocated at least one µop. */
-        bool
-        progressed() const
-        {
-            return retired + allocated > 0;
-        }
     };
 
     SmtCore(const CoreConfig& config, MemorySystem& mem,
@@ -249,14 +240,15 @@ class SmtCore
 
     /**
      * Attach (or detach, with nullptr) a per-stage wall-time
-     * profiler (jsmt_run --profile). Profiling adds clock reads to
-     * every stage, so it costs real time; simulation results are
-     * unaffected.
+     * profiler (jsmt_run --profile). One executed cycle in
+     * StageProfiler::kSamplePeriod is timed, which costs a little
+     * real time; simulation results are unaffected.
      */
     void
     setProfiler(StageProfiler* profiler)
     {
         _profiler = profiler;
+        _memoryProbe = nullptr;
     }
 
     /** @return the attached profiler (null when detached). */
@@ -314,11 +306,12 @@ class SmtCore
             return _slots[(_head + i) & _mask];
         }
 
+        /** Drop the @p n oldest entries (n <= size()). */
         void
-        pop_front()
+        pop_front(std::uint32_t n)
         {
-            _head = (_head + 1) & _mask;
-            --_count;
+            _head = (_head + n) & _mask;
+            _count -= n;
         }
 
         /** Claim the next tail slot (caller fills it in place). */
@@ -383,12 +376,103 @@ class SmtCore
         }
     };
 
-    std::uint32_t retireStage(Cycle now);
-    std::uint32_t fetchAllocStage(Cycle now);
-    /** Stall event @p ctx records per cycle in a stalled window. */
-    EventId stallEventFor(ContextId ctx, Cycle now) const;
+    /**
+     * Free window entries of one context: how many more µops,
+     * loads and stores it may allocate before robFull(), ldqFull()
+     * or stqFull() would report full.
+     */
+    struct WindowRoom
+    {
+        std::uint32_t rob = 0;
+        std::uint32_t ldq = 0;
+        std::uint32_t stq = 0;
+    };
+
+    // The cycle path is compiled twice: the unprofiled variant
+    // carries no profiling code at all; in a profiled run every
+    // cycle takes the profiled one, so sampled cycles run the same
+    // code (branch-predictor and cache state) as unsampled ones and
+    // only the clock reads depend on the sample.
+    template <bool kProfiled> CycleOutcome cycleStages(Cycle now);
+    template <bool kProfiled> CycleOutcome retireOnlyStages(Cycle now);
+    template <bool kProfiled> std::uint32_t fetchAllocStage(Cycle now);
+    template <bool kProfiled>
     std::uint32_t allocFromContext(ContextId ctx, Cycle now,
                                    std::uint32_t budget);
+
+    /**
+     * Start a cycle's profiling: counts the cycle, points
+     * _memoryProbe at the profiler when this cycle samples the
+     * memory walks, and @return the profiler when it samples the
+     * stages (null otherwise, and always when !kProfiled).
+     */
+    template <bool kProfiled>
+    StageProfiler*
+    sampleProbes()
+    {
+        if constexpr (!kProfiled) {
+            return nullptr;
+        } else {
+            const StageProbe probe = _profiler->nextCycle();
+            _memoryProbe =
+                probe == StageProbe::kMemory ? _profiler : nullptr;
+            return probe == StageProbe::kStages ? _profiler : nullptr;
+        }
+    }
+
+    void
+    retireStage(Cycle now)
+    {
+        // Nothing can retire before either ROB head completes
+        // (entries retire in order, so only the heads matter). The
+        // cached head completions are exact (kNoCycle when empty; an
+        // inactive context's stays kNoCycle), making this inline
+        // early-out record the same single kRetire0 event the full
+        // scan would.
+        if (_ctx[0].headCompletion > now &&
+            _ctx[1].headCompletion > now) {
+            _pmu.record(EventId::kRetire0, 0);
+            return;
+        }
+        retireHeads(now);
+    }
+
+    /** retireStage() once some ROB head has completed. */
+    void retireHeads(Cycle now);
+    /**
+     * Per-µop onRetire() for the @p uops oldest entries of @p rob, in
+     * program order: the path for retire hooks and for prefixes that
+     * mix threads. Kept out of line so the common bulk path stays
+     * small.
+     */
+    [[gnu::noinline]] void retireEach(const RobRing& rob,
+                                      std::uint32_t uops, Cycle now);
+    /** Stall event @p ctx records per cycle in a stalled window. */
+    EventId stallEventFor(ContextId ctx, Cycle now) const;
+
+    /** @return the free window entries of @p ctx right now. */
+    WindowRoom
+    windowRoom(ContextId ctx) const
+    {
+        // Occupancy at or above the cap leaves no room.
+        const auto room = [](std::uint32_t occupied,
+                             std::uint32_t cap) {
+            return occupied < cap ? cap - occupied : 0;
+        };
+        if (_dynamicShared) {
+            // Shared pool: the lone constraint is total occupancy.
+            return {room(_ctx[0].rob.size() + _ctx[1].rob.size(),
+                         _config.robEntries),
+                    room(_ctx[0].ldqOcc + _ctx[1].ldqOcc,
+                         _config.loadBufEntries),
+                    room(_ctx[0].stqOcc + _ctx[1].stqOcc,
+                         _config.storeBufEntries)};
+        }
+        const ContextState& cs = _ctx[ctx];
+        return {room(cs.rob.size(), _robCapCache[ctx]),
+                room(cs.ldqOcc, _ldqCapCache[ctx]),
+                room(cs.stqOcc, _stqCapCache[ctx])};
+    }
     /**
      * Batch @p cycles cycles of busy/idle/mode accounting. Inline
      * fast path: nothing that feeds the signature changed since the
@@ -427,6 +511,8 @@ class SmtCore
     Pmu& _pmu;
     trace::TraceSink* _trace = nullptr;
     StageProfiler* _profiler = nullptr;
+    /** _profiler while the current cycle samples memory walks. */
+    StageProfiler* _memoryProbe = nullptr;
     Rng _rng;
     bool _hyperThreading = true;
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "jvm/benchmarks.h"
@@ -111,6 +112,15 @@ TEST(ProfileDeath, ValidationCatchesBadFractions)
     profile.mispredictRate = 1.5;
     EXPECT_EXIT(profile.validate(), testing::ExitedWithCode(1),
                 "mispredictRate");
+}
+
+TEST(ProfileDeath, ValidationCatchesNanFraction)
+{
+    WorkloadProfile profile;
+    profile.name = "bad";
+    profile.sweepFrac = std::nan("");
+    EXPECT_EXIT(profile.validate(), testing::ExitedWithCode(1),
+                "sweepFrac");
 }
 
 TEST(ProfileDeath, ValidationCatchesBadStride)

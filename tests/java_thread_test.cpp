@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "jvm/benchmarks.h"
 #include "jvm/process.h"
 
@@ -183,6 +186,59 @@ TEST(JavaThread, DependenceRingTracksCompletions)
     EXPECT_EQ(thread.producerCompletion(
                   seq + 1, SoftwareThread::kRingSize),
               0u);
+}
+
+/**
+ * Digest of the first @p bundles bundles an app thread of @p profile
+ * synthesizes: every µop's type, dependence distance, pc, mode and
+ * (for loads and stores, the only µops that carry one) data address.
+ */
+std::uint64_t
+streamDigest(const WorkloadProfile& profile, int bundles)
+{
+    ThreadFixture fixture(profile, 2);
+    JavaThread& thread = fixture.app();
+    FetchBundle bundle;
+    std::uint64_t h = 0xcbf29ce484222325ULL; // FNV-1a
+    const auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x100000001b3ULL;
+    };
+    for (int b = 0; b < bundles && thread.nextBundle(0, bundle); ++b) {
+        for (std::uint8_t i = 0; i < bundle.count; ++i) {
+            const Uop& uop = bundle.uops[i];
+            mix(static_cast<std::uint64_t>(uop.type));
+            mix(uop.depDist);
+            mix(uop.pc);
+            mix(uop.kernelMode ? 1 : 0);
+            if (uop.type == UopType::kLoad || uop.type == UopType::kStore)
+                mix(uop.dataVaddr);
+        }
+    }
+    return h;
+}
+
+TEST(JavaThread, BundleStreamsArePinned)
+{
+    // Recorded from the reference synthesis; a rewrite that changes
+    // any draw, its order or its interpretation fails here before it
+    // reaches the golden runs.
+    const std::map<std::string, std::uint64_t> expected = {
+        {"compress", 10849377076753347309ULL},
+        {"jess", 17084112377695216070ULL},
+        {"db", 15292887607413213423ULL},
+        {"javac", 11337160893813286701ULL},
+        {"mpegaudio", 1768274850477469722ULL},
+        {"jack", 15592471749371634631ULL},
+        {"MolDyn", 14718951006023124074ULL},
+        {"MonteCarlo", 14046359632739547833ULL},
+        {"RayTracer", 6845722062698503398ULL},
+        {"PseudoJBB", 4883944147515773008ULL},
+    };
+    ASSERT_EQ(expected.size(), benchmarkNames().size());
+    for (const auto& [name, digest] : expected) {
+        EXPECT_EQ(streamDigest(benchmarkProfile(name), 3000), digest)
+            << name;
+    }
 }
 
 } // namespace

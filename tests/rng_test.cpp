@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
+#include "jvm/benchmarks.h"
 
 namespace jsmt {
 namespace {
@@ -110,6 +112,79 @@ TEST(Rng, GeometricRespectsCap)
         EXPECT_LE(rng.geometric(0.001, 10), 10u);
     EXPECT_EQ(rng.geometric(0.0, 42), 42u);
     EXPECT_EQ(rng.geometric(1.0), 0u);
+}
+
+/** Probabilities the threshold form must decide exactly. */
+std::vector<double>
+thresholdProbes()
+{
+    std::vector<double> ps = {0.0, 1.0, -0.25, 1.25, 0.3};
+    // Dyadic p (exact multiples of 2^-k, where x * 2^-53 can equal p)
+    // and their neighbours one ulp either side.
+    for (int k = 1; k <= 53; ++k) {
+        for (const double m : {1.0, 3.0, 5.0}) {
+            const double d = std::ldexp(m, -k - 2);
+            ps.push_back(d);
+            ps.push_back(std::nextafter(d, 0.0));
+            ps.push_back(std::nextafter(d, 2.0));
+        }
+    }
+    ps.push_back(std::nextafter(1.0, 0.0));
+    ps.push_back(std::nextafter(0.0, 1.0));
+    // Every fraction (and cumulative mix bound) a profile draws
+    // against.
+    std::vector<WorkloadProfile> profiles = {kernelProfile()};
+    for (const std::string& name : benchmarkNames())
+        profiles.push_back(benchmarkProfile(name));
+    for (const WorkloadProfile& p : profiles) {
+        const double store_hi = p.loadFrac + p.storeFrac;
+        const double fp_hi = store_hi + p.fpFrac;
+        for (const double f :
+             {p.loadFrac, store_hi, fp_hi, fp_hi + p.branchFrac,
+              p.mispredictRate, p.codeJumpLocal, p.traceDiversity,
+              p.privateFrac, p.crossThreadFrac, p.sweepFrac, p.hotFrac,
+              p.hotFrac + p.warmFrac}) {
+            ps.push_back(f);
+        }
+    }
+    return ps;
+}
+
+TEST(Rng, ThresholdDecidesExactlyLikeUniformCompare)
+{
+    constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+    Rng rng(37);
+    for (const double p : thresholdProbes()) {
+        const std::uint64_t t = Rng::threshold(p);
+        // Raws at and around the threshold, the range ends, and
+        // random draws.
+        std::vector<std::uint64_t> xs = {0, 1, kTop - 1};
+        for (const std::uint64_t dx : {0ull, 1ull, 2ull}) {
+            if (t >= dx && t - dx < kTop)
+                xs.push_back(t - dx);
+            if (t + dx < kTop)
+                xs.push_back(t + dx);
+        }
+        for (int i = 0; i < 2000; ++i)
+            xs.push_back(rng.next() >> 11);
+        for (const std::uint64_t x : xs) {
+            ASSERT_EQ(static_cast<double>(x) * 0x1.0p-53 < p, x < t)
+                << "p=" << p << " x=" << x << " threshold=" << t;
+        }
+    }
+}
+
+TEST(Rng, ChanceBelowMatchesChanceAndDrawCount)
+{
+    for (const double p : thresholdProbes()) {
+        Rng a(41);
+        Rng b(41);
+        const std::uint64_t t = Rng::threshold(p);
+        for (int i = 0; i < 500; ++i)
+            ASSERT_EQ(a.chance(p), b.chanceBelow(t)) << "p=" << p;
+        // Both consumed the same number of draws.
+        EXPECT_EQ(a.next(), b.next()) << "p=" << p;
+    }
 }
 
 TEST(Rng, ForkIndependence)

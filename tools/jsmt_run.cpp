@@ -56,8 +56,10 @@
  *                                  breakdown of the simulator hot
  *                                  path (retire / fetch+alloc /
  *                                  memory walk / accounting) to
- *                                  stderr after the run; adds clock
- *                                  reads, so the run is slower but
+ *                                  stderr after the run, sampled
+ *                                  from one executed cycle in 127,
+ *                                  and the probe's own overhead
+ *                                  against an unprofiled re-run;
  *                                  the results are unchanged
  *     --trace FILE                 capture a Chrome trace_event JSON
  *                                  timeline of the run (open in
@@ -877,6 +879,27 @@ runMulti(const Options& options,
     return multi.allComplete ? 0 : 1;
 }
 
+/**
+ * Wall seconds of the single-core workload run again on a fresh
+ * machine with no profiler, tracer or metrics attached: the
+ * reference --profile measures its own overhead against.
+ */
+double
+plainRunSeconds(const SystemConfig& config, const Options& options)
+{
+    Machine machine(config);
+    Simulation sim(machine);
+    for (const auto& spec : options.workloads)
+        sim.addProcess(spec);
+    Simulation::RunOptions run_options;
+    run_options.fastForward = options.fastForward;
+    const auto start = std::chrono::steady_clock::now();
+    sim.run(run_options);
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
 } // namespace
 
 int
@@ -1048,6 +1071,17 @@ main(int argc, char** argv)
             static_cast<unsigned long long>(ff_cycles),
             static_cast<unsigned long long>(result.cycles),
             skip_pct);
+        const double plain_wall = plainRunSeconds(config, options);
+        std::fprintf(
+            stderr,
+            "probe overhead: %+.1f%% (profiled %.3f s vs unprofiled "
+            "re-run %.3f s; %llu of %llu cycles timed)\n",
+            plain_wall > 0.0
+                ? (run_wall - plain_wall) / plain_wall * 100.0
+                : 0.0,
+            run_wall, plain_wall,
+            static_cast<unsigned long long>(profiler.sampledCycles),
+            static_cast<unsigned long long>(profiler.cycles));
     }
 
     if (tracing) {
