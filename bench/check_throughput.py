@@ -15,14 +15,14 @@ Three classes of check, with very different tolerances:
   default 50%. The committed baseline was measured on one machine;
   CI runners differ in clock, cache and contention, so a tight band
   would only measure the runner. The band is chosen to catch
-  structural regressions — accidentally disabling fast-forward, LTO
-  or the memoized cache walks each cost well over 2x — while staying
-  deaf to runner variance.
+  structural regressions — accidentally disabling fast-forward or
+  LTO costs well over 2x — while staying deaf to runner variance.
 
 * Tracing overhead (trace_overhead_pct, multicore_trace_overhead_pct):
-  absolute budget, default 2%. These are A/Bs measured within the
-  same process on the same host, so they are machine-independent;
-  negative values (noise) pass.
+  absolute budget, default 2%. Each is the median of the per-pair
+  ratios over 7 interleaved plain/disabled-sink pairs measured
+  within the same process on the same host, so it is
+  machine-independent; negative values (noise) pass.
 
 * Step-thread scaling (step_scaling_4t): wall-clock speedup of the
   4-core stepping engine at 4 workers over the serial reference. The

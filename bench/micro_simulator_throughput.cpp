@@ -22,8 +22,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -134,21 +136,37 @@ soloRunSeconds(double scale, bool attach_disabled_sink)
         .count();
 }
 
+/** Interleaved plain/disabled-sink pairs per trace-overhead field. */
+constexpr int kOverheadPairs = 7;
+
 /**
- * Relative slowdown (percent) of a disabled-tracer run against a
- * tracer-free run; best-of-N on both sides to shed scheduler noise.
+ * Relative slowdown (percent) of the disabled-sink side of
+ * kOverheadPairs interleaved pairs against the plain side: the
+ * median of the per-pair ratios. Host drift lands on both runs of a
+ * pair alike, the order inside a pair alternates, and one noisy
+ * pair cannot move a median.
  */
 double
-traceOverheadPct(double scale)
+medianOverheadPct(const std::function<double(bool)>& run_seconds)
 {
-    constexpr int kRepeats = 3;
-    double off = 1e30;
-    double disabled = 1e30;
-    for (int i = 0; i < kRepeats; ++i) {
-        off = std::min(off, soloRunSeconds(scale, false));
-        disabled = std::min(disabled, soloRunSeconds(scale, true));
+    std::vector<double> ratios;
+    for (int i = 0; i < kOverheadPairs; ++i) {
+        const bool sink_first = (i % 2) == 1;
+        const double first = run_seconds(sink_first);
+        const double second = run_seconds(!sink_first);
+        const double plain = sink_first ? second : first;
+        const double sink = sink_first ? first : second;
+        if (plain > 0.0)
+            ratios.push_back(sink / plain);
     }
-    return off > 0.0 ? (disabled - off) / off * 100.0 : 0.0;
+    if (ratios.empty())
+        return 0.0;
+    std::sort(ratios.begin(), ratios.end());
+    const std::size_t mid = ratios.size() / 2;
+    const double median = ratios.size() % 2 == 1
+                              ? ratios[mid]
+                              : (ratios[mid - 1] + ratios[mid]) / 2;
+    return (median - 1.0) * 100.0;
 }
 
 /**
@@ -229,12 +247,13 @@ multiChipRunSeconds(double scale, std::uint32_t step_threads,
 
 /**
  * Multi-core stepping-engine measurements: serial-reference chip
- * throughput, the 4-worker wall-clock scaling factor, and the
- * disabled-sink overhead of the multi-core path. Best-of-N on every
- * wall measurement. The thread budget is raised for the scaling
- * run so the worker pool is never silently clamped on a small CI
- * host; host_cpus is reported alongside so the checker only
- * enforces the scaling floor where the host can physically scale.
+ * throughput and the 4-worker wall-clock scaling factor (best-of-N
+ * wall times), and the disabled-sink overhead of the multi-core
+ * path (median of interleaved pairs). The thread budget is raised
+ * for the scaling run so the worker pool is never silently clamped
+ * on a small CI host; host_cpus is reported alongside so the
+ * checker only enforces the scaling floor where the host can
+ * physically scale.
  */
 void
 multiCoreSteppingThroughput(double scale, double* cycles_out,
@@ -245,25 +264,20 @@ multiCoreSteppingThroughput(double scale, double* cycles_out,
     exec::ThreadBudget::instance().setCapacityForTest(16);
     double serial = 1e30;
     double parallel = 1e30;
-    double traced = 1e30;
     double cycles = 0.0;
     for (int i = 0; i < kRepeats; ++i) {
-        double run_cycles = 0.0;
         serial = std::min(
-            serial, multiChipRunSeconds(scale, 1, false,
-                                        &run_cycles));
-        cycles = run_cycles;
+            serial, multiChipRunSeconds(scale, 1, false, &cycles));
         parallel = std::min(
             parallel, multiChipRunSeconds(scale, 4, false, nullptr));
-        traced = std::min(
-            traced, multiChipRunSeconds(scale, 1, true, nullptr));
     }
+    *overhead_pct_out = medianOverheadPct([&](bool sink) {
+        return multiChipRunSeconds(scale, 1, sink, nullptr);
+    });
     exec::ThreadBudget::instance().setCapacityForTest(0);
     *cycles_out = cycles;
     *mcps_out = serial > 0.0 ? cycles / 1e6 / serial : 0.0;
     *scaling_out = parallel > 0.0 ? serial / parallel : 0.0;
-    *overhead_pct_out =
-        serial > 0.0 ? (traced - serial) / serial * 100.0 : 0.0;
 }
 
 int
@@ -305,7 +319,9 @@ runPairMatrixThroughput(int argc, char** argv,
     }
 
     const double trace_overhead_pct =
-        traceOverheadPct(config.lengthScale);
+        medianOverheadPct([&](bool sink) {
+            return soloRunSeconds(config.lengthScale, sink);
+        });
 
     double multicore_cycles = 0.0;
     double multicore_mcps = 0.0;

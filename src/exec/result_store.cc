@@ -1,7 +1,6 @@
-#include "exec/run_cache.h"
+#include "exec/result_store.h"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -22,13 +21,13 @@ using json::asBool;
 using json::asNumber;
 using json::asString;
 
-/** Process-wide spill health (metrics export). */
-std::atomic<std::uint64_t> g_spillSaves{0};
-std::atomic<std::uint64_t> g_spillSaveFailures{0};
-std::atomic<std::uint64_t> g_spillLoadRejects{0};
+/** Process-wide store totals (metrics export). */
+std::atomic<std::uint64_t> g_saves{0};
+std::atomic<std::uint64_t> g_saveFailures{0};
+std::atomic<std::uint64_t> g_loadRejects{0};
+std::atomic<std::uint64_t> g_entriesLoaded{0};
 
-} // namespace
-
+/** Append @p result to @p out as its canonical JSON object. */
 void
 writeRunResultJson(std::string& out, const RunResult& result)
 {
@@ -70,6 +69,7 @@ writeRunResultJson(std::string& out, const RunResult& result)
     out += "]}";
 }
 
+/** Decode a RunResult; @return false if a field is malformed. */
 bool
 readRunResultJson(const json::Value& value, RunResult* out)
 {
@@ -93,43 +93,76 @@ readRunResultJson(const json::Value& value, RunResult* out)
     const json::Value* processes = value.field("processes");
     if (!processes || !processes->isArray())
         return false;
-    {
-        for (const json::Value& entry : processes->items) {
-            if (!entry.isObject())
-                return false;
-            ProcessResult pr;
-            pr.pid = static_cast<ProcessId>(
-                asNumber(entry.field("pid")));
-            pr.benchmark = asString(entry.field("benchmark"));
-            pr.complete = asBool(entry.field("complete"));
-            pr.launchCycle = asNumber(entry.field("launchCycle"));
-            pr.completionCycle =
-                asNumber(entry.field("completionCycle"));
-            pr.durationCycles =
-                asNumber(entry.field("durationCycles"));
-            pr.gcRuns = asNumber(entry.field("gcRuns"));
-            pr.allocatedBytes =
-                asNumber(entry.field("allocatedBytes"));
-            out->processes.push_back(std::move(pr));
-        }
+    for (const json::Value& entry : processes->items) {
+        if (!entry.isObject())
+            return false;
+        ProcessResult pr;
+        pr.pid = static_cast<ProcessId>(asNumber(entry.field("pid")));
+        pr.benchmark = asString(entry.field("benchmark"));
+        pr.complete = asBool(entry.field("complete"));
+        pr.launchCycle = asNumber(entry.field("launchCycle"));
+        pr.completionCycle = asNumber(entry.field("completionCycle"));
+        pr.durationCycles = asNumber(entry.field("durationCycles"));
+        pr.gcRuns = asNumber(entry.field("gcRuns"));
+        pr.allocatedBytes = asNumber(entry.field("allocatedBytes"));
+        out->processes.push_back(std::move(pr));
     }
     return true;
 }
 
-RunCache::RunCache(const std::string& spill_path)
+/**
+ * Digest of one entry: FNV over the serialized result, written as a
+ * decimal string because a 64-bit hash does not round-trip through
+ * a JSON double.
+ */
+std::string
+resultDigest(const RunResult& result)
 {
-    setSpillPath(spill_path);
+    std::string serialized;
+    writeRunResultJson(serialized, result);
+    return std::to_string(hashKey(serialized));
 }
 
-RunCache::~RunCache()
+/** @return @p topology with the step-threads field stripped. */
+std::string
+normalizeTopology(const std::string& topology)
+{
+    const std::size_t at = topology.find(";step-threads=");
+    return at == std::string::npos ? topology
+                                   : topology.substr(0, at);
+}
+
+} // namespace
+
+std::string
+ResultStore::describeTopology(std::uint32_t cores,
+                              const std::string& alloc)
+{
+    // The step-threads field is schema documentation, not identity:
+    // the stepping engine is bit-identical for every worker count,
+    // so entries measured at any --step-threads are valid for any
+    // other. "any" records that invariance explicitly in the file.
+    return "cores=" + std::to_string(cores) + ";alloc=" + alloc +
+           ";step-threads=any";
+}
+
+ResultStore::ResultStore(std::string path, std::size_t flush_every,
+                         std::string topology)
+    : _path(std::move(path)), _flushEvery(flush_every),
+      _topology(std::move(topology))
+{
+    load(_path);
+}
+
+ResultStore::~ResultStore()
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    if (!_spillPath.empty() && _dirty)
-        save(_spillPath);
+    if (_pending > 0)
+        flushLocked();
 }
 
 bool
-RunCache::lookup(const std::string& key, RunResult* out) const
+ResultStore::lookup(const std::string& key, RunResult* out) const
 {
     std::lock_guard<std::mutex> lock(_mutex);
     const auto it = _entries.find(key);
@@ -144,16 +177,18 @@ RunCache::lookup(const std::string& key, RunResult* out) const
 }
 
 void
-RunCache::insert(const std::string& key, const RunResult& result)
+ResultStore::insert(const std::string& key, const RunResult& result)
 {
     std::lock_guard<std::mutex> lock(_mutex);
     _entries[key] = result;
-    _dirty = true;
+    ++_pending;
+    if (_flushEvery > 0 && _pending >= _flushEvery)
+        flushLocked();
 }
 
 RunResult
-RunCache::getOrCompute(const std::string& key,
-                       const std::function<RunResult()>& compute)
+ResultStore::getOrCompute(const std::string& key,
+                          const std::function<RunResult()>& compute)
 {
     RunResult result;
     if (lookup(key, &result))
@@ -163,38 +198,41 @@ RunCache::getOrCompute(const std::string& key,
     return result;
 }
 
-void
-RunCache::setSpillPath(const std::string& path)
-{
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _spillPath = path;
-    }
-    load(path);
-}
-
 bool
-RunCache::load(const std::string& path)
+ResultStore::load(const std::string& path)
 {
     std::string text;
-    if (!readFile(path, &text)) {
-        g_spillLoadRejects.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
+    if (path.empty() || !readFile(path, &text))
+        return false; // No file yet: cold start, not an error.
 
-    // All-or-nothing: decode the whole document before touching the
-    // cache, and reject the file outright when any entry is
-    // malformed. A spill truncated mid-write (crash, full disk) must
-    // never half-load — a cache silently missing entries would be
-    // indistinguishable from one holding stale ones.
     const auto reject = [&] {
-        warn("run-cache: ignoring malformed spill file " + path);
-        g_spillLoadRejects.fetch_add(1, std::memory_order_relaxed);
+        warn("result store: ignoring invalid file " + path +
+             " (starting cold)");
+        g_loadRejects.fetch_add(1, std::memory_order_relaxed);
         return false;
     };
     json::Value root;
     if (!json::parse(text, &root) || !root.isObject())
         return reject();
+
+    // Files written before the allocation layer carry no topology
+    // field; they are single-core static-pin by construction.
+    std::string topology = asString(root.field("topology"));
+    if (topology.empty())
+        topology = kDefaultTopology;
+    if (!_topology.empty() &&
+        normalizeTopology(_topology) != normalizeTopology(topology)) {
+        std::lock_guard<std::mutex> lock(_mutex);
+        _manifestTopology = topology;
+        _topologyMismatch = true;
+        warn("result store: " + path + " records topology '" +
+             topology + "' but this run is '" + _topology +
+             "'; refusing to mix entries");
+        return false;
+    }
+
+    // Decode and verify the whole document before touching the
+    // store: one bad entry rejects the file.
     const json::Value* entries = root.field("entries");
     if (!entries || !entries->isArray())
         return reject();
@@ -207,153 +245,181 @@ RunCache::load(const std::string& path)
         const json::Value* result = entry.field("result");
         RunResult value;
         if (key.empty() || !result ||
-            !readRunResultJson(*result, &value)) {
+            !readRunResultJson(*result, &value) ||
+            asString(entry.field("digest")) != resultDigest(value)) {
             return reject();
         }
         decoded.emplace_back(key, std::move(value));
     }
 
     std::lock_guard<std::mutex> lock(_mutex);
+    _manifestTopology = topology;
     for (auto& [key, value] : decoded)
         _entries.emplace(std::move(key), std::move(value));
+    _resumed += decoded.size();
+    g_entriesLoaded.fetch_add(decoded.size(),
+                              std::memory_order_relaxed);
     return true;
 }
 
 bool
-RunCache::save(const std::string& path) const
+ResultStore::save(const std::string& path) const
 {
-    std::string out = "{\"version\":1,\"entries\":[\n";
-    {
-        bool first = true;
-        for (const auto& [key, result] : _entries) {
-            if (!first)
-                out += ",\n";
-            first = false;
-            out += "{\"key\":";
-            appendEscaped(out, key);
-            out += ",\"hash\":" + std::to_string(hashKey(key));
-            out += ",\"result\":";
-            writeRunResultJson(out, result);
-            out += '}';
-        }
+    std::lock_guard<std::mutex> lock(_mutex);
+    return saveLocked(path);
+}
+
+bool
+ResultStore::saveLocked(const std::string& path) const
+{
+    std::string topology = _topology;
+    if (topology.empty())
+        topology = _manifestTopology.empty() ? kDefaultTopology
+                                             : _manifestTopology;
+    std::string out = "{\"version\":2,\"topology\":";
+    appendEscaped(out, topology);
+    out += ",\"entries\":[\n";
+    bool first = true;
+    for (const auto& [key, result] : _entries) {
+        if (!first)
+            out += ",\n";
+        first = false;
+        out += "{\"key\":";
+        appendEscaped(out, key);
+        out += ",\"digest\":\"" + resultDigest(result) +
+               "\",\"result\":";
+        writeRunResultJson(out, result);
+        out += '}';
     }
     out += "\n]}\n";
 
-    const resilience::FaultPlan& plan = faultPlan();
+    const resilience::FaultPlan& plan =
+        _faultPlan != nullptr ? *_faultPlan
+                              : resilience::FaultPlan::global();
     const resilience::FaultPlan::SpillFault fault =
         plan.spillFault(plan.nextSpillOrdinal());
     if (fault == resilience::FaultPlan::SpillFault::kTruncate) {
         // Injected crash mid-write: the staged .tmp stops halfway
         // and the rename never happens — exactly what a power cut
-        // between write() and rename() leaves behind. The live
-        // spill (if any) must survive untouched.
+        // between write() and rename() leaves behind.
         std::ofstream tmp(atomicTempPath(path), std::ios::trunc);
         tmp << out.substr(0, out.size() / 2);
-        warn("run-cache: injected crash mid-save of " + path);
-        g_spillSaveFailures.fetch_add(1,
-                                      std::memory_order_relaxed);
+        warn("result store: injected crash mid-write of " + path);
+        g_saveFailures.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
     if (!atomicWriteFile(path, out)) {
-        g_spillSaveFailures.fetch_add(1,
-                                      std::memory_order_relaxed);
+        g_saveFailures.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
     if (fault == resilience::FaultPlan::SpillFault::kCorrupt) {
-        // Injected bitrot: clobber bytes in the middle of the
-        // now-published document. The next load must reject the
-        // file wholesale and degrade to a cold cache.
+        // Injected bitrot in the published document: the next load
+        // must reject the file wholesale.
         std::ofstream file(path, std::ios::in | std::ios::out);
         file.seekp(static_cast<std::streamoff>(out.size() / 2));
         file << "\x01garbage\x02";
-        warn("run-cache: injected corruption into " + path);
+        warn("result store: injected corruption into " + path);
     }
-    g_spillSaves.fetch_add(1, std::memory_order_relaxed);
+    g_saves.fetch_add(1, std::memory_order_relaxed);
+    return true;
+}
+
+bool
+ResultStore::flush()
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    return flushLocked();
+}
+
+bool
+ResultStore::flushLocked()
+{
+    if (_path.empty() || !saveLocked(_path))
+        return false;
+    _pending = 0;
     return true;
 }
 
 void
-RunCache::setFaultPlan(const resilience::FaultPlan* plan)
+ResultStore::setFaultPlan(const resilience::FaultPlan* plan)
 {
     std::lock_guard<std::mutex> lock(_mutex);
     _faultPlan = plan;
 }
 
-const resilience::FaultPlan&
-RunCache::faultPlan() const
-{
-    return _faultPlan != nullptr ? *_faultPlan
-                                 : resilience::FaultPlan::global();
-}
-
-std::uint64_t
-RunCache::totalSpillSaves()
-{
-    return g_spillSaves.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-RunCache::totalSpillSaveFailures()
-{
-    return g_spillSaveFailures.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-RunCache::totalSpillLoadRejects()
-{
-    return g_spillLoadRejects.load(std::memory_order_relaxed);
-}
-
 void
-RunCache::clear()
+ResultStore::clear()
 {
     std::lock_guard<std::mutex> lock(_mutex);
     _entries.clear();
+    _pending = 0;
     _hits = 0;
     _misses = 0;
-    _dirty = false;
 }
 
 std::size_t
-RunCache::size() const
+ResultStore::size() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
     return _entries.size();
 }
 
 std::uint64_t
-RunCache::hits() const
+ResultStore::hits() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
     return _hits;
 }
 
 std::uint64_t
-RunCache::misses() const
+ResultStore::misses() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
     return _misses;
 }
 
-RunCache&
-RunCache::global()
+std::uint64_t
+ResultStore::totalSaves()
 {
-    static RunCache* cache = [] {
-        auto* c = new RunCache();
+    return g_saves.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+ResultStore::totalSaveFailures()
+{
+    return g_saveFailures.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+ResultStore::totalLoadRejects()
+{
+    return g_loadRejects.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+ResultStore::totalEntriesLoaded()
+{
+    return g_entriesLoaded.load(std::memory_order_relaxed);
+}
+
+ResultStore&
+ResultStore::global()
+{
+    static ResultStore* store = [] {
         const std::string path = envPath("JSMT_RUN_CACHE");
-        if (!path.empty())
-            c->setSpillPath(path);
-        // Spill at normal process exit; leaked on _exit/abort,
-        // which only costs a cold cache next time.
+        auto* s = path.empty() ? new ResultStore()
+                               : new ResultStore(path, 0);
+        // Written at normal process exit; leaked on _exit/abort,
+        // which only costs a cold memo next time.
         std::atexit([] {
-            delete cache;
-            cache = nullptr;
+            delete store;
+            store = nullptr;
         });
-        return c;
+        return s;
     }();
-    if (!cache)
-        fatal("run-cache: global() used after exit handlers ran");
-    return *cache;
+    if (!store)
+        fatal("result store: global() used after exit handlers ran");
+    return *store;
 }
 
 std::uint64_t

@@ -5,10 +5,10 @@
 #include <utility>
 
 #include "common/log.h"
+#include "exec/result_store.h"
 #include "exec/task_pool.h"
 #include "harness/solo.h"
 #include "jvm/benchmarks.h"
-#include "resilience/checkpoint.h"
 
 namespace jsmt {
 
@@ -47,9 +47,9 @@ runMultithreadedSweep(const ExperimentConfig& config,
     if (supervision.jobs == 0)
         supervision.jobs = config.jobs;
     resilience::Supervisor supervisor(supervision);
-    std::unique_ptr<resilience::SweepCheckpoint> checkpoint;
+    std::unique_ptr<exec::ResultStore> checkpoint;
     if (!config.checkpointPath.empty()) {
-        checkpoint = std::make_unique<resilience::SweepCheckpoint>(
+        checkpoint = std::make_unique<exec::ResultStore>(
             config.checkpointPath);
         if (checkpoint->resumed() > 0 && verbose()) {
             inform("sweep: resumed " +
@@ -89,7 +89,7 @@ runMultithreadedSweep(const ExperimentConfig& config,
             result = measureSoloCached(config.system,
                                        row.benchmark, ht, options);
             if (checkpoint != nullptr)
-                checkpoint->record(key, result);
+                checkpoint->insert(key, result);
             (ht ? row.htOn : row.htOff) = std::move(result);
         });
     if (report != nullptr)

@@ -35,10 +35,10 @@ struct ExperimentConfig
      */
     std::size_t jobs = 0;
     /**
-     * Retry/deadline policy for the supervised drivers. The default
-     * retries transient failures up to 3 attempts with no deadline;
-     * CLI entry points overlay JSMT_TASK_TIMEOUT/JSMT_TASK_RETRIES
-     * via resilience::SupervisorOptions::fromEnvironment(). A jobs
+     * Deadline policy for the supervised drivers. The default runs
+     * every task once with no deadline; CLI entry points overlay
+     * JSMT_TASK_TIMEOUT via
+     * resilience::SupervisorOptions::fromEnvironment(). A jobs
      * value of 0 here inherits the field above.
      */
     resilience::SupervisorOptions supervision;
@@ -66,7 +66,7 @@ struct MtCounterRow
  *
  * The sweep runs under a resilience::Supervisor with
  * config.supervision policy and, when config.checkpointPath is set,
- * checkpoints/resumes through a resilience::SweepCheckpoint. When
+ * checkpoints/resumes through an exec::ResultStore manifest. When
  * @p report is non-null the batch outcome is stored there and rows
  * whose measurement ultimately failed are left default-initialized;
  * when it is null any terminal failure is fatal.

@@ -57,47 +57,27 @@ MultiprogramRunner::soloDuration(
     const std::string& benchmark,
     const resilience::CancellationToken* cancel)
 {
-    {
-        std::lock_guard<std::mutex> lock(_soloMutex);
-        const auto it = _soloCache.find(benchmark);
-        if (it != _soloCache.end())
-            return it->second;
-    }
     SoloOptions options;
     options.threads = 1;
     options.lengthScale = _lengthScale;
     options.cancel = cancel;
-    const double duration =
-        soloDurationCyclesCached(_config, benchmark,
-                                 /*hyper_threading=*/false, options);
-    std::lock_guard<std::mutex> lock(_soloMutex);
-    _soloCache.emplace(benchmark, duration);
-    return duration;
+    return soloDurationCyclesCached(_config, benchmark,
+                                    /*hyper_threading=*/false, options);
 }
 
 void
-MultiprogramRunner::prefetchSolos(
-    const std::vector<std::string>& names)
+MultiprogramRunner::prefetchSolos(std::vector<std::string> names)
 {
-    std::vector<std::string> missing;
-    {
-        std::lock_guard<std::mutex> lock(_soloMutex);
-        for (const std::string& name : names) {
-            if (_soloCache.count(name) == 0 &&
-                std::find(missing.begin(), missing.end(), name) ==
-                    missing.end()) {
-                missing.push_back(name);
-            }
-        }
-    }
-    // Supervised so one flaky baseline retries instead of failing
-    // the whole prefetch; a baseline that still fails is re-tried
-    // inline by the pair that needs it (and reported there).
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    // Supervised so one failing baseline does not fail the whole
+    // prefetch; the pair that needs it measures it again inline
+    // and reports the failure there.
     _supervisor.run(
-        missing.size(),
-        [&](std::size_t i) { return "solo/" + missing[i]; },
+        names.size(),
+        [&](std::size_t i) { return "solo/" + names[i]; },
         [&](resilience::TaskContext& ctx) {
-            soloDuration(missing[ctx.index], ctx.token);
+            soloDuration(names[ctx.index], ctx.token);
         });
 }
 
@@ -191,7 +171,7 @@ MultiprogramRunner::runPairs(
         names.push_back(a);
         names.push_back(b);
     }
-    prefetchSolos(names);
+    prefetchSolos(std::move(names));
 
     if (verbose()) {
         inform("multiprogram: " + std::to_string(pairs.size()) +

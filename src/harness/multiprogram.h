@@ -15,8 +15,6 @@
 #ifndef JSMT_HARNESS_MULTIPROGRAM_H
 #define JSMT_HARNESS_MULTIPROGRAM_H
 
-#include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,7 +48,8 @@ struct PairResult
 };
 
 /**
- * Runs benchmark pairs and caches solo baselines.
+ * Runs benchmark pairs. Solo baselines are memoized in
+ * exec::ResultStore::global().
  */
 class MultiprogramRunner
 {
@@ -61,7 +60,7 @@ class MultiprogramRunner
      * @param min_runs completions required per program (paper: 12).
      * @param jobs worker threads for batch entry points; 0 resolves
      *        via JSMT_JOBS / hardware_concurrency (see TaskPool).
-     * @param supervision retry/deadline policy for the batch entry
+     * @param supervision deadline policy for the batch entry
      *        points; its jobs field, when 0, inherits @p jobs.
      */
     explicit MultiprogramRunner(
@@ -78,7 +77,7 @@ class MultiprogramRunner
     runPair(const std::string& a, const std::string& b,
             const resilience::CancellationToken* cancel = nullptr);
 
-    /** HT-disabled solo duration (cached across pairs). */
+    /** HT-disabled solo duration (memoized). */
     double soloDuration(
         const std::string& benchmark,
         const resilience::CancellationToken* cancel = nullptr);
@@ -89,10 +88,10 @@ class MultiprogramRunner
      * baselines of all involved benchmarks are prefetched (also in
      * parallel) before the pairs fan out.
      *
-     * The batch runs supervised: transient failures retry per the
-     * supervision policy. When @p report is non-null the outcome is
-     * stored there and failed cells stay default-initialized; when
-     * it is null any terminal failure is fatal.
+     * The batch runs supervised under the deadline policy. When
+     * @p report is non-null the outcome is stored there and failed
+     * cells stay default-initialized; when it is null any failure
+     * is fatal.
      */
     std::vector<PairResult>
     runPairs(const std::vector<
@@ -108,16 +107,13 @@ class MultiprogramRunner
     std::size_t jobs() const { return _supervisor.jobs(); }
 
   private:
-    /** Warm _soloCache for every name (parallel, deduplicated). */
-    void
-    prefetchSolos(const std::vector<std::string>& names);
+    /** Measure every distinct solo baseline (parallel). */
+    void prefetchSolos(std::vector<std::string> names);
 
     SystemConfig _config;
     double _lengthScale;
     std::size_t _minRuns;
     resilience::Supervisor _supervisor;
-    std::mutex _soloMutex;
-    std::map<std::string, double> _soloCache;
 };
 
 /**

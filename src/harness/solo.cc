@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "common/log.h"
-#include "exec/run_cache.h"
+#include "exec/result_store.h"
 
 namespace jsmt {
 
@@ -110,7 +110,7 @@ measureSoloCached(const SystemConfig& config,
                   const std::string& benchmark, bool hyper_threading,
                   const SoloOptions& options)
 {
-    return exec::RunCache::global().getOrCompute(
+    return exec::ResultStore::global().getOrCompute(
         soloRunKey(config, benchmark, hyper_threading, options),
         [&] {
             return measureSolo(config, benchmark, hyper_threading,
@@ -130,7 +130,7 @@ soloDurationCyclesCached(const SystemConfig& config,
     const std::string key =
         "solodur|" +
         soloRunKey(config, benchmark, hyper_threading, options);
-    const RunResult result = exec::RunCache::global().getOrCompute(
+    const RunResult result = exec::ResultStore::global().getOrCompute(
         key, [&] {
             SystemConfig cfg = config;
             cfg.hyperThreading = hyper_threading;

@@ -74,7 +74,7 @@ std::string soloRunKey(const SystemConfig& config,
                        const SoloOptions& options);
 
 /**
- * measureSolo memoized through exec::RunCache::global(). The sweep
+ * measureSolo memoized through exec::ResultStore::global(). The sweep
  * drivers call this so the many figures sharing a measurement (e.g.
  * Figures 3-6 read the same multithreaded sweep through different
  * counters) simulate each point once per process — or once per
@@ -85,7 +85,7 @@ RunResult measureSoloCached(const SystemConfig& config,
                             bool hyper_threading,
                             const SoloOptions& options = {});
 
-/** soloDurationCycles memoized through exec::RunCache::global(). */
+/** soloDurationCycles memoized through exec::ResultStore::global(). */
 double soloDurationCyclesCached(const SystemConfig& config,
                                 const std::string& benchmark,
                                 bool hyper_threading,

@@ -64,14 +64,6 @@ Cache::tagOf(Addr addr) const
 bool
 Cache::access(Asid asid, Addr addr, ContextId ctx)
 {
-    Line* line = nullptr;
-    return accessLine(asid, addr, ctx, &line);
-}
-
-bool
-Cache::accessLine(Asid asid, Addr addr, ContextId ctx,
-                  Line** line_out)
-{
     ++_accesses;
     ++_useClock;
     const std::uint32_t set = setIndex(addr, ctx);
@@ -80,45 +72,43 @@ Cache::accessLine(Asid asid, Addr addr, ContextId ctx,
         fatal("cache " + _config.name +
               ": address/asid exceeds packed-key width");
     const LineKey key = makeKey(asid, tag);
-    Line* base = &_lines[static_cast<std::size_t>(set) * _config.ways];
+    Line* const base =
+        &_lines[static_cast<std::size_t>(set) * _config.ways];
     const std::uint32_t ways = _config.ways;
 
-    // Hit scan first: one compare per way, no victim bookkeeping on
-    // the (overwhelmingly common) hit path.
+    // One walk over every way, selects instead of branches and no
+    // early exit: it finds the hit way, if any, and the victim —
+    // the last invalid way if there is one, else the least recently
+    // used. Invalid lines stamp 0 and valid stamps are distinct and
+    // positive, so the victim is the last way whose stamp is <=
+    // every earlier one.
+    std::uint32_t hit = ways;
+    std::uint32_t victim = 0;
+    std::uint64_t oldest = ~std::uint64_t{0};
     for (std::uint32_t w = 0; w < ways; ++w) {
-        Line& line = base[w];
-        if (line.key == key) {
-            line.lastUse = _useClock;
-            *line_out = &line;
-            return true;
-        }
+        const Line& line = base[w];
+        hit = line.key == key ? w : hit;
+        const bool older = line.lastUse <= oldest;
+        victim = older ? w : victim;
+        oldest = older ? line.lastUse : oldest;
+    }
+    if (hit != ways) {
+        base[hit].lastUse = _useClock;
+        return true;
     }
 
-    // Miss: pick the victim exactly as the original combined scan
-    // did — the last invalid way if any, else the unique least
-    // recently used line (lastUse stamps are distinct).
-    Line* victim = base;
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        Line& line = base[w];
-        if (line.key == 0) {
-            victim = &line;
-        } else if (victim->key != 0 &&
-                   line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
-    }
+    Line& line = base[victim];
     ++_misses;
-    if (victim->key != 0) {
+    if (line.key != 0) {
         ++_evictions;
-        if ((victim->key >> kAsidShift) !=
+        if ((line.key >> kAsidShift) !=
             (static_cast<LineKey>(asid) + 1))
             ++_crossAsidEvictions;
     } else {
         ++_validLines;
     }
-    victim->key = key;
-    victim->lastUse = _useClock;
-    *line_out = victim;
+    line.key = key;
+    line.lastUse = _useClock;
     return false;
 }
 

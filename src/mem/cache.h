@@ -72,28 +72,6 @@ class Cache
                tag;
     }
 
-    /** One cache line's bookkeeping (public for AccessMemo). */
-    struct Line
-    {
-        LineKey key = 0; ///< 0 when invalid.
-        std::uint64_t lastUse = 0;
-    };
-
-    /**
-     * Caller-held single-line memo for accessFast(): remembers the
-     * line the last access through this memo touched. The memo is
-     * self-revalidating — the fast path re-checks the line's own
-     * key before trusting it, so flushes and evictions need no
-     * explicit invalidation (line storage is allocated once and
-     * never moves).
-     */
-    struct AccessMemo
-    {
-        Line* line = nullptr;
-        LineKey key = 0;
-        ContextId ctx = 0;
-    };
-
     explicit Cache(const CacheConfig& config);
 
     /**
@@ -106,38 +84,6 @@ class Cache
      * @return true on hit.
      */
     bool access(Asid asid, Addr addr, ContextId ctx);
-
-    /**
-     * access() with a memoized fast path: a repeat access to the
-     * line @p memo remembers skips the set walk and only bumps the
-     * LRU stamp. Statistics and replacement state evolve exactly as
-     * under access() — a memo hit is an access() hit on the same
-     * line. The tag embeds the set bits and the context is matched,
-     * so a validated memo implies the plain path would have probed
-     * the same set and hit the same line.
-     */
-    bool
-    accessFast(Asid asid, Addr addr, ContextId ctx,
-               AccessMemo* memo)
-    {
-        const Addr tag = addr >> _lineShift;
-        const LineKey key = makeKey(asid, tag);
-        Line* const line = memo->line;
-        // The width checks keep an out-of-range (asid, tag) — which
-        // would alias under the key packing — off the memo path; it
-        // falls through to accessLine(), which rejects it loudly.
-        if (line != nullptr && memo->key == key &&
-            memo->ctx == ctx && line->key == key &&
-            (tag >> kAsidShift) == 0 && asid < kMaxAsid) {
-            ++_accesses;
-            ++_useClock;
-            line->lastUse = _useClock;
-            return true;
-        }
-        memo->key = key;
-        memo->ctx = ctx;
-        return accessLine(asid, addr, ctx, &memo->line);
-    }
 
     /** Probe without filling. @return true on hit. */
     bool lookup(Asid asid, Addr addr, ContextId ctx) const;
@@ -162,9 +108,6 @@ class Cache
 
     /** @return line size in bytes. */
     std::uint32_t lineBytes() const { return _config.lineBytes; }
-
-    /** @return log2(lineBytes) (memo slot hashing). */
-    std::uint32_t lineShift() const { return _lineShift; }
 
     /** @return total accesses since construction/flush-stats. */
     std::uint64_t accesses() const { return _accesses; }
@@ -197,9 +140,16 @@ class Cache
     const CacheConfig& config() const { return _config; }
 
   private:
-    /** access() body; reports the line that was hit or filled. */
-    bool accessLine(Asid asid, Addr addr, ContextId ctx,
-                    Line** line_out);
+    /**
+     * One line's bookkeeping. An invalid line has key 0 and
+     * lastUse 0; a valid line's lastUse is a distinct positive
+     * stamp.
+     */
+    struct Line
+    {
+        LineKey key = 0;
+        std::uint64_t lastUse = 0;
+    };
 
     std::uint32_t setIndex(Addr addr, ContextId ctx) const;
     Addr tagOf(Addr addr) const;

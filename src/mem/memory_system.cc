@@ -220,8 +220,7 @@ MemorySystem::fetchLine(Asid asid, Addr vaddr, Addr trace_addr,
     // the mechanism behind the paper's Figure 3.
     const Asid tc_asid =
         asid * 2 + (_hyperThreading ? (ctx % kNumContexts) : 0);
-    if (_traceCache.accessFast(tc_asid, trace_addr, ctx,
-                               &_tcMemo[ctx]) &&
+    if (_traceCache.access(tc_asid, trace_addr, ctx) &&
         !force_rebuild) {
         result.latency = 0;
         return result;
@@ -258,19 +257,14 @@ MemorySystem::dataAccess(Asid asid, Addr vaddr, ContextId ctx,
     std::uint32_t latency = 0;
 
     _pmu.record(EventId::kDtlbAccess, ctx);
-    Cache::AccessMemo& dtlb_memo =
-        _dtlbMemo[ctx][(vaddr >> _pageShift) & (kMemoSlots - 1)];
-    if (!_dtlb.accessFast(asid, vaddr, ctx, &dtlb_memo)) {
+    if (!_dtlb.access(asid, vaddr, ctx)) {
         _pmu.record(EventId::kDtlbMiss, ctx);
         latency += pageWalk(asid, vaddr, ctx, now);
     }
 
     const Addr paddr = translate(asid, vaddr);
     _pmu.record(EventId::kL1dAccess, ctx);
-    Cache::AccessMemo& l1d_memo =
-        _l1dMemo[ctx][(paddr >> _l1d.lineShift()) &
-                      (kMemoSlots - 1)];
-    if (_l1d.accessFast(asid, paddr, ctx, &l1d_memo)) {
+    if (_l1d.access(asid, paddr, ctx)) {
         result.latency = latency + _config.l1dHitCycles;
         return result;
     }
@@ -295,13 +289,6 @@ MemorySystem::flushAll()
     _dtlb.flush();
     _fsbNextFree = 0;
     _l2NextFree = 0;
-    // The access memos would self-revalidate against the flushed
-    // lines anyway; clearing them keeps no dangling bookkeeping.
-    _tcMemo.fill(Cache::AccessMemo{});
-    for (AccessMemoTable& table : _l1dMemo)
-        table.fill(Cache::AccessMemo{});
-    for (AccessMemoTable& table : _dtlbMemo)
-        table.fill(Cache::AccessMemo{});
 }
 
 } // namespace jsmt

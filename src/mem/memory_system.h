@@ -13,7 +13,6 @@
 #ifndef JSMT_MEM_MEMORY_SYSTEM_H
 #define JSMT_MEM_MEMORY_SYSTEM_H
 
-#include <array>
 #include <cstdint>
 
 #include "common/types.h"
@@ -238,20 +237,6 @@ class MemorySystem
 
     /** log2(pageBytes); pages are validated power-of-two. */
     std::uint32_t _pageShift = 12;
-
-    // Access memos (bit-identical fast paths, Cache::accessFast).
-    // Instruction fetch re-touches the same trace line, so one memo
-    // per context suffices; data streams hop lines/pages, so the
-    // DTLB and L1D keep direct-mapped memo tables indexed by the
-    // low tag bits. 256 slots covers every resident line of the
-    // 128-line L1D / 128-entry DTLB, so nearly all hits take the
-    // walk-free path.
-    static constexpr std::uint32_t kMemoSlots = 256;
-    using AccessMemoTable =
-        std::array<Cache::AccessMemo, kMemoSlots>;
-    std::array<Cache::AccessMemo, kNumContexts> _tcMemo{};
-    std::array<AccessMemoTable, kNumContexts> _l1dMemo{};
-    std::array<AccessMemoTable, kNumContexts> _dtlbMemo{};
 };
 
 } // namespace jsmt

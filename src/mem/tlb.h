@@ -44,17 +44,6 @@ class Tlb
      */
     bool access(Asid asid, Addr vaddr, ContextId ctx);
 
-    /**
-     * access() through a caller-held memo: repeat touches of the
-     * memoized page skip the set walk (see Cache::accessFast).
-     */
-    bool
-    accessFast(Asid asid, Addr vaddr, ContextId ctx,
-               Cache::AccessMemo* memo)
-    {
-        return _cache.accessFast(asid, vaddr, ctx, memo);
-    }
-
     /** Invalidate all translations (e.g. across partition change). */
     void flush();
 

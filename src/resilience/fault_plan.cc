@@ -25,8 +25,6 @@ const char*
 faultKindName(FaultKind kind)
 {
     switch (kind) {
-      case FaultKind::kTaskFail:
-        return "task-fail";
       case FaultKind::kTaskDelay:
         return "task-delay";
       case FaultKind::kSpillCorrupt:
@@ -85,9 +83,8 @@ FaultPlan::parse(const std::string& spec, FaultPlan* out,
                             " needs a positive period, got '" +
                             args + "'");
             }
-        } else if (kind == "task-fail" || kind == "task-delay") {
-            rule.kind = kind == "task-fail" ? FaultKind::kTaskFail
-                                            : FaultKind::kTaskDelay;
+        } else if (kind == "task-delay") {
+            rule.kind = FaultKind::kTaskDelay;
             const std::size_t at = args.rfind('@');
             if (at == std::string::npos || at == 0) {
                 return fail(kind + " needs MATCH@N, got '" + args +
@@ -159,20 +156,6 @@ FaultPlan::count(FaultKind kind) const
     g_injected[index].fetch_add(1, std::memory_order_relaxed);
 }
 
-bool
-FaultPlan::shouldFailTask(const std::string& name,
-                          std::size_t attempt) const
-{
-    for (const Rule& rule : _rules) {
-        if (rule.kind == FaultKind::kTaskFail &&
-            matches(rule.match, name) && attempt <= rule.value) {
-            count(FaultKind::kTaskFail);
-            return true;
-        }
-    }
-    return false;
-}
-
 std::uint64_t
 FaultPlan::taskDelayMs(const std::string& name) const
 {
@@ -220,22 +203,6 @@ std::uint64_t
 FaultPlan::injected(FaultKind kind) const
 {
     return _injected[static_cast<std::size_t>(kind)].load(
-        std::memory_order_relaxed);
-}
-
-std::uint64_t
-FaultPlan::injectedTotal() const
-{
-    std::uint64_t sum = 0;
-    for (const auto& counter : _injected)
-        sum += counter.load(std::memory_order_relaxed);
-    return sum;
-}
-
-std::uint64_t
-FaultPlan::totalInjected(FaultKind kind)
-{
-    return g_injected[static_cast<std::size_t>(kind)].load(
         std::memory_order_relaxed);
 }
 

@@ -3,22 +3,20 @@
  * Deterministic fault injection for the supervised execution layer.
  *
  * A FaultPlan is a parsed list of fault clauses that the runtime
- * consults at well-defined hook points: task launch (simulated
- * failures and artificial delays), run-cache / checkpoint spill
- * writes (corruption, truncation aka crash-mid-write) and trace-sink
- * construction (allocation failure). Injection is a pure function of
- * the hook's identity — task name, attempt number, save ordinal —
- * never of wall-clock time or a free-running RNG, so a failing
- * resilience test replays exactly.
+ * consults at well-defined hook points: task launch (artificial
+ * delays), result-store writes (corruption, truncation aka
+ * crash-mid-write) and trace-sink construction (allocation failure).
+ * Injection is a pure function of the hook's identity — task name,
+ * save ordinal — never of wall-clock time or a free-running RNG, so
+ * a failing resilience test replays exactly.
  *
  * Plans parse from a spec string (the JSMT_FAULT_PLAN environment
  * variable feeds the process-wide plan). Grammar: comma-separated
  * clauses
  *
- *   task-fail=MATCH@N     tasks whose name contains MATCH fail
- *                         (retryably) on attempts 1..N
  *   task-delay=MATCH@MS   tasks whose name contains MATCH sleep MS
- *                         milliseconds at the start of each attempt
+ *                         milliseconds at their start; a deadline
+ *                         that fires meanwhile fails the task
  *   spill-corrupt=N       every Nth spill save is corrupted in
  *                         place after the atomic rename (bitrot)
  *   spill-truncate=N      every Nth spill save crashes mid-write:
@@ -36,7 +34,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,8 +41,7 @@ namespace jsmt::resilience {
 
 /** Kinds of injectable faults. */
 enum class FaultKind : std::size_t {
-    kTaskFail = 0,
-    kTaskDelay,
+    kTaskDelay = 0,
     kSpillCorrupt,
     kSpillTruncate,
     kSinkAlloc,
@@ -54,20 +50,6 @@ enum class FaultKind : std::size_t {
 
 /** @return stable lowercase name of @p kind (metrics, logs). */
 const char* faultKindName(FaultKind kind);
-
-/**
- * A transient failure: the supervisor retries these (with backoff)
- * up to the attempt cap. Injected task faults and spill I/O errors
- * throw it; anything else is treated as permanent.
- */
-class RetryableError : public std::runtime_error
-{
-  public:
-    explicit RetryableError(const std::string& message)
-        : std::runtime_error(message)
-    {
-    }
-};
 
 /**
  * The parsed plan. Query methods are const and thread-safe; the
@@ -104,15 +86,7 @@ class FaultPlan
     std::string describe() const;
 
     /**
-     * Should attempt @p attempt (1-based) of task @p name fail?
-     * Counts the injection when true; the caller is expected to
-     * throw RetryableError.
-     */
-    bool shouldFailTask(const std::string& name,
-                        std::size_t attempt) const;
-
-    /**
-     * Artificial start-up delay for one attempt of @p name, in
+     * Artificial start-up delay of task @p name, in
      * milliseconds (0 = none). Counts the injection when nonzero.
      */
     std::uint64_t taskDelayMs(const std::string& name) const;
@@ -143,19 +117,13 @@ class FaultPlan
     /** @return injections of @p kind by this plan instance. */
     std::uint64_t injected(FaultKind kind) const;
 
-    /** @return injections of every kind by this instance. */
-    std::uint64_t injectedTotal() const;
-
-    /** @return process-wide injections of @p kind (all plans). */
-    static std::uint64_t totalInjected(FaultKind kind);
-
     /** @return process-wide injections of every kind. */
     static std::uint64_t totalInjectedAll();
 
   private:
     struct Rule
     {
-        FaultKind kind = FaultKind::kTaskFail;
+        FaultKind kind = FaultKind::kTaskDelay;
         std::string match; ///< task-name substring ("*" = any).
         std::uint64_t value = 0; ///< N or MS, per the grammar.
     };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
+#include <thread>
 #include <utility>
 
 #include "common/env.h"
@@ -13,23 +15,26 @@ namespace jsmt::resilience {
 namespace {
 
 /** Process-wide supervision totals (metrics export). */
-std::atomic<std::uint64_t> g_retries{0};
 std::atomic<std::uint64_t> g_deadlineCancels{0};
 std::atomic<std::uint64_t> g_timeouts{0};
 std::atomic<std::uint64_t> g_failures{0};
 
-/** FNV-1a over a task name mixed with attempt and seed (jitter). */
-std::uint64_t
-jitterHash(const std::string& name, int attempt, std::uint64_t seed)
+/**
+ * Injected wedge: sleep @p delay_ms at the start of a task, or until
+ * its deadline cancels @p token, which then fails the task.
+ */
+void
+injectedDelay(std::uint64_t delay_ms, const CancellationToken& token,
+              const std::string& name)
 {
-    std::uint64_t h = 14695981039346656037ULL ^ seed;
-    for (const char c : name) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    h ^= static_cast<std::uint64_t>(attempt);
-    h *= 1099511628211ULL;
-    return h;
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(delay_ms);
+    while (!token.cancelled() &&
+           std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (token.cancelled())
+        throw TaskCancelledError("task '" + name +
+                                 "' cancelled during injected delay");
 }
 
 } // namespace
@@ -41,9 +46,6 @@ SupervisorOptions::fromEnvironment()
     options.taskTimeoutSeconds =
         envDouble("JSMT_TASK_TIMEOUT", options.taskTimeoutSeconds,
                   0.0);
-    options.maxAttempts = static_cast<int>(envUint(
-        "JSMT_TASK_RETRIES",
-        static_cast<std::uint64_t>(options.maxAttempts), 1));
     return options;
 }
 
@@ -53,7 +55,6 @@ failureKindName(FailureKind kind)
     switch (kind) {
         case FailureKind::kTimeout: return "timeout";
         case FailureKind::kException: return "exception";
-        case FailureKind::kRetryExhausted: return "retry-exhausted";
     }
     return "unknown";
 }
@@ -63,7 +64,6 @@ BatchReport::summary() const
 {
     std::string out = std::to_string(succeeded) + "/" +
                       std::to_string(tasks) + " tasks succeeded, " +
-                      std::to_string(retries) + " retries, " +
                       std::to_string(timeouts) + " timeouts, " +
                       std::to_string(failures.size()) + " failures";
     return out;
@@ -74,7 +74,6 @@ BatchReport::toJson(std::string& out) const
 {
     out += "{\"tasks\":" + std::to_string(tasks);
     out += ",\"succeeded\":" + std::to_string(succeeded);
-    out += ",\"retries\":" + std::to_string(retries);
     out += ",\"timeouts\":" + std::to_string(timeouts);
     out += ",\"failures\":[";
     for (std::size_t i = 0; i < failures.size(); ++i) {
@@ -86,8 +85,7 @@ BatchReport::toJson(std::string& out) const
         json::appendEscaped(out, f.name);
         out += ",\"kind\":\"";
         out += failureKindName(f.kind);
-        out += "\",\"attempts\":" + std::to_string(f.attempts);
-        out += ",\"message\":";
+        out += "\",\"message\":";
         json::appendEscaped(out, f.message);
         out += '}';
     }
@@ -97,22 +95,6 @@ BatchReport::toJson(std::string& out) const
 Supervisor::Supervisor(SupervisorOptions options)
     : _options(options), _pool(options.jobs)
 {
-    if (_options.maxAttempts < 1)
-        _options.maxAttempts = 1;
-    if (_options.taskTimeoutSeconds > 0.0)
-        _watchdog = std::thread([this] { watchdogLoop(); });
-}
-
-Supervisor::~Supervisor()
-{
-    if (_watchdog.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(_watchMutex);
-            _stopWatchdog = true;
-        }
-        _watchWake.notify_all();
-        _watchdog.join();
-    }
 }
 
 const FaultPlan&
@@ -120,82 +102,6 @@ Supervisor::plan() const
 {
     return _options.faultPlan != nullptr ? *_options.faultPlan
                                          : FaultPlan::global();
-}
-
-void
-Supervisor::watchdogLoop()
-{
-    std::unique_lock<std::mutex> lock(_watchMutex);
-    while (!_stopWatchdog) {
-        auto next = std::chrono::steady_clock::time_point::max();
-        for (const Watch& watch : _watches) {
-            if (watch.armed && !watch.fired &&
-                watch.deadline < next) {
-                next = watch.deadline;
-            }
-        }
-        if (next == std::chrono::steady_clock::time_point::max()) {
-            _watchWake.wait(lock);
-            continue;
-        }
-        _watchWake.wait_until(lock, next);
-        const auto now = std::chrono::steady_clock::now();
-        for (Watch& watch : _watches) {
-            if (watch.armed && !watch.fired &&
-                now >= watch.deadline) {
-                watch.fired = true;
-                watch.token->cancel();
-                g_deadlineCancels.fetch_add(
-                    1, std::memory_order_relaxed);
-            }
-        }
-    }
-}
-
-void
-Supervisor::armWatch(std::size_t slot, CancellationToken* token)
-{
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(
-                _options.taskTimeoutSeconds));
-    {
-        std::lock_guard<std::mutex> lock(_watchMutex);
-        Watch& watch = _watches[slot];
-        watch.token = token;
-        watch.deadline = deadline;
-        watch.armed = true;
-        watch.fired = false;
-    }
-    _watchWake.notify_all();
-}
-
-bool
-Supervisor::disarmWatch(std::size_t slot)
-{
-    std::lock_guard<std::mutex> lock(_watchMutex);
-    Watch& watch = _watches[slot];
-    watch.armed = false;
-    watch.token = nullptr;
-    return watch.fired;
-}
-
-std::uint64_t
-Supervisor::backoffMs(const std::string& name, int attempt) const
-{
-    std::uint64_t backoff = _options.backoffBaseMs;
-    for (int i = 1; i < attempt && backoff < _options.backoffMaxMs;
-         ++i)
-        backoff *= 2;
-    backoff = std::min(backoff, _options.backoffMaxMs);
-    // Deterministic jitter: same task + attempt + seed always waits
-    // the same amount, so a failing schedule replays.
-    const std::uint64_t jitter =
-        jitterHash(name, attempt, _options.jitterSeed) %
-        (backoff + 1);
-    return backoff + jitter;
 }
 
 BatchReport
@@ -206,145 +112,65 @@ Supervisor::run(
 {
     BatchReport report;
     report.tasks = count;
-    if (count == 0)
-        return report;
-    {
-        std::lock_guard<std::mutex> lock(_watchMutex);
-        _watches.assign(count, Watch{});
-    }
     std::mutex reportMutex;
     const FaultPlan& fault_plan = plan();
-    const bool watched = _options.taskTimeoutSeconds > 0.0;
+    const auto timeout =
+        std::chrono::duration_cast<CancellationToken::Clock::duration>(
+            std::chrono::duration<double>(_options.taskTimeoutSeconds));
 
-    const auto supervised = [&](std::size_t index) {
-        const std::string name = name_of(index);
-        const std::uint64_t delay_ms =
-            fault_plan.taskDelayMs(name);
-        int attempt = 1;
-        for (;;) {
-            CancellationToken token;
-            TaskContext ctx;
-            ctx.index = index;
-            ctx.attempt = attempt;
-            ctx.token = &token;
-            bool failed = false;
-            bool retryable = false;
-            std::string message;
-            if (watched)
-                armWatch(index, &token);
-            try {
-                if (delay_ms > 0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(delay_ms));
-                }
-                if (fault_plan.shouldFailTask(name, attempt)) {
-                    throw RetryableError(
-                        "injected failure for task '" + name +
-                        "' attempt " + std::to_string(attempt));
-                }
-                body(ctx);
-            } catch (const RetryableError& e) {
-                failed = true;
-                retryable = true;
-                message = e.what();
-            } catch (const TaskCancelledError& e) {
-                failed = true;
-                retryable = true;
-                message = e.what();
-            } catch (const std::exception& e) {
-                failed = true;
-                message = e.what();
-            } catch (...) {
-                failed = true;
-                message = "(non-standard exception)";
-            }
-            const bool timed_out =
-                watched ? disarmWatch(index) : false;
-            if (!failed) {
-                // A deadline that fired after the body's last
-                // cancellation check is harmless: the result is
-                // complete and valid.
-                std::lock_guard<std::mutex> lock(reportMutex);
-                ++report.succeeded;
-                return;
-            }
-            if (timed_out) {
-                retryable = true;
-                std::lock_guard<std::mutex> lock(reportMutex);
-                ++report.timeouts;
-            }
-            if (retryable && attempt < _options.maxAttempts) {
-                g_retries.fetch_add(1, std::memory_order_relaxed);
-                {
-                    std::lock_guard<std::mutex> lock(reportMutex);
-                    ++report.retries;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(
-                        backoffMs(name, attempt)));
-                ++attempt;
-                continue;
-            }
-            TaskFailure failure;
-            failure.index = index;
-            failure.name = name;
-            failure.kind = !retryable
-                               ? FailureKind::kException
-                               : (timed_out
-                                      ? FailureKind::kTimeout
-                                      : FailureKind::kRetryExhausted);
-            failure.attempts = attempt;
-            failure.message = message;
-            g_failures.fetch_add(1, std::memory_order_relaxed);
-            if (failure.kind == FailureKind::kTimeout)
-                g_timeouts.fetch_add(1, std::memory_order_relaxed);
-            warn("supervisor: task '" + name + "' failed (" +
-                 failureKindName(failure.kind) + " after " +
-                 std::to_string(attempt) + " attempt(s)): " +
-                 message);
+    _pool.parallelFor(count, [&](std::size_t index) {
+        CancellationToken token(
+            _options.taskTimeoutSeconds > 0.0
+                ? CancellationToken::Clock::now() + timeout
+                : CancellationToken::Clock::time_point::max());
+        TaskContext ctx;
+        ctx.index = index;
+        ctx.token = &token;
+        TaskFailure failure;
+        failure.index = index;
+        failure.name = "(task " + std::to_string(index) + ")";
+        bool failed = true;
+        try {
+            failure.name = name_of(index);
+            const std::uint64_t delay_ms =
+                fault_plan.taskDelayMs(failure.name);
+            if (delay_ms > 0)
+                injectedDelay(delay_ms, token, failure.name);
+            body(ctx);
+            failed = false;
+        } catch (const std::exception& e) {
+            failure.message = e.what();
+        } catch (...) {
+            failure.message = "(non-standard exception)";
+        }
+        const bool timed_out = token.expired();
+        if (timed_out)
+            g_deadlineCancels.fetch_add(1, std::memory_order_relaxed);
+        if (!failed) {
+            // A deadline that passed after the body's last
+            // cancellation check is harmless: the result is
+            // complete and valid.
             std::lock_guard<std::mutex> lock(reportMutex);
-            report.failures.push_back(std::move(failure));
+            ++report.succeeded;
             return;
         }
-    };
-
-    try {
-        _pool.parallelFor(count, supervised);
-    } catch (const exec::BatchError& e) {
-        // The supervised wrapper catches everything a task throws,
-        // so this only fires if the wrapper itself failed (e.g.
-        // name_of threw). Surface those as permanent failures
-        // rather than unwinding the sweep.
-        for (const exec::TaskError& task_error : e.errors()) {
-            TaskFailure failure;
-            failure.index = task_error.index;
-            failure.name = "(task " +
-                           std::to_string(task_error.index) + ")";
-            failure.kind = FailureKind::kException;
-            failure.attempts = 1;
-            try {
-                std::rethrow_exception(task_error.error);
-            } catch (const std::exception& inner) {
-                failure.message = inner.what();
-            } catch (...) {
-                failure.message = "(non-standard exception)";
-            }
-            g_failures.fetch_add(1, std::memory_order_relaxed);
-            report.failures.push_back(std::move(failure));
-        }
-    }
+        failure.kind = timed_out ? FailureKind::kTimeout
+                                 : FailureKind::kException;
+        g_failures.fetch_add(1, std::memory_order_relaxed);
+        if (timed_out)
+            g_timeouts.fetch_add(1, std::memory_order_relaxed);
+        warn("supervisor: task '" + failure.name + "' failed (" +
+             failureKindName(failure.kind) + "): " + failure.message);
+        std::lock_guard<std::mutex> lock(reportMutex);
+        report.timeouts += timed_out ? 1 : 0;
+        report.failures.push_back(std::move(failure));
+    });
 
     std::sort(report.failures.begin(), report.failures.end(),
               [](const TaskFailure& a, const TaskFailure& b) {
                   return a.index < b.index;
               });
     return report;
-}
-
-std::uint64_t
-Supervisor::totalRetries()
-{
-    return g_retries.load(std::memory_order_relaxed);
 }
 
 std::uint64_t

@@ -1,38 +1,33 @@
 /**
  * @file
- * Supervised parallel execution: deadlines, retry, failure reports.
+ * Supervised parallel execution: deadlines and failure reports.
  *
  * TaskPool::parallelFor is all-or-nothing — one thrown exception
- * fails the batch. A production-scale sweep wants the opposite: a
- * single flaky or wedged point should be retried, then reported,
- * while the other few hundred configurations complete. Supervisor
- * wraps a TaskPool with exactly that policy:
+ * fails the batch. A sweep wants the opposite: a wedged or failing
+ * point should be reported while the other configurations
+ * complete. Supervisor wraps a TaskPool with exactly that policy:
  *
- *  - every task gets a CancellationToken; a watchdog thread cancels
- *    tokens whose wall-clock deadline (--task-timeout /
- *    JSMT_TASK_TIMEOUT) has passed, and the simulator observes the
- *    token at deterministic cycle boundaries;
- *  - retryable failures (RetryableError, cancellation/timeout) are
- *    re-run in place with exponential backoff and deterministic
- *    jitter, up to a per-task attempt cap;
- *  - whatever still fails is returned as structured TaskFailure
- *    entries in a BatchReport instead of unwinding the sweep.
+ *  - every task gets a CancellationToken carrying its wall-clock
+ *    deadline (--task-timeout / JSMT_TASK_TIMEOUT); the simulator
+ *    polls the token at deterministic cycle boundaries and stops
+ *    once the deadline has passed;
+ *  - each task runs once; whatever fails is returned as a
+ *    structured TaskFailure in a BatchReport instead of unwinding
+ *    the sweep. The simulator is deterministic, so re-running a
+ *    failed task could only fail the same way.
  *
- * Fault-injection hooks (FaultPlan task-fail / task-delay clauses)
- * fire inside the supervised body, so the retry and reporting paths
- * are testable without any real flakiness.
+ * The FaultPlan task-delay clause fires inside the supervised body,
+ * so the deadline and reporting paths are testable without any
+ * real wedge.
  */
 
 #ifndef JSMT_RESILIENCE_SUPERVISOR_H
 #define JSMT_RESILIENCE_SUPERVISOR_H
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exec/task_pool.h"
@@ -46,23 +41,14 @@ struct SupervisorOptions
 {
     /** Worker threads; 0 = TaskPool::defaultJobs() (JSMT_JOBS). */
     std::size_t jobs = 0;
-    /** Attempts per task including the first; >= 1. */
-    int maxAttempts = 3;
-    /** Wall-clock deadline per attempt in seconds; 0 disables. */
+    /** Wall-clock deadline per task in seconds; 0 disables. */
     double taskTimeoutSeconds = 0.0;
-    /** First retry backoff in milliseconds (doubles per attempt). */
-    std::uint64_t backoffBaseMs = 1;
-    /** Backoff ceiling in milliseconds. */
-    std::uint64_t backoffMaxMs = 100;
-    /** Seed for the deterministic backoff jitter hash. */
-    std::uint64_t jitterSeed = 42;
     /** Fault plan override; nullptr = FaultPlan::global(). */
     const FaultPlan* faultPlan = nullptr;
 
     /**
      * Defaults overlaid with JSMT_TASK_TIMEOUT (seconds, fractional
-     * allowed) and JSMT_TASK_RETRIES (attempt cap). Malformed
-     * values warn and keep the default.
+     * allowed). A malformed value warns and keeps the default.
      */
     static SupervisorOptions fromEnvironment();
 };
@@ -72,39 +58,33 @@ struct TaskContext
 {
     /** Task index within the batch. */
     std::size_t index = 0;
-    /** 1-based attempt number. */
-    int attempt = 1;
     /**
-     * Cancellation token for this attempt; pass it to
-     * Simulation::RunOptions::cancellation so the watchdog can stop
+     * Cancellation token for this task; pass it to
+     * Simulation::RunOptions::cancellation so a passed deadline stops
      * a wedged run at the next check boundary.
      */
     const CancellationToken* token = nullptr;
 };
 
-/** Terminal classification of a task that exhausted its policy. */
+/** Classification of a failed task. */
 enum class FailureKind
 {
-    /** Last attempt exceeded its wall-clock deadline. */
+    /** Failed after its wall-clock deadline fired. */
     kTimeout,
-    /** Threw a non-retryable exception (first attempt is final). */
+    /** Threw before any deadline fired. */
     kException,
-    /** Retryable failures persisted through every attempt. */
-    kRetryExhausted,
 };
 
 /** @return a stable lowercase name for @p kind. */
 const char* failureKindName(FailureKind kind);
 
-/** One task that the supervisor gave up on. */
+/** One task that failed. */
 struct TaskFailure
 {
     std::size_t index = 0;
     std::string name;
     FailureKind kind = FailureKind::kException;
-    /** Attempts actually made. */
-    int attempts = 0;
-    /** what() of the final failure. */
+    /** what() of the failure. */
     std::string message;
 };
 
@@ -113,16 +93,14 @@ struct BatchReport
 {
     /** Tasks in the batch. */
     std::size_t tasks = 0;
-    /** Tasks that ultimately succeeded. */
+    /** Tasks that succeeded. */
     std::size_t succeeded = 0;
-    /** Retry attempts made (beyond each task's first). */
-    std::uint64_t retries = 0;
-    /** Deadline cancellations delivered by the watchdog. */
+    /** Tasks that failed after their deadline fired. */
     std::uint64_t timeouts = 0;
-    /** Tasks given up on, ordered by index. */
+    /** Failed tasks, ordered by index. */
     std::vector<TaskFailure> failures;
 
-    /** @return whether every task eventually succeeded. */
+    /** @return whether every task succeeded. */
     bool ok() const { return failures.empty(); }
     /** One-line human summary. */
     std::string summary() const;
@@ -131,16 +109,13 @@ struct BatchReport
 };
 
 /**
- * Supervised TaskPool: runs batches under the retry/deadline policy
- * in its SupervisorOptions and reports failures instead of
- * throwing. Retries happen inline in the failing task's pool slot,
- * so batch scheduling stays deterministic for a given plan.
+ * Supervised TaskPool: runs batches under the deadline policy in
+ * its SupervisorOptions and reports failures instead of throwing.
  */
 class Supervisor
 {
   public:
     explicit Supervisor(SupervisorOptions options = {});
-    ~Supervisor();
 
     Supervisor(const Supervisor&) = delete;
     Supervisor& operator=(const Supervisor&) = delete;
@@ -162,42 +137,19 @@ class Supervisor
 
     /** @name Process-wide totals (metrics export) */
     ///@{
-    /** Retry attempts across every supervisor in this process. */
-    static std::uint64_t totalRetries();
-    /** Deadline cancellations delivered by watchdogs. */
+    /** Tasks whose deadline passed before they finished. */
     static std::uint64_t totalDeadlineCancels();
-    /** Tasks that terminally failed with kTimeout. */
+    /** Tasks that failed with kTimeout. */
     static std::uint64_t totalTimeouts();
-    /** Tasks given up on (all kinds). */
+    /** Failed tasks (all kinds). */
     static std::uint64_t totalFailures();
     ///@}
 
   private:
-    struct Watch
-    {
-        CancellationToken* token = nullptr;
-        std::chrono::steady_clock::time_point deadline;
-        bool armed = false;
-        bool fired = false;
-    };
-
     const FaultPlan& plan() const;
-    void watchdogLoop();
-    /** Arm slot @p slot to fire after the configured timeout. */
-    void armWatch(std::size_t slot, CancellationToken* token);
-    /** Disarm slot @p slot. @return whether the deadline fired. */
-    bool disarmWatch(std::size_t slot);
-    std::uint64_t backoffMs(const std::string& name,
-                            int attempt) const;
 
     SupervisorOptions _options;
     exec::TaskPool _pool;
-
-    std::mutex _watchMutex;
-    std::condition_variable _watchWake;
-    std::vector<Watch> _watches;
-    bool _stopWatchdog = false;
-    std::thread _watchdog;
 };
 
 } // namespace jsmt::resilience

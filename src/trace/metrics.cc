@@ -6,9 +6,8 @@
 #include "common/json.h"
 #include "common/log.h"
 #include "core/machine.h"
-#include "exec/run_cache.h"
+#include "exec/result_store.h"
 #include "exec/task_pool.h"
-#include "resilience/checkpoint.h"
 #include "resilience/fault_plan.h"
 #include "resilience/supervisor.h"
 
@@ -472,18 +471,15 @@ MetricsCollector::writeJson(std::ostream& out) const
          ratioOf(pmu.rawTotal(EventId::kBtbMiss),
                  pmu.rawTotal(EventId::kBtbAccess))},
         {"run_cache_hit_ratio",
-         ratioOf(exec::RunCache::global().hits(),
-                 exec::RunCache::global().hits() +
-                     exec::RunCache::global().misses())},
+         ratioOf(exec::ResultStore::global().hits(),
+                 exec::ResultStore::global().hits() +
+                     exec::ResultStore::global().misses())},
         {"task_pool_tasks_run",
          static_cast<double>(exec::TaskPool::totalTasksRun())},
         {"task_pool_batches_run",
          static_cast<double>(exec::TaskPool::totalBatchesRun())},
         {"task_pool_default_jobs",
          static_cast<double>(exec::TaskPool::defaultJobs())},
-        {"supervisor_retries",
-         static_cast<double>(
-             resilience::Supervisor::totalRetries())},
         {"supervisor_timeouts",
          static_cast<double>(
              resilience::Supervisor::totalTimeouts())},
@@ -496,23 +492,20 @@ MetricsCollector::writeJson(std::ostream& out) const
         {"faults_injected",
          static_cast<double>(
              resilience::FaultPlan::totalInjectedAll())},
+        // One result store serves the memo spill and the resume
+        // manifest, so each pair of names reads one counter.
         {"checkpoint_entries_resumed",
-         static_cast<double>(
-             resilience::SweepCheckpoint::totalEntriesResumed())},
+         static_cast<double>(exec::ResultStore::totalEntriesLoaded())},
         {"checkpoint_flushes",
-         static_cast<double>(
-             resilience::SweepCheckpoint::totalFlushes())},
+         static_cast<double>(exec::ResultStore::totalSaves())},
         {"checkpoint_load_rejects",
-         static_cast<double>(
-             resilience::SweepCheckpoint::totalLoadRejects())},
+         static_cast<double>(exec::ResultStore::totalLoadRejects())},
         {"run_cache_spill_saves",
-         static_cast<double>(exec::RunCache::totalSpillSaves())},
+         static_cast<double>(exec::ResultStore::totalSaves())},
         {"run_cache_spill_save_failures",
-         static_cast<double>(
-             exec::RunCache::totalSpillSaveFailures())},
+         static_cast<double>(exec::ResultStore::totalSaveFailures())},
         {"run_cache_spill_load_rejects",
-         static_cast<double>(
-             exec::RunCache::totalSpillLoadRejects())},
+         static_cast<double>(exec::ResultStore::totalLoadRejects())},
     };
     out << _registry.toJson(derived);
 }

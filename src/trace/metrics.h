@@ -15,7 +15,7 @@
  * pull the standard observability set the paper's methodology needs:
  * per-context PMU event lines, pipeline-stage occupancy, cache and
  * TLB miss rates, BTB cross-context evictions, scheduler activity
- * and the parallel-engine counters (RunCache hit ratio, TaskPool
+ * and the parallel-engine counters (result-store hit ratio, TaskPool
  * work counts). Collection is pull-based and happens only at sample
  * edges and run end, so it costs nothing on the simulator hot path.
  */

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the parallel experiment engine: TaskPool scheduling and
- * exception semantics, RunCache memoization and JSON spill, and the
+ * exception semantics, the result store (memo, spill and manifest
+ * roles, and its fault handling), and the
  * determinism gate — the same measurements must be bit-identical
  * whether they run serially, across many jobs, or replay from the
  * cache.
@@ -11,13 +12,14 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/fileio.h"
 #include "core/simulation.h"
-#include "exec/run_cache.h"
+#include "exec/result_store.h"
 #include "exec/task_pool.h"
 #include "exec/thread_budget.h"
 #include "harness/solo.h"
@@ -28,7 +30,7 @@
 namespace jsmt {
 namespace {
 
-using exec::RunCache;
+using exec::ResultStore;
 using exec::TaskPool;
 
 constexpr double kTinyScale = 0.02;
@@ -194,7 +196,7 @@ TEST(L2Gate, ColdStartSerializesSharedAccessesInKeyOrder)
 
 TEST(RunCache, MissComputesAndHitReplays)
 {
-    RunCache cache;
+    ResultStore cache;
     int computes = 0;
     const auto compute = [&] {
         ++computes;
@@ -238,11 +240,11 @@ TEST(RunCache, SpillRoundTripPreservesEverything)
     const std::string path =
         testing::TempDir() + "jsmt_exec_test_spill.json";
     {
-        RunCache cache;
+        ResultStore cache;
         cache.insert("spill-key", result);
         ASSERT_TRUE(cache.save(path));
     }
-    RunCache reloaded;
+    ResultStore reloaded;
     ASSERT_TRUE(reloaded.load(path));
     EXPECT_EQ(reloaded.size(), 1u);
     RunResult back;
@@ -254,131 +256,236 @@ TEST(RunCache, SpillRoundTripPreservesEverything)
     std::remove(path.c_str());
 }
 
-TEST(RunCache, MalformedSpillIsIgnored)
-{
-    const std::string path =
-        testing::TempDir() + "jsmt_exec_test_garbage.json";
-    {
-        std::ofstream out(path);
-        out << "{\"entries\": not json at all";
-    }
-    RunCache cache;
-    EXPECT_FALSE(cache.load(path));
-    EXPECT_EQ(cache.size(), 0u);
-    std::remove(path.c_str());
-}
+// The store's two roles: the JSMT_RUN_CACHE memo spill (written at
+// exit) and the --resume manifest (flushed on every insert,
+// topology-stamped). Every fault below runs in both, through the
+// same helpers: a damaged file warns and starts cold as a whole — no
+// exception, no partial entries — and the store keeps working; a
+// crash mid-write leaves the previous file loadable.
+constexpr bool kMemoSpill = false;
+constexpr bool kResumeManifest = true;
 
-// A spill truncated mid-write (crash, full disk) must be rejected
-// as a whole: no exception, no partial entries.
-TEST(RunCache, TruncatedSpillIsRejectedAtomically)
+RunResult
+storedResult()
 {
     RunResult result;
     result.cycles = 77;
     result.allComplete = true;
-    const std::string path =
-        testing::TempDir() + "jsmt_exec_test_truncated.json";
-    {
-        RunCache cache;
-        cache.insert("a", result);
-        cache.insert("b", result);
-        ASSERT_TRUE(cache.save(path));
-    }
+    return result;
+}
+
+// A per-test file, so tests run in parallel do not share one.
+std::string
+storeFaultPath()
+{
+    return testing::TempDir() + "jsmt_exec_test_" +
+           testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".json";
+}
+
+std::unique_ptr<ResultStore>
+openStore(bool manifest, const resilience::FaultPlan& plan)
+{
+    auto store = std::make_unique<ResultStore>(
+        storeFaultPath(), manifest ? 1 : 0,
+        manifest ? ResultStore::describeTopology(1, "static-pin") : "");
+    store->setFaultPlan(&plan);
+    return store;
+}
+
+// A well-formed two-entry store file ("a" and "b").
+std::string
+goodStoreText()
+{
+    const std::string path = storeFaultPath();
+    const resilience::FaultPlan clean{};
+    ResultStore store;
+    store.setFaultPlan(&clean);
+    store.insert("a", storedResult());
+    store.insert("b", storedResult());
+    EXPECT_TRUE(store.save(path));
     std::string text;
-    {
-        std::ifstream in(path);
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        text = buffer.str();
-    }
-    // Cut the document mid-structure (inside the closing brackets,
-    // inside the second entry, and halfway through the file); none
-    // of the prefixes may load anything.
-    for (const std::size_t cut :
-         {text.size() - 3, text.size() - 10, text.size() / 2}) {
-        std::ofstream(path, std::ios::trunc)
-            << text.substr(0, cut);
-        RunCache cache;
-        EXPECT_FALSE(cache.load(path)) << "cut at " << cut;
-        EXPECT_EQ(cache.size(), 0u) << "cut at " << cut;
+    EXPECT_TRUE(readFile(path, &text));
+    std::remove(path.c_str());
+    return text;
+}
+
+void
+expectStartsCold(bool manifest)
+{
+    const resilience::FaultPlan clean{};
+    const std::uint64_t rejects = ResultStore::totalLoadRejects();
+    const auto store = openStore(manifest, clean);
+    EXPECT_EQ(ResultStore::totalLoadRejects(), rejects + 1);
+    EXPECT_EQ(store->size(), 0u);
+    EXPECT_EQ(store->resumed(), 0u);
+    EXPECT_FALSE(store->topologyMismatch());
+    EXPECT_FALSE(store->lookup("a", nullptr));
+    // The cold store keeps working and rewrites the file.
+    store->insert("k", storedResult());
+    EXPECT_TRUE(store->flush());
+    EXPECT_EQ(openStore(manifest, clean)->resumed(), 1u);
+}
+
+using DamagedFiles = std::vector<std::pair<const char*, std::string>>;
+
+void
+expectDamagedFilesStartColdInBothRoles(const DamagedFiles& damaged)
+{
+    const std::string path = storeFaultPath();
+    for (const bool manifest : {kMemoSpill, kResumeManifest}) {
+        SCOPED_TRACE(manifest ? "resume manifest" : "memo spill");
+        for (const auto& [fault, text] : damaged) {
+            SCOPED_TRACE(fault);
+            std::ofstream(path, std::ios::trunc | std::ios::binary)
+                << text;
+            expectStartsCold(manifest);
+        }
     }
     std::remove(path.c_str());
+}
+
+// Injected bitrot after the rename, through the role's own write path.
+void
+expectInjectedCorruptionStartsCold(bool manifest)
+{
+    const std::string path = storeFaultPath();
+    std::remove(path.c_str());
+    resilience::FaultPlan corrupting;
+    ASSERT_TRUE(
+        resilience::FaultPlan::parse("spill-corrupt=1", &corrupting));
+    {
+        const auto store = openStore(manifest, corrupting);
+        store->insert("a", storedResult());
+        store->insert("b", storedResult());
+    }
+    EXPECT_GE(corrupting.injected(resilience::FaultKind::kSpillCorrupt),
+              1u);
+    expectStartsCold(manifest);
+    std::remove(path.c_str());
+}
+
+// Injected crash mid-write: the first write is clean, the second
+// crashes. A truncated .tmp is left behind and the previous file
+// still loads, fully intact; the failed entry stays pending, so the
+// store's destructor (the third, unfaulted write) lands both.
+void
+expectCrashMidWriteKeepsPriorFile(bool manifest)
+{
+    const std::string path = storeFaultPath();
+    std::remove(path.c_str());
+    const resilience::FaultPlan clean{};
+    resilience::FaultPlan crashing;
+    ASSERT_TRUE(
+        resilience::FaultPlan::parse("spill-truncate=2", &crashing));
+    const std::uint64_t saves = ResultStore::totalSaves();
+    const std::uint64_t failures = ResultStore::totalSaveFailures();
+    {
+        const auto store = openStore(manifest, crashing);
+        // The manifest writes on every insert, the memo spill on
+        // flush().
+        store->insert("a", storedResult());
+        if (!manifest) {
+            EXPECT_TRUE(store->flush());
+        }
+        store->insert("b", storedResult());
+        if (!manifest) {
+            EXPECT_FALSE(store->flush());
+        }
+        EXPECT_EQ(ResultStore::totalSaves(), saves + 1);
+        EXPECT_EQ(ResultStore::totalSaveFailures(), failures + 1);
+        EXPECT_TRUE(std::ifstream(atomicTempPath(path)).good());
+
+        const auto observer = openStore(manifest, clean);
+        EXPECT_EQ(observer->resumed(), 1u);
+        RunResult back;
+        EXPECT_TRUE(observer->lookup("a", &back));
+        EXPECT_EQ(back.cycles, 77u);
+        EXPECT_FALSE(observer->lookup("b", nullptr));
+    }
+    EXPECT_EQ(ResultStore::totalSaves(), saves + 2);
+    EXPECT_EQ(ResultStore::totalSaveFailures(), failures + 1);
+    const auto retried = openStore(manifest, clean);
+    EXPECT_EQ(retried->resumed(), 2u);
+    EXPECT_TRUE(retried->lookup("a", nullptr));
+    EXPECT_TRUE(retried->lookup("b", nullptr));
+    std::remove(atomicTempPath(path).c_str());
+    std::remove(path.c_str());
+}
+
+TEST(RunCache, MalformedSpillIsIgnored)
+{
+    // A legacy memo spill: a key hash per entry instead of a
+    // result digest.
+    std::string old_format = goodStoreText();
+    for (std::size_t at;
+         (at = old_format.find("\"digest\"")) != std::string::npos;)
+        old_format.replace(at, old_format.find(',', at) - at,
+                           "\"hash\":1");
+    expectDamagedFilesStartColdInBothRoles({
+        {"not json", "{\"entries\": not json at all"},
+        {"array root", "[1,2,3]"},
+        {"entries not an array", "{\"entries\":{}}"},
+        {"no entries", "{\"version\":2}"},
+        {"pre-digest spill format", old_format},
+    });
+}
+
+TEST(RunCache, TruncatedSpillIsRejectedAtomically)
+{
+    const std::string good = goodStoreText();
+    expectDamagedFilesStartColdInBothRoles({
+        {"cut in the closing brackets",
+         good.substr(0, good.size() - 3)},
+        {"cut in the last entry", good.substr(0, good.size() - 10)},
+        {"cut in half", good.substr(0, good.size() / 2)},
+    });
 }
 
 TEST(RunCache, GarbageSpillDegradesToEmptyCache)
 {
-    const std::string path =
-        testing::TempDir() + "jsmt_exec_test_noise.json";
-    const std::vector<std::string> payloads = {
-        "",
-        "\0\0\0\0",
-        "[1,2,3]",
-        "{\"entries\":{}}",
-        "{\"entries\":[{\"key\":\"k\"}]} trailing",
-        "{\"version\":1}",
-    };
-    for (const std::string& payload : payloads) {
-        std::ofstream(path, std::ios::trunc) << payload;
-        RunCache cache;
-        EXPECT_FALSE(cache.load(path));
-        EXPECT_EQ(cache.size(), 0u);
-        // The cache keeps working normally afterwards.
-        RunResult result;
-        result.cycles = 9;
-        cache.insert("k", result);
-        EXPECT_EQ(cache.size(), 1u);
-    }
-    std::remove(path.c_str());
+    expectDamagedFilesStartColdInBothRoles({
+        {"empty", ""},
+        {"nul bytes", std::string(4, '\0')},
+        {"trailing garbage", goodStoreText() + " trailing"},
+    });
 }
 
-// One malformed entry poisons the whole file — a valid sibling
-// entry must NOT be half-loaded alongside it.
 TEST(RunCache, PartiallyValidSpillIsNotHalfLoaded)
 {
-    RunResult result;
-    result.cycles = 55;
-    const std::string path =
-        testing::TempDir() + "jsmt_exec_test_partial.json";
-    std::string good;
-    {
-        RunCache cache;
-        cache.insert("good", result);
-        ASSERT_TRUE(cache.save(path));
-        std::ifstream in(path);
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        good = buffer.str();
-    }
-    // Splice a syntactically-valid but structurally-broken entry
-    // (events matrix missing) into the entries array.
+    const std::string good = goodStoreText();
+    std::string spliced = good;
     const std::string marker = "\"entries\":[\n";
-    const std::size_t pos = good.find(marker);
-    ASSERT_NE(pos, std::string::npos);
-    std::string bad = good;
-    bad.insert(pos + marker.size(),
-               "{\"key\":\"bad\",\"result\":{\"cycles\":1}},\n");
-    std::ofstream(path, std::ios::trunc) << bad;
-
-    RunCache cache;
-    EXPECT_FALSE(cache.load(path));
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.lookup("good", nullptr));
-    std::remove(path.c_str());
+    spliced.insert(spliced.find(marker) + marker.size(),
+                   "{\"key\":\"bad\",\"digest\":\"1\","
+                   "\"result\":{\"cycles\":1}},\n");
+    std::string tampered = good;
+    tampered.replace(tampered.find("\"cycles\":77"), 11,
+                     "\"cycles\":78");
+    expectDamagedFilesStartColdInBothRoles({
+        {"one malformed entry", spliced},
+        {"digest mismatch", tampered},
+    });
 }
 
-// setSpillPath on a corrupt file must not crash and must leave the
-// cache usable (cold).
 TEST(RunCache, SpillPathOnCorruptFileStartsCold)
 {
-    const std::string path =
-        testing::TempDir() + "jsmt_exec_test_coldstart.json";
-    std::ofstream(path, std::ios::trunc) << "{\"entries\":[{]}";
-    RunCache cache(path);
-    EXPECT_EQ(cache.size(), 0u);
-    RunResult result;
-    result.cycles = 3;
-    cache.insert("k", result);
-    EXPECT_EQ(cache.size(), 1u);
-    std::remove(path.c_str());
+    expectInjectedCorruptionStartsCold(kMemoSpill);
+}
+
+TEST(SweepCheckpoint, CorruptManifestIsRejectedWholesale)
+{
+    expectInjectedCorruptionStartsCold(kResumeManifest);
+}
+
+TEST(RunCache, InjectedCrashMidSaveLeavesPriorSpillLoadable)
+{
+    expectCrashMidWriteKeepsPriorFile(kMemoSpill);
+}
+
+TEST(SweepCheckpoint, CrashMidFlushLeavesPreviousManifestIntact)
+{
+    expectCrashMidWriteKeepsPriorFile(kResumeManifest);
 }
 
 TEST(RunCache, DescribeSystemConfigCoversTheConfig)
@@ -462,7 +569,7 @@ TEST(ExecDeterminism, CachedReplayMatchesFreshRun)
     const RunResult fresh =
         measureSolo(config, "mpegaudio", true, options);
 
-    RunCache cache;
+    ResultStore cache;
     const std::string key =
         soloRunKey(config, "mpegaudio", true, options);
     const auto compute = [&] {
@@ -489,11 +596,11 @@ TEST(ExecDeterminism, SpilledReplayMatchesFreshRun)
     const RunResult fresh =
         measureSolo(config, "jack", false, options);
     {
-        RunCache cache;
+        ResultStore cache;
         cache.insert(key, fresh);
         ASSERT_TRUE(cache.save(path));
     }
-    RunCache warm(path);
+    ResultStore warm(path, 0);
     RunResult replayed;
     ASSERT_TRUE(warm.lookup(key, &replayed));
     expectIdenticalResults(fresh, replayed);
@@ -541,51 +648,6 @@ TEST(TaskPool, AllTasksThrowingDoesNotDeadlock)
     }
     // Pool destructs immediately here; a stuck worker would hang
     // the test past its ctest timeout.
-}
-
-// Crash-simulation regression for the atomic spill protocol: an
-// injected crash mid-save leaves a truncated .tmp behind but never
-// replaces the previous good spill.
-TEST(RunCache, InjectedCrashMidSaveLeavesPriorSpillLoadable)
-{
-    const std::string path =
-        testing::TempDir() + "jsmt_exec_test_crash_spill.json";
-    std::remove(path.c_str());
-
-    RunResult result;
-    result.cycles = 777;
-    result.allComplete = true;
-
-    RunCache cache;
-    cache.insert("crash-key", result);
-    ASSERT_TRUE(cache.save(path));
-
-    resilience::FaultPlan plan;
-    ASSERT_TRUE(
-        resilience::FaultPlan::parse("spill-truncate=1", &plan));
-    cache.setFaultPlan(&plan);
-    const std::uint64_t failures_before =
-        RunCache::totalSpillSaveFailures();
-    RunResult second;
-    second.cycles = 888;
-    cache.insert("second-key", second);
-    EXPECT_FALSE(cache.save(path)); // Injected crash mid-write.
-    EXPECT_EQ(RunCache::totalSpillSaveFailures(),
-              failures_before + 1);
-
-    // The crash left its debris in the .tmp sibling...
-    std::ifstream tmp(path + ".tmp");
-    EXPECT_TRUE(tmp.good());
-    // ...and the previous spill still loads, fully intact.
-    RunCache survivor;
-    ASSERT_TRUE(survivor.load(path));
-    EXPECT_EQ(survivor.size(), 1u);
-    RunResult back;
-    ASSERT_TRUE(survivor.lookup("crash-key", &back));
-    EXPECT_EQ(back.cycles, 777u);
-    EXPECT_FALSE(survivor.lookup("second-key", nullptr));
-    std::remove((path + ".tmp").c_str());
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -13,13 +13,13 @@
 #include <vector>
 
 #include "core/simulation.h"
+#include "exec/result_store.h"
 #include "exec/thread_budget.h"
 #include "jvm/benchmarks.h"
 #include "jvm/data_model.h"
 #include "mem/cache.h"
 #include "os/allocation/allocation.h"
 #include "os/allocation/multi_core.h"
-#include "resilience/checkpoint.h"
 #include "resilience/fault_plan.h"
 #include "resilience/supervisor.h"
 
@@ -342,7 +342,7 @@ TEST(MigrationInvariants, HoldAtEveryEpochUnderEveryPolicy)
 TEST(MigrationInvariants, HoldAtSupervisorCancellationPoints)
 {
     // Supervised multi-core runs with an injected task-delay fault
-    // and a tight wall-clock deadline: the watchdog cancels the
+    // and a tight wall-clock deadline: the deadline cancels the
     // simulation at an arbitrary cancellation-lattice edge. No
     // matter where the run stopped, the chip's schedulers must
     // still conserve every thread.
@@ -351,7 +351,6 @@ TEST(MigrationInvariants, HoldAtSupervisorCancellationPoints)
         resilience::FaultPlan::parse("task-delay=chip@50", &plan));
     resilience::SupervisorOptions options;
     options.jobs = 2;
-    options.maxAttempts = 1;
     options.taskTimeoutSeconds = 0.2;
     options.faultPlan = &plan;
     resilience::Supervisor supervisor(options);
@@ -398,7 +397,7 @@ TEST(MigrationInvariants,
      HoldAtSupervisorCancellationPointsUnderParallelStepping)
 {
     // The parallel-stepping variant of the cancellation test: the
-    // watchdog fires while worker threads are mid-epoch behind the
+    // deadline passes while worker threads are mid-epoch behind the
     // L2AccessGate. Cancellation parks every in-flight slice, so
     // the chip must come to rest consistent — and a chip cancelled
     // under 4 step threads must resume cleanly under the serial
@@ -410,7 +409,6 @@ TEST(MigrationInvariants,
         resilience::FaultPlan::parse("task-delay=chip@50", &plan));
     resilience::SupervisorOptions options;
     options.jobs = 2;
-    options.maxAttempts = 1;
     options.taskTimeoutSeconds = 0.2;
     options.faultPlan = &plan;
     resilience::Supervisor supervisor(options);
@@ -466,7 +464,7 @@ TEST(MigrationInvariants, SweepResumeAcrossStepThreadCounts)
         testing::TempDir() + "jsmt_property_stepthreads.json";
     std::remove(path.c_str());
     const std::string topology =
-        resilience::SweepCheckpoint::describeTopology(
+        exec::ResultStore::describeTopology(
             2, allocPolicyName(AllocPolicyKind::kRoundRobin));
 
     const auto run_chip = [](std::uint32_t step_threads) {
@@ -492,7 +490,7 @@ TEST(MigrationInvariants, SweepResumeAcrossStepThreadCounts)
     const MultiRunResult parallel = run_chip(4);
     ASSERT_TRUE(parallel.allComplete);
     {
-        resilience::SweepCheckpoint checkpoint(path, 1, topology);
+        exec::ResultStore checkpoint(path, 1, topology);
         ASSERT_FALSE(checkpoint.topologyMismatch());
         checkpoint.record("point0", parallel.toRunResult());
     }
@@ -500,7 +498,7 @@ TEST(MigrationInvariants, SweepResumeAcrossStepThreadCounts)
     // A later serial sweep resumes the entry (topology matches:
     // the step-threads field is not identity) and the replayed
     // result is bit-identical to simulating the point serially.
-    resilience::SweepCheckpoint resumed(path, 1, topology);
+    exec::ResultStore resumed(path, 1, topology);
     ASSERT_FALSE(resumed.topologyMismatch());
     ASSERT_EQ(resumed.resumed(), 1u);
     RunResult replayed;

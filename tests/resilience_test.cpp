@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the supervised execution layer: FaultPlan parsing and
- * deterministic injection, Supervisor retry/deadline/report
- * semantics, simulator cancellation, trace-sink degradation, and
- * sweep checkpoint/resume (bit-identical to an uninterrupted run).
+ * deterministic injection, Supervisor deadline/report semantics,
+ * simulator cancellation, trace-sink degradation, and sweep
+ * checkpoint/resume (bit-identical to an uninterrupted run). The
+ * store's file-fault cases live in exec_test.
  *
  * Every test that injects faults uses an explicit FaultPlan
  * instance, so a process-wide JSMT_FAULT_PLAN (the CI
@@ -22,12 +23,11 @@
 #include <vector>
 
 #include "core/simulation.h"
-#include "exec/run_cache.h"
+#include "exec/result_store.h"
 #include "harness/experiments.h"
 #include "harness/solo.h"
 #include "jvm/benchmarks.h"
 #include "resilience/cancellation.h"
-#include "resilience/checkpoint.h"
 #include "resilience/fault_plan.h"
 #include "resilience/supervisor.h"
 #include "trace/trace_sink.h"
@@ -35,13 +35,13 @@
 namespace jsmt {
 namespace {
 
+using exec::ResultStore;
 using resilience::BatchReport;
 using resilience::CancellationToken;
 using resilience::FailureKind;
 using resilience::FaultKind;
 using resilience::FaultPlan;
 using resilience::SupervisorOptions;
-using resilience::SweepCheckpoint;
 using resilience::TaskCancelledError;
 using resilience::TaskContext;
 
@@ -80,21 +80,21 @@ TEST(FaultPlan, ParsesEveryClauseKind)
     FaultPlan plan;
     std::string error;
     ASSERT_TRUE(FaultPlan::parse(
-        "task-fail=jess@2,task-delay=*@5,spill-corrupt=3,"
-        "spill-truncate=4,sink-alloc",
+        "task-delay=*@5,spill-corrupt=3,spill-truncate=4,sink-alloc",
         &plan, &error))
         << error;
     EXPECT_FALSE(plan.empty());
     EXPECT_EQ(plan.describe(),
-              "task-fail=jess@2,task-delay=*@5,spill-corrupt@3,"
-              "spill-truncate@4,sink-alloc");
+              "task-delay=*@5,spill-corrupt@3,spill-truncate@4,"
+              "sink-alloc");
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs)
 {
     for (const char* bad :
-         {"task-fail", "task-fail=jess", "task-fail=jess@x",
-          "spill-corrupt=0", "nonsense=1", "spill-corrupt"}) {
+         {"task-delay", "task-delay=jess", "task-delay=jess@x",
+          "task-fail=*@1", "spill-corrupt=0", "nonsense=1",
+          "spill-corrupt"}) {
         FaultPlan plan;
         std::string error;
         EXPECT_FALSE(FaultPlan::parse(bad, &plan, &error))
@@ -109,7 +109,6 @@ TEST(FaultPlan, EmptySpecYieldsEmptyPlan)
     FaultPlan plan;
     ASSERT_TRUE(FaultPlan::parse("", &plan));
     EXPECT_TRUE(plan.empty());
-    EXPECT_FALSE(plan.shouldFailTask("anything", 1));
     EXPECT_EQ(plan.taskDelayMs("anything"), 0u);
     EXPECT_EQ(plan.spillFault(1), FaultPlan::SpillFault::kNone);
     EXPECT_FALSE(plan.shouldFailSinkAllocation());
@@ -118,89 +117,29 @@ TEST(FaultPlan, EmptySpecYieldsEmptyPlan)
 TEST(FaultPlan, InjectionIsAPureFunctionOfIdentity)
 {
     FaultPlan plan;
-    ASSERT_TRUE(FaultPlan::parse("task-fail=jess@2,spill-corrupt=3",
+    ASSERT_TRUE(FaultPlan::parse("task-delay=jess@2,spill-corrupt=3",
                                  &plan));
-    // Attempts 1..2 of matching tasks fail; attempt 3 succeeds.
-    EXPECT_TRUE(plan.shouldFailTask("sweep/jess/ht", 1));
-    EXPECT_TRUE(plan.shouldFailTask("sweep/jess/ht", 2));
-    EXPECT_FALSE(plan.shouldFailTask("sweep/jess/ht", 3));
-    EXPECT_FALSE(plan.shouldFailTask("sweep/db/ht", 1));
+    // Matching tasks are delayed, by name alone.
+    EXPECT_EQ(plan.taskDelayMs("sweep/jess/ht"), 2u);
+    EXPECT_EQ(plan.taskDelayMs("sweep/jess/ht"), 2u);
+    EXPECT_EQ(plan.taskDelayMs("sweep/db/ht"), 0u);
     // Every 3rd spill save faults, by ordinal alone.
     EXPECT_EQ(plan.spillFault(1), FaultPlan::SpillFault::kNone);
     EXPECT_EQ(plan.spillFault(3), FaultPlan::SpillFault::kCorrupt);
     EXPECT_EQ(plan.spillFault(6), FaultPlan::SpillFault::kCorrupt);
     // Counters recorded the queries that injected.
-    EXPECT_EQ(plan.injected(FaultKind::kTaskFail), 2u);
+    EXPECT_EQ(plan.injected(FaultKind::kTaskDelay), 2u);
     EXPECT_EQ(plan.injected(FaultKind::kSpillCorrupt), 2u);
 }
 
 // ----------------------------------------------------------------
-// Supervisor: retry, backoff, deadline, report
+// Supervisor: deadline, report
 // ----------------------------------------------------------------
-
-TEST(Supervisor, InjectedTransientFailureRetriesThenSucceeds)
-{
-    FaultPlan plan;
-    ASSERT_TRUE(FaultPlan::parse("task-fail=*@2", &plan));
-    SupervisorOptions options;
-    options.jobs = 2;
-    options.maxAttempts = 3;
-    options.faultPlan = &plan;
-    resilience::Supervisor supervisor(options);
-
-    std::atomic<int> bodies{0};
-    const BatchReport report = supervisor.run(
-        4, [](std::size_t i) { return "task" + std::to_string(i); },
-        [&](TaskContext& ctx) {
-            EXPECT_EQ(ctx.attempt, 3); // Attempts 1..2 injected.
-            bodies.fetch_add(1);
-        });
-    EXPECT_TRUE(report.ok()) << report.summary();
-    EXPECT_EQ(report.tasks, 4u);
-    EXPECT_EQ(report.succeeded, 4u);
-    EXPECT_EQ(report.retries, 8u); // 2 retries per task.
-    EXPECT_EQ(bodies.load(), 4);
-    EXPECT_EQ(plan.injected(FaultKind::kTaskFail), 8u);
-}
-
-TEST(Supervisor, ExhaustedRetriesBecomeStructuredFailures)
-{
-    FaultPlan plan;
-    ASSERT_TRUE(FaultPlan::parse("task-fail=doomed@99", &plan));
-    SupervisorOptions options;
-    options.jobs = 2;
-    options.maxAttempts = 2;
-    options.faultPlan = &plan;
-    resilience::Supervisor supervisor(options);
-
-    const BatchReport report = supervisor.run(
-        3,
-        [](std::size_t i) {
-            return i == 1 ? std::string("doomed")
-                          : "fine" + std::to_string(i);
-        },
-        [](TaskContext&) {});
-    EXPECT_FALSE(report.ok());
-    EXPECT_EQ(report.succeeded, 2u);
-    ASSERT_EQ(report.failures.size(), 1u);
-    const resilience::TaskFailure& failure = report.failures[0];
-    EXPECT_EQ(failure.index, 1u);
-    EXPECT_EQ(failure.name, "doomed");
-    EXPECT_EQ(failure.kind, FailureKind::kRetryExhausted);
-    EXPECT_EQ(failure.attempts, 2);
-    EXPECT_NE(failure.message.find("injected"), std::string::npos);
-
-    std::string json;
-    report.toJson(json);
-    EXPECT_NE(json.find("\"kind\":\"retry-exhausted\""),
-              std::string::npos);
-}
 
 TEST(Supervisor, PermanentExceptionIsNotRetried)
 {
     SupervisorOptions options;
     options.jobs = 1;
-    options.maxAttempts = 3;
     FaultPlan empty;
     options.faultPlan = &empty;
     resilience::Supervisor supervisor(options);
@@ -216,14 +155,13 @@ TEST(Supervisor, PermanentExceptionIsNotRetried)
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_EQ(report.failures[0].kind, FailureKind::kException);
     EXPECT_EQ(report.failures[0].message, "permanent damage");
-    EXPECT_EQ(report.retries, 0u);
+    EXPECT_EQ(report.timeouts, 0u);
 }
 
 TEST(Supervisor, DeadlineCancelsWedgedTaskAndReportsTimeout)
 {
     SupervisorOptions options;
     options.jobs = 2;
-    options.maxAttempts = 1;
     options.taskTimeoutSeconds = 0.05;
     FaultPlan empty;
     options.faultPlan = &empty;
@@ -232,7 +170,7 @@ TEST(Supervisor, DeadlineCancelsWedgedTaskAndReportsTimeout)
     const BatchReport report = supervisor.run(
         1, [](std::size_t) { return "wedged"; },
         [](TaskContext& ctx) {
-            // Cooperative wedge: spin until the watchdog fires.
+            // Cooperative wedge: spin until the deadline passes.
             while (!ctx.token->cancelled())
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
@@ -244,30 +182,35 @@ TEST(Supervisor, DeadlineCancelsWedgedTaskAndReportsTimeout)
     EXPECT_GE(report.timeouts, 1u);
 }
 
-TEST(Supervisor, CancelledAttemptIsRequeuedAndCanSucceed)
+// Deadline cancellation is final: the task's body runs exactly
+// once and the task is reported once, as a timeout.
+TEST(Supervisor, DeadlineCancelledTaskRunsItsBodyOnce)
 {
     SupervisorOptions options;
     options.jobs = 1;
-    options.maxAttempts = 2;
     options.taskTimeoutSeconds = 0.05;
     FaultPlan empty;
     options.faultPlan = &empty;
     resilience::Supervisor supervisor(options);
 
+    std::atomic<int> runs{0};
     const BatchReport report = supervisor.run(
-        1, [](std::size_t) { return "slow-then-fast"; },
-        [](TaskContext& ctx) {
-            if (ctx.attempt == 1) {
-                while (!ctx.token->cancelled())
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(1));
-                throw TaskCancelledError("first attempt too slow");
-            }
-            // Second attempt completes well inside the deadline.
+        1, [](std::size_t) { return "slow"; },
+        [&](TaskContext& ctx) {
+            runs.fetch_add(1);
+            while (!ctx.token->cancelled())
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            throw TaskCancelledError("slow task observed cancel");
         });
-    EXPECT_TRUE(report.ok()) << report.summary();
-    EXPECT_EQ(report.retries, 1u);
-    EXPECT_GE(report.timeouts, 1u);
+    EXPECT_EQ(runs.load(), 1);
+    EXPECT_EQ(report.succeeded, 0u);
+    EXPECT_EQ(report.timeouts, 1u);
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_EQ(report.failures[0].kind, FailureKind::kTimeout);
+    std::string json;
+    report.toJson(json);
+    EXPECT_NE(json.find("\"kind\":\"timeout\""), std::string::npos);
 }
 
 TEST(Supervisor, InjectedDelaySlowsButDoesNotFail)
@@ -289,37 +232,40 @@ TEST(Supervisor, InjectedDelaySlowsButDoesNotFail)
 TEST(Supervisor, CountersSumAcrossEightJobs)
 {
     FaultPlan plan;
-    ASSERT_TRUE(FaultPlan::parse("task-fail=*@1", &plan));
+    ASSERT_TRUE(FaultPlan::parse("task-delay=*@1", &plan));
     SupervisorOptions options;
     options.jobs = 8;
-    options.maxAttempts = 2;
     options.faultPlan = &plan;
 
-    const std::uint64_t retries_before =
-        resilience::Supervisor::totalRetries();
+    const std::uint64_t failures_before =
+        resilience::Supervisor::totalFailures();
     resilience::Supervisor supervisor(options);
     const std::size_t count = 32;
     const BatchReport report = supervisor.run(
         count,
         [](std::size_t i) { return "j" + std::to_string(i); },
-        [](TaskContext&) {});
-    EXPECT_TRUE(report.ok());
-    // Every task failed once (injected) and retried once; the
+        [](TaskContext& ctx) {
+            if (ctx.index % 2 == 1)
+                throw std::runtime_error("odd task");
+        });
+    // Every task was delayed once and every odd one failed; the
     // per-report, per-plan and process-wide counters must agree.
-    EXPECT_EQ(report.retries, count);
-    EXPECT_EQ(plan.injected(FaultKind::kTaskFail), count);
-    EXPECT_EQ(resilience::Supervisor::totalRetries(),
-              retries_before + count);
+    EXPECT_EQ(report.succeeded, count / 2);
+    ASSERT_EQ(report.failures.size(), count / 2);
+    for (std::size_t i = 0; i < report.failures.size(); ++i)
+        EXPECT_EQ(report.failures[i].index, 2 * i + 1);
+    EXPECT_EQ(plan.injected(FaultKind::kTaskDelay), count);
+    EXPECT_EQ(resilience::Supervisor::totalFailures(),
+              failures_before + count / 2);
 }
 
 TEST(Supervisor, GlobalPlanWhateverItIsNeverCrashesASweep)
 {
     // CI sets JSMT_FAULT_PLAN for the whole test binary; this test
-    // runs under whatever that plan injects (default supervision
-    // retries transient failures) and must end in a clean report.
+    // runs under whatever that plan injects and must account for
+    // every task.
     SupervisorOptions options;
     options.jobs = 2;
-    options.maxAttempts = 4;
     resilience::Supervisor supervisor(options);
     const BatchReport report = supervisor.run(
         4, [](std::size_t i) { return "g" + std::to_string(i); },
@@ -477,7 +423,7 @@ TEST(SweepCheckpoint, RoundTripsEntriesThroughTheManifest)
     const RunResult a = tinyResult("jess", false);
     const RunResult b = tinyResult("db", true);
     {
-        SweepCheckpoint checkpoint(path);
+        ResultStore checkpoint(path);
         FaultPlan empty;
         checkpoint.setFaultPlan(&empty);
         checkpoint.record("key/a", a);
@@ -485,7 +431,7 @@ TEST(SweepCheckpoint, RoundTripsEntriesThroughTheManifest)
         EXPECT_TRUE(checkpoint.flush());
         EXPECT_EQ(checkpoint.resumed(), 0u);
     }
-    SweepCheckpoint resumed(path);
+    ResultStore resumed(path);
     EXPECT_EQ(resumed.resumed(), 2u);
     RunResult back;
     ASSERT_TRUE(resumed.lookup("key/a", &back));
@@ -493,59 +439,6 @@ TEST(SweepCheckpoint, RoundTripsEntriesThroughTheManifest)
     ASSERT_TRUE(resumed.lookup("key/b", &back));
     expectIdenticalResults(b, back);
     EXPECT_FALSE(resumed.lookup("key/missing", nullptr));
-    std::remove(path.c_str());
-}
-
-TEST(SweepCheckpoint, CorruptManifestIsRejectedWholesale)
-{
-    const std::string path =
-        testing::TempDir() + "jsmt_resilience_corrupt.json";
-    std::remove(path.c_str());
-    FaultPlan corrupting;
-    ASSERT_TRUE(FaultPlan::parse("spill-corrupt=1", &corrupting));
-    {
-        SweepCheckpoint checkpoint(path);
-        checkpoint.setFaultPlan(&corrupting);
-        checkpoint.record("key/a", tinyResult("jess", false));
-        // record() auto-flushed through the corrupting plan.
-    }
-    EXPECT_GE(corrupting.injected(FaultKind::kSpillCorrupt), 1u);
-    SweepCheckpoint resumed(path);
-    EXPECT_EQ(resumed.resumed(), 0u); // Cold start, no crash.
-    std::remove(path.c_str());
-}
-
-TEST(SweepCheckpoint, CrashMidFlushLeavesPreviousManifestIntact)
-{
-    const std::string path =
-        testing::TempDir() + "jsmt_resilience_truncate.json";
-    std::remove(path.c_str());
-    const RunResult a = tinyResult("jess", false);
-    {
-        // First flush clean, second one crashes mid-write.
-        FaultPlan plan;
-        ASSERT_TRUE(FaultPlan::parse("spill-truncate=2", &plan));
-        SweepCheckpoint checkpoint(path, /*flush_every=*/1000);
-        checkpoint.setFaultPlan(&plan);
-        checkpoint.record("key/a", a);
-        EXPECT_TRUE(checkpoint.flush());
-        checkpoint.record("key/b", tinyResult("db", true));
-        EXPECT_FALSE(checkpoint.flush()); // Injected crash.
-
-        // The manifest on disk still holds exactly the first
-        // flush's content.
-        SweepCheckpoint observer(path);
-        EXPECT_EQ(observer.resumed(), 1u);
-        RunResult back;
-        ASSERT_TRUE(observer.lookup("key/a", &back));
-        expectIdenticalResults(a, back);
-        EXPECT_FALSE(observer.lookup("key/b", nullptr));
-        // checkpoint's destructor retries the pending flush; the
-        // third save ordinal is unfaulted, so it lands.
-    }
-    SweepCheckpoint retried(path);
-    EXPECT_EQ(retried.resumed(), 2u);
-    EXPECT_TRUE(retried.lookup("key/b", nullptr));
     std::remove(path.c_str());
 }
 
@@ -565,20 +458,21 @@ TEST(SweepResume, InterruptedSweepResumesBitIdentically)
     const std::vector<MtCounterRow> baseline =
         runMultithreadedSweep(config);
 
-    // "Killed" sweep: two benchmarks' measurements fail terminally
-    // (both HT modes), the rest land in the checkpoint.
+    // "Killed" sweep: two benchmarks' measurements wedge past their
+    // deadline (both HT modes), the rest land in the checkpoint.
     FaultPlan killer;
-    ASSERT_TRUE(FaultPlan::parse("task-fail=MolDyn@99,"
-                                 "task-fail=RayTracer@99",
+    ASSERT_TRUE(FaultPlan::parse("task-delay=MolDyn@60000,"
+                                 "task-delay=RayTracer@60000",
                                  &killer));
     ExperimentConfig interrupted = config;
     interrupted.checkpointPath = path;
     interrupted.supervision.faultPlan = &killer;
-    interrupted.supervision.maxAttempts = 2;
+    interrupted.supervision.taskTimeoutSeconds = 0.2;
     BatchReport report;
     runMultithreadedSweep(interrupted, {2}, &report);
     EXPECT_FALSE(report.ok());
     EXPECT_EQ(report.failures.size(), 4u); // 2 benchmarks x 2 modes.
+    EXPECT_EQ(report.timeouts, 4u);
 
     // Resume with the fault gone: only the remainder is measured,
     // and the full row set matches the uninterrupted baseline
@@ -598,13 +492,23 @@ TEST(SweepResume, InterruptedSweepResumesBitIdentically)
 
 TEST(SweepResume, SupervisedPairBatchReportsInsteadOfThrowing)
 {
+    // One cell wedges past its deadline. The deadline is sized
+    // from an unsupervised run of the healthy cell so that cell
+    // finishes well inside it on any host.
+    SystemConfig system;
+    const auto start = std::chrono::steady_clock::now();
+    MultiprogramRunner(system, kTinyScale, /*min_runs=*/3, 1)
+        .runPair("jess", "jess");
+    const double healthy_seconds =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - start)
+            .count();
     FaultPlan killer;
-    ASSERT_TRUE(FaultPlan::parse("task-fail=pair/jess+db@99",
+    ASSERT_TRUE(FaultPlan::parse("task-delay=pair/jess+db@600000",
                                  &killer));
     SupervisorOptions supervision;
-    supervision.maxAttempts = 2;
     supervision.faultPlan = &killer;
-    SystemConfig system;
+    supervision.taskTimeoutSeconds = 0.5 + 4.0 * healthy_seconds;
     MultiprogramRunner runner(system, kTinyScale, /*min_runs=*/3,
                               /*jobs=*/2, supervision);
     BatchReport report;
@@ -614,6 +518,7 @@ TEST(SweepResume, SupervisedPairBatchReportsInsteadOfThrowing)
     EXPECT_FALSE(report.ok());
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_EQ(report.failures[0].name, "pair/jess+db");
+    EXPECT_EQ(report.failures[0].kind, FailureKind::kTimeout);
     // The failed cell stays default-initialized; the other is real.
     EXPECT_EQ(results[0].combinedSpeedup, 0.0);
     EXPECT_GT(results[1].combinedSpeedup, 0.0);

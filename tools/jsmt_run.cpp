@@ -83,9 +83,8 @@
  *                                  topology is refused (exit 2)
  *     --task-timeout SEC           per-task wall-clock deadline for
  *                                  supervised runs (0 = none; also
- *                                  JSMT_TASK_TIMEOUT)
- *     --retries N                  attempts per supervised task
- *                                  (also JSMT_TASK_RETRIES)
+ *                                  JSMT_TASK_TIMEOUT); a task past
+ *                                  it is reported as failed
  *
  * Invalid usage (unknown flag, malformed value, unknown benchmark
  * or event) exits with code 2 after printing the valid set.
@@ -119,7 +118,7 @@
 #include "common/env.h"
 #include "common/log.h"
 #include "core/simulation.h"
-#include "exec/run_cache.h"
+#include "exec/result_store.h"
 #include "harness/solo.h"
 #include "harness/table.h"
 #include "jvm/benchmarks.h"
@@ -128,7 +127,6 @@
 #include "os/allocation/pair_matrix.h"
 #include "pmu/abyss.h"
 #include "pmu/sampler.h"
-#include "resilience/checkpoint.h"
 #include "resilience/supervisor.h"
 #include "trace/metrics.h"
 #include "trace/trace_sink.h"
@@ -195,7 +193,7 @@ constexpr const char* kFlagSummary =
     "                [--no-fast-forward] [--profile]\n"
     "                [--trace FILE] [--metrics FILE]\n"
     "                [--sweep NAMES] [--resume MANIFEST]\n"
-    "                [--task-timeout SEC] [--retries N]\n"
+    "                [--task-timeout SEC]\n"
     "                [--list-benchmarks] "
     "[--list-events]\n";
 
@@ -365,14 +363,6 @@ parseArgs(int argc, char** argv)
         } else if (arg == "--task-timeout") {
             options.supervision.taskTimeoutSeconds =
                 doubleArg(arg, next());
-        } else if (arg == "--retries") {
-            const std::uint64_t attempts = uintArg(arg, next());
-            if (attempts == 0) {
-                std::cerr << "--retries must be at least 1\n";
-                std::exit(kUsageError);
-            }
-            options.supervision.maxAttempts =
-                static_cast<int>(attempts);
         } else if (arg == "--no-fast-forward") {
             options.fastForward = false;
         } else if (arg == "--profile") {
@@ -506,14 +496,14 @@ runSweep(const Options& options,
         config.core.partitionPolicy = PartitionPolicy::kDynamic;
 
     const std::string topology =
-        resilience::SweepCheckpoint::describeTopology(
+        exec::ResultStore::describeTopology(
             options.cores, allocPolicyName(options.alloc));
     const bool multi_core = options.cores > 1;
 
     resilience::Supervisor supervisor(options.supervision);
-    std::unique_ptr<resilience::SweepCheckpoint> checkpoint;
+    std::unique_ptr<exec::ResultStore> checkpoint;
     if (!options.resumePath.empty()) {
-        checkpoint = std::make_unique<resilience::SweepCheckpoint>(
+        checkpoint = std::make_unique<exec::ResultStore>(
             options.resumePath, 1, topology);
         if (checkpoint->topologyMismatch()) {
             std::cerr << "sweep: manifest " << options.resumePath
@@ -561,7 +551,7 @@ runSweep(const Options& options,
                     : measureSoloCached(config, benchmark, ht,
                                         solo);
             if (checkpoint != nullptr)
-                checkpoint->record(key, results[ctx.index]);
+                checkpoint->insert(key, results[ctx.index]);
         });
 
     std::vector<std::string> headers = {"benchmark", "ht", "cycles",
@@ -584,8 +574,6 @@ runSweep(const Options& options,
     // Supervision/fault totals go to stderr so stdout stays a pure
     // function of the measurements (bit-identical across resumes).
     std::cerr << "sweep: " << report.summary() << "; "
-              << resilience::Supervisor::totalRetries()
-              << " retries, "
               << resilience::Supervisor::totalDeadlineCancels()
               << " deadline cancels and "
               << resilience::FaultPlan::totalInjectedAll()
@@ -1013,7 +1001,7 @@ main(int argc, char** argv)
                  << "|ff=" << (options.fastForward ? 1 : 0);
             key += tail.str();
         }
-        result = exec::RunCache::global().getOrCompute(
+        result = exec::ResultStore::global().getOrCompute(
             key, [&] { return sim.run(run_options); });
     } else {
         result = sim.run(run_options);
