@@ -197,8 +197,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Two-core chip baselines.
 //
 // Each benchmark is run as two copies co-scheduled on a 2-core
-// chip (shared L2) under the round-robin and ipc-symbiosis
-// allocation policies, and the chip-wide event totals plus the
+// chip (shared L2) under the static-pin, round-robin and
+// ipc-symbiosis allocation policies, and the chip-wide event totals plus the
 // allocation counters are pinned in
 // tests/golden/<benchmark>.cores2.json. This freezes not just the
 // per-core microarchitecture but the whole placement/migration
@@ -245,6 +245,7 @@ multiTotalsOf(const MultiRunResult& result)
 
 std::string
 goldenMultiDocument(const std::string& benchmark,
+                    const EventTotals& static_pin,
                     const EventTotals& round_robin,
                     const EventTotals& symbiosis)
 {
@@ -254,6 +255,8 @@ goldenMultiDocument(const std::string& benchmark,
     out += "  \"cores\": 2,\n";
     out += "  \"scale\": 0.02,\n";
     out += "  \"seed\": " + std::to_string(kGoldenSeed) + ",\n";
+    appendMode(out, "static_pin", static_pin);
+    out += ",\n";
     appendMode(out, "round_robin", round_robin);
     out += ",\n";
     appendMode(out, "ipc_symbiosis", symbiosis);
@@ -271,6 +274,8 @@ TEST_P(GoldenMultiTest, TwoCoreEventTotalsMatchBaseline)
     const std::string path =
         goldenDir() + "/" + benchmark + ".cores2.json";
 
+    const EventTotals static_pin = multiTotalsOf(
+        goldenMultiRun(benchmark, AllocPolicyKind::kStaticPin));
     const EventTotals round_robin = multiTotalsOf(
         goldenMultiRun(benchmark, AllocPolicyKind::kRoundRobin));
     const EventTotals symbiosis = multiTotalsOf(
@@ -279,8 +284,8 @@ TEST_P(GoldenMultiTest, TwoCoreEventTotalsMatchBaseline)
     if (std::getenv("JSMT_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(path, std::ios::trunc);
         ASSERT_TRUE(out) << "cannot write " << path;
-        out << goldenMultiDocument(benchmark, round_robin,
-                                   symbiosis);
+        out << goldenMultiDocument(benchmark, static_pin,
+                                   round_robin, symbiosis);
         ASSERT_TRUE(out.good());
         GTEST_SKIP() << "regenerated " << path;
     }
@@ -300,6 +305,7 @@ TEST_P(GoldenMultiTest, TwoCoreEventTotalsMatchBaseline)
     EXPECT_EQ(json::asNumber(root.field("cores")), 2u);
     EXPECT_EQ(json::asNumber(root.field("seed")), kGoldenSeed);
 
+    expectModeMatches(root, "static_pin", static_pin);
     expectModeMatches(root, "round_robin", round_robin);
     expectModeMatches(root, "ipc_symbiosis", symbiosis);
 }
