@@ -31,9 +31,10 @@ Three classes of check, with very different tolerances:
   measured. It is enforced only when both the baseline and the
   *current* host report >= 4 CPUs — a 1- or 2-CPU runner cannot
   physically scale, and its honest number would only measure the
-  runner. The bench chip uses round-robin allocation, whose
-  every-epoch migrations couple all four cores into one step group,
-  so it scales about 0.9-1.1x even on 4 CPUs.
+  runner. The bench chip uses round-robin allocation. Its
+  migrations drain at each epoch edge, so its four cores step in
+  four groups, yet its runs on the 4-CPU reference host spread from
+  0.8x to 1.4x.
 
 Multicore fields were added after the first baselines were
 committed; when the baseline lacks them, those checks are skipped so

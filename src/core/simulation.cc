@@ -73,11 +73,16 @@ Simulation::adoptProcess(std::unique_ptr<JavaProcess> process)
 void
 Simulation::advanceTo(Cycle cycle)
 {
-    if (cycle <= _cycle)
+    if (!_live.empty()) {
+        if (cycle > _cycle)
+            fatal("simulation: advanceTo with live processes");
         return;
-    if (!_live.empty())
-        fatal("simulation: advanceTo with live processes");
-    _cycle = cycle;
+    }
+    // Nothing is live, so a thread still on a context finished with
+    // its process and awaits the lazy deschedule of a tick this idle
+    // slice will not take: take it here.
+    _machine.scheduler().tick(_cycle);
+    _cycle = std::max(_cycle, cycle);
 }
 
 bool

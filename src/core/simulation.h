@@ -145,7 +145,8 @@ class Simulation
      * Only valid while no process is live — the multi-core driver
      * uses it to keep an idle core's clock in lockstep with the
      * other cores so a later launch or migration lands at the same
-     * simulated time everywhere.
+     * simulated time everywhere. Threads of finished processes leave
+     * the scheduler here.
      */
     void advanceTo(Cycle cycle);
 

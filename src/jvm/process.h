@@ -148,8 +148,9 @@ class JavaProcess
      * the new scheduler. Software-event accounting (allocation, GC,
      * monitor contention) follows the process to @p pmu, the new
      * host's counters. Thread-owned front-end state and dependence
-     * rings travel with the threads, and µops still in flight on the
-     * old core retire there normally.
+     * rings travel with the threads; the caller has already drained
+     * their in-flight µops out of the old core
+     * (SmtCore::drainThread).
      */
     void rebindHost(Scheduler& scheduler, Pmu& pmu);
     /** @return PMU for software-event accounting. */

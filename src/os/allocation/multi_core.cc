@@ -32,8 +32,8 @@ struct EpochCore
  */
 struct GroupParkGuard
 {
-    EpochCore* const* begin;
-    EpochCore* const* end;
+    EpochCore* begin;
+    EpochCore* end;
     L2AccessGate* gate;
     std::atomic<bool>* cancel;
     bool armed = true;
@@ -44,9 +44,9 @@ struct GroupParkGuard
             return;
         cancel->store(true, std::memory_order_relaxed);
         if (gate != nullptr) {
-            for (EpochCore* const* it = begin; it != end; ++it) {
-                if (!(*it)->done)
-                    gate->park((*it)->core);
+            for (EpochCore* ec = begin; ec != end; ++ec) {
+                if (!ec->done)
+                    gate->park(ec->core);
             }
         }
     }
@@ -69,17 +69,11 @@ struct GroupParkGuard
  * satisfies its condition. With one group covering every active
  * slice this IS the serial reference order; with several groups on
  * worker threads the L2 sees the same global access order, so
- * results are invariant to both thread count and grouping.
- *
- * The gate only orders shared-L2 accesses, so any *other*
- * cross-core coupling must stay inside one group. The single such
- * coupling is migration residue: after a process moves, µops still
- * in flight on its old core retire there and touch the process's
- * thread state while the new host fetches from it. The caller
- * therefore never splits a process's current core and its stale
- * cores (Tracked::staleCores) across groups — which is why the
- * group is an explicit pointer set rather than a contiguous core
- * range.
+ * results are invariant to both thread count and grouping. The
+ * shared L2 is the only cross-core coupling inside an epoch:
+ * migrations drain the moving process out of its old core at the
+ * edge (MultiCoreSimulation::moveProcess), so no slice ever touches
+ * thread state another slice hosts.
  *
  * A slice that finishes the epoch early (all processes complete)
  * is parked in the gate: it will make no further L2 accesses, and
@@ -87,7 +81,7 @@ struct GroupParkGuard
  * peers waiting to pass it.
  */
 void
-stepGroup(EpochCore* const* group_begin, EpochCore* const* group_end,
+stepGroup(EpochCore* group_begin, EpochCore* group_end,
           L2AccessGate* gate, std::atomic<bool>& cancel)
 {
     GroupParkGuard guard{group_begin, group_end, gate, &cancel};
@@ -100,18 +94,16 @@ stepGroup(EpochCore* const* group_begin, EpochCore* const* group_end,
         if (cancel.load(std::memory_order_relaxed)) {
             guard.armed = false;
             if (gate != nullptr) {
-                for (EpochCore* const* it = group_begin;
-                     it != group_end; ++it) {
-                    if (!(*it)->done)
-                        gate->park((*it)->core);
+                for (EpochCore* ec = group_begin; ec != group_end;
+                     ++ec) {
+                    if (!ec->done)
+                        gate->park(ec->core);
                 }
             }
             return;
         }
         EpochCore* pick = nullptr;
-        for (EpochCore* const* it = group_begin; it != group_end;
-             ++it) {
-            EpochCore* const ec = *it;
+        for (EpochCore* ec = group_begin; ec != group_end; ++ec) {
             if (ec->done)
                 continue;
             if (pick == nullptr ||
@@ -127,9 +119,7 @@ stepGroup(EpochCore* const* group_begin, EpochCore* const* group_end,
             return;
         }
         Cycle bound = kNoCycle;
-        for (EpochCore* const* it = group_begin; it != group_end;
-             ++it) {
-            EpochCore* const ec = *it;
+        for (EpochCore* ec = group_begin; ec != group_end; ++ec) {
             if (ec->done || ec == pick)
                 continue;
             const Cycle at = ec->stepper->cycle();
@@ -236,6 +226,8 @@ MultiRunResult::toRunResult() const
         pr.launchCycle = record.launchCycle;
         pr.completionCycle = record.completionCycle;
         pr.durationCycles = record.durationCycles;
+        pr.gcRuns = record.gcRuns;
+        pr.allocatedBytes = record.allocatedBytes;
         result.processes.push_back(std::move(pr));
     }
     return result;
@@ -327,26 +319,31 @@ MultiCoreSimulation::moveProcess(Tracked& tracked, CoreId to,
                                  trace::TraceSink* sink)
 {
     const CoreId from = tracked.core;
+    // Retire the process's in-flight µops on the old core, at the
+    // edge: from here on only the new host touches its thread
+    // state, so the slices stay coupled through the shared L2 alone.
+    SmtCore& old_core = _system.machine(from).core();
+    for (const auto& thread : tracked.process->threads())
+        old_core.drainThread(thread.get(), _clock);
+    Simulation& old_sim = _system.simulation(from);
     std::unique_ptr<JavaProcess> owned =
-        _system.simulation(from).releaseProcess(tracked.process);
+        old_sim.releaseProcess(tracked.process);
     if (owned == nullptr)
         fatal("allocation: migrating a process not owned by its "
               "core");
+    if (owned->complete()) {
+        // The drain retired its last µops: it finishes here.
+        // Re-adopting it drops it from the slice's live set, and a
+        // slice left idle lets its finished threads go at once.
+        old_sim.adoptProcess(std::move(owned));
+        old_sim.advanceTo(_clock);
+        return;
+    }
     owned->rebindHost(_system.machine(to).scheduler(),
                       _system.machine(to).pmu());
     _system.simulation(to).adoptProcess(std::move(owned));
     tracked.core = to;
     ++tracked.migrations;
-
-    // The old core's pipeline may still hold this process's µops;
-    // until they retire there, the two cores share thread state and
-    // must step in one group. The new host stops being stale by
-    // definition.
-    auto& stale = tracked.staleCores;
-    stale.erase(std::remove(stale.begin(), stale.end(), to),
-                stale.end());
-    if (std::find(stale.begin(), stale.end(), from) == stale.end())
-        stale.push_back(from);
 
     MigrationRecord record;
     record.epoch = _epochs;
@@ -364,51 +361,6 @@ MultiCoreSimulation::moveProcess(Tracked& tracked, CoreId to,
         sink->instantArg(trace::Track::kOs,
                          steal ? "alloc_steal" : "alloc_migrate",
                          _clock, "core", to);
-    }
-}
-
-void
-MultiCoreSimulation::reapCompleted()
-{
-    // A process can complete on its old core (in-flight µops retire
-    // there after a migration) while its current slice never sees a
-    // completion event. Re-adopting the finished process prunes it
-    // from that slice's live set so the slice can idle-advance.
-    for (Tracked& tracked : _tracked) {
-        if (tracked.reaped || !tracked.process->complete())
-            continue;
-        Simulation& sim = _system.simulation(tracked.core);
-        sim.adoptProcess(sim.releaseProcess(tracked.process));
-        tracked.reaped = true;
-    }
-}
-
-void
-MultiCoreSimulation::pruneStaleCores()
-{
-    // Epoch-edge poll (quiesced chip): a stale link expires once
-    // the old core's pipeline holds none of the process's µops —
-    // from then on only the current host touches its thread state.
-    // Completed processes keep their links trimmed too so the
-    // vectors do not accrete across long sweeps.
-    for (Tracked& tracked : _tracked) {
-        auto& stale = tracked.staleCores;
-        if (stale.empty())
-            continue;
-        stale.erase(
-            std::remove_if(
-                stale.begin(), stale.end(),
-                [&](CoreId core) {
-                    const SmtCore& smt =
-                        _system.machine(core).core();
-                    for (const auto& thread :
-                         tracked.process->threads()) {
-                        if (smt.holdsUopsOf(thread.get()))
-                            return false;
-                    }
-                    return true;
-                }),
-            stale.end());
     }
 }
 
@@ -479,7 +431,7 @@ MultiCoreSimulation::rebalance(Cycle window,
             continue;
         Tracked* victim = nullptr;
         for (Tracked* tracked : live) {
-            if (tracked->core != donor)
+            if (tracked->core != donor || tracked->process->complete())
                 continue;
             if (victim == nullptr ||
                 tracked->index > victim->index)
@@ -588,11 +540,9 @@ MultiCoreSimulation::run(const RunOptions& options)
     bool cancelled = options.cancellation != nullptr &&
                      options.cancellation->cancelled();
 
-    reapCompleted();
     std::vector<EpochCore> active;
     while (!cancelled && !allComplete() && _clock < end) {
         const Cycle target = std::min(end, _clock + epoch_cycles);
-        pruneStaleCores();
 
         // Slices with live work this epoch; the rest stay idle and
         // only have their clocks advanced at the edge.
@@ -652,69 +602,21 @@ MultiCoreSimulation::run(const RunOptions& options)
 
         if (!active.empty()) {
             std::atomic<bool> cancel_flag{false};
+            // One contiguous run of active slices per worker. The
+            // split never affects results, only which thread steps
+            // which slice: the gate orders shared-L2 accesses
+            // between groups, and nothing else couples the slices.
             const std::size_t n = active.size();
             const std::size_t groups =
                 std::min<std::size_t>(workers, n);
-            // Deterministic partition of the active slices into
-            // step groups. Grouping never affects results, only
-            // which thread steps which slice — but cores coupled
-            // by migration residue (a live process's current host
-            // plus its staleCores) must share a group, where the
-            // serial interleave orders their mutual touches; the
-            // L2 gate only covers shared-L2 accesses. Union the
-            // coupled cores, sort the slices so each component is
-            // contiguous, then pack components into at most
-            // `groups` runs of `order`.
-            std::vector<EpochCore*> order;
-            order.reserve(n);
-            for (EpochCore& ec : active)
-                order.push_back(&ec);
-            std::vector<std::size_t> starts{0};
-            if (groups > 1 && pool != nullptr) {
-                std::vector<CoreId> parent(cores);
-                for (CoreId core = 0; core < cores; ++core)
-                    parent[core] = core;
-                const auto find = [&](CoreId core) {
-                    while (parent[core] != core)
-                        core = parent[core] = parent[parent[core]];
-                    return core;
-                };
-                for (const Tracked& tracked : _tracked) {
-                    if (tracked.process->complete())
-                        continue;
-                    for (CoreId stale : tracked.staleCores)
-                        parent[find(stale)] = find(tracked.core);
-                }
-                std::stable_sort(
-                    order.begin(), order.end(),
-                    [&](EpochCore* a, EpochCore* b) {
-                        const CoreId ra = find(a->core);
-                        const CoreId rb = find(b->core);
-                        return ra != rb ? ra < rb
-                                        : a->core < b->core;
-                    });
-                const std::size_t fill =
-                    (n + groups - 1) / groups;
-                std::size_t i = 0;
-                while (i < n) {
-                    std::size_t j = i + 1;
-                    while (j < n && find(order[j]->core) ==
-                                        find(order[i]->core))
-                        ++j;
-                    i = j;
-                    if (i < n && i - starts.back() >= fill)
-                        starts.push_back(i);
-                }
-            }
-            starts.push_back(n);
-            const std::size_t bins = starts.size() - 1;
-            if (bins <= 1) {
-                stepGroup(order.data(), order.data() + n,
-                          gate.get(), cancel_flag);
+            EpochCore* const slices = active.data();
+            if (groups == 1) {
+                stepGroup(slices, slices + n, gate.get(),
+                          cancel_flag);
             } else {
-                pool->parallelFor(bins, [&](std::size_t g) {
-                    stepGroup(order.data() + starts[g],
-                              order.data() + starts[g + 1],
+                pool->parallelFor(groups, [&](std::size_t g) {
+                    stepGroup(slices + g * n / groups,
+                              slices + (g + 1) * n / groups,
                               gate.get(), cancel_flag);
                 });
             }
@@ -741,7 +643,6 @@ MultiCoreSimulation::run(const RunOptions& options)
         const Cycle window = target - _clock;
         _clock = target;
         ++_epochs;
-        reapCompleted();
         if (!allComplete())
             rebalance(window, sink);
     }
@@ -788,6 +689,9 @@ MultiCoreSimulation::run(const RunOptions& options)
                                           ->durationCycles()
                                     : 0;
         record.migrations = tracked.migrations;
+        record.gcRuns = tracked.process->heap().gcCount();
+        record.allocatedBytes =
+            tracked.process->heap().totalAllocated();
         result.processes.push_back(std::move(record));
     }
     return result;

@@ -15,7 +15,8 @@
  *
  * The driver advances every core to the same epoch edge, measures
  * per-process progress over the epoch, asks the policy for next
- * placements, and performs the migrations (thread rebinding plus
+ * placements, and performs the migrations (draining the process's
+ * in-flight µops out of the old core, thread rebinding and
  * process-ownership transfer) at the edge. Inside an epoch the
  * slices are stepped so that cross-core accesses to the shared L2
  * land in global (cycle, coreId) order — serially by interleaving
@@ -121,6 +122,8 @@ struct MultiProcessRecord
     Cycle durationCycles = 0;
     /** Cross-core moves (migrations + steals) this process made. */
     std::uint64_t migrations = 0;
+    std::uint64_t gcRuns = 0;
+    std::uint64_t allocatedBytes = 0;
 };
 
 /** Outcome of one MultiCoreSimulation::run() call. */
@@ -244,27 +247,18 @@ class MultiCoreSimulation
         std::uint64_t migrations = 0;
         /** Retired-µop total at the last epoch edge. */
         std::uint64_t lastRetired = 0;
-        /** Whether completion has been reaped from its slice. */
-        bool reaped = false;
-        /**
-         * Cores this process migrated away from whose pipelines may
-         * still hold its in-flight µops. Those residues retire on
-         * the old core and touch the process's thread state, so the
-         * parallel stepper must keep each stale core in the same
-         * group as the current host until the residue drains (see
-         * pruneStaleCores); migration bookkeeping in moveProcess.
-         */
-        std::vector<CoreId> staleCores;
     };
 
     std::vector<std::uint32_t> liveLoad() const;
     bool allComplete() const;
     std::uint64_t retiredUops(const Tracked& tracked) const;
-    /** Drop stale-core links whose residue has fully retired. */
-    void pruneStaleCores();
+    /**
+     * Drain the process's in-flight µops out of its current core
+     * (SmtCore::drainThread), then hand it to core @p to. A process
+     * the drain completes is pruned from its slice and stays put.
+     */
     void moveProcess(Tracked& tracked, CoreId to, bool steal,
                      trace::TraceSink* sink);
-    void reapCompleted();
     void rebalance(Cycle window, trace::TraceSink* sink);
 
     MultiCoreSystem& _system;

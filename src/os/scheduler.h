@@ -64,8 +64,8 @@ class Scheduler
      * queue, descheduled from any context it occupies, and dropped
      * from the affinity map. Used by the allocation layer to migrate
      * a thread to another core's scheduler (the thread keeps its
-     * front-end state; µops it still has in flight on this core
-     * retire normally). The caller re-admits it elsewhere via
+     * front-end state; the caller drains its in-flight µops out of
+     * this core first). The caller re-admits it elsewhere via
      * addThread, which rebinds the state-epoch cell.
      */
     void removeThread(SoftwareThread* thread);

@@ -143,16 +143,37 @@ SmtCore::drained() const
     return true;
 }
 
-bool
-SmtCore::holdsUopsOf(const SoftwareThread* thread) const
+std::uint32_t
+SmtCore::drainThread(SoftwareThread* thread, Cycle now)
 {
-    for (const ContextState& cs : _ctx) {
-        for (std::uint32_t i = 0; i < cs.rob.size(); ++i) {
-            if (cs.rob.entry(i).thread == thread)
-                return true;
-        }
+    std::uint32_t drained = 0;
+    Uop retired_uop;
+    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+        ContextState& cs = _ctx[ctx];
+        std::uint32_t loads = 0;
+        std::uint32_t stores = 0;
+        std::uint32_t branches = 0;
+        const std::uint32_t uops = cs.rob.removeThread(
+            thread, [&](const RobEntry& entry) {
+                loads += entry.type == UopType::kLoad;
+                stores += entry.type == UopType::kStore;
+                branches += entry.type == UopType::kBranch;
+                retired_uop.type = entry.type;
+                retired_uop.kernelMode = entry.kernelMode;
+                thread->onRetire(retired_uop, now);
+            });
+        if (uops == 0)
+            continue;
+        cs.ldqOcc -= loads;
+        cs.stqOcc -= stores;
+        cs.headCompletion =
+            cs.rob.empty() ? kNoCycle : cs.rob.front().completion;
+        _pmu.record(EventId::kUopsRetired, ctx, uops);
+        _pmu.record(EventId::kInstrRetired, ctx, uops);
+        _pmu.record(EventId::kBranchRetired, ctx, branches);
+        drained += uops;
     }
-    return false;
+    return drained;
 }
 
 void

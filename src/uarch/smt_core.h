@@ -187,12 +187,19 @@ class SmtCore
     bool drained() const;
 
     /**
-     * @return whether any in-flight µop (any context) belongs to
-     * @p thread. The multi-core driver polls this at epoch edges to
-     * decide when a migrated process's residue has fully retired
-     * out of its old core's pipeline.
+     * Retire every in-flight µop of @p thread at @p now, early: the
+     * multi-core driver drains a migrating process's threads out of
+     * their old core at the epoch edge, so no pipeline ever holds
+     * µops of a thread it does not host. On each context's ROB the
+     * thread's entries are removed (the other entries keep their
+     * order) and take the thread's retire path oldest first, context
+     * 0 before context 1, counted as retired µops, instructions and
+     * branches on that context; their load/store buffer entries are
+     * freed. The completion cycles in the thread's dependence ring
+     * are left alone, so dependents still wait for the real results.
+     * @return the number of µops drained.
      */
-    bool holdsUopsOf(const SoftwareThread* thread) const;
+    std::uint32_t drainThread(SoftwareThread* thread, Cycle now);
 
     /** Clear all pipeline state (between harness runs). */
     void reset();
@@ -304,6 +311,28 @@ class SmtCore
         entry(std::uint32_t i) const
         {
             return _slots[(_head + i) & _mask];
+        }
+
+        /**
+         * Remove every entry owned by @p thread, keeping the others
+         * in order; @p removed sees each removed entry, oldest
+         * first. @return the number removed.
+         */
+        template <typename Fn>
+        std::uint32_t
+        removeThread(const SoftwareThread* thread, Fn&& removed)
+        {
+            std::uint32_t kept = 0;
+            for (std::uint32_t i = 0; i < _count; ++i) {
+                const RobEntry& entry = _slots[(_head + i) & _mask];
+                if (entry.thread == thread)
+                    removed(entry);
+                else
+                    _slots[(_head + kept++) & _mask] = entry;
+            }
+            const std::uint32_t n = _count - kept;
+            _count = kept;
+            return n;
         }
 
         /** Drop the @p n oldest entries (n <= size()). */

@@ -3,8 +3,8 @@
  * Tests for the core-allocation layer: policy determinism, the
  * static-pin single-core bit-identity contract, fast-forward and
  * step-thread bit-identity across random chip topologies, allocation
- * counters, and the pair-matrix acceptance comparison against
- * round-robin.
+ * counters, the migration drain at epoch edges, and the pair-matrix
+ * acceptance comparison against round-robin.
  */
 
 #include <gtest/gtest.h>
@@ -46,14 +46,14 @@ MultiRunResult
 runChip(const MultiCoreConfig& config,
         const std::vector<std::string>& benchmarks,
         bool fast_forward = true, std::uint32_t step_threads = 1,
-        trace::TraceSink* sink = nullptr)
+        trace::TraceSink* sink = nullptr, double scale = kScale)
 {
     MultiCoreSystem system(config);
     MultiCoreSimulation sim(system);
     for (const std::string& name : benchmarks) {
         WorkloadSpec spec;
         spec.benchmark = name;
-        spec.lengthScale = kScale;
+        spec.lengthScale = scale;
         sim.addProcess(spec);
     }
     MultiCoreSimulation::RunOptions options;
@@ -162,7 +162,9 @@ TEST(AllocationPolicy, EveryPolicyIsDeterministic)
 
 TEST(AllocationPolicy, StaticPinSingleCoreMatchesPlainSimulation)
 {
-    const std::vector<std::string> mix = {"PseudoJBB", "jack"};
+    const std::vector<std::string> mix = {"javac", "jack"};
+    // Long enough for javac's heap to fill and collect.
+    constexpr double kGcScale = 0.3;
 
     SystemConfig plain_config;
     plain_config.seed = 42;
@@ -171,15 +173,21 @@ TEST(AllocationPolicy, StaticPinSingleCoreMatchesPlainSimulation)
     for (const std::string& name : mix) {
         WorkloadSpec spec;
         spec.benchmark = name;
-        spec.lengthScale = kScale;
+        spec.lengthScale = kGcScale;
         plain.addProcess(spec);
     }
     const RunResult expected = plain.run();
     ASSERT_TRUE(expected.allComplete);
+    std::uint64_t gc_runs = 0;
+    for (const ProcessResult& process : expected.processes)
+        gc_runs += process.gcRuns;
+    // The heap counters compared below must not be trivially zero.
+    ASSERT_GT(gc_runs, 0u);
 
     const MultiCoreConfig config =
         chipConfig(1, AllocPolicyKind::kStaticPin);
-    const MultiRunResult multi = runChip(config, mix);
+    const MultiRunResult multi =
+        runChip(config, mix, true, 1, nullptr, kGcScale);
     ASSERT_TRUE(multi.allComplete);
     EXPECT_EQ(multi.migrations, 0u);
     EXPECT_EQ(multi.steals, 0u);
@@ -203,6 +211,10 @@ TEST(AllocationPolicy, StaticPinSingleCoreMatchesPlainSimulation)
                   expected.processes[i].completionCycle);
         EXPECT_EQ(multi.processes[i].durationCycles,
                   expected.processes[i].durationCycles);
+        EXPECT_EQ(folded.processes[i].gcRuns,
+                  expected.processes[i].gcRuns);
+        EXPECT_EQ(folded.processes[i].allocatedBytes,
+                  expected.processes[i].allocatedBytes);
     }
 }
 
@@ -391,6 +403,233 @@ TEST(AllocationPolicy, StealKeepsNoCoreIdle)
     // Every process got a core in [0, 2).
     for (const MultiProcessRecord& record : result.processes)
         EXPECT_LT(record.finalCore, 2u);
+}
+
+// ---------------------------------------------------------------
+// Migration drain: at an epoch edge the old core retires the moving
+// process's in-flight µops, so no pipeline holds µops of a thread it
+// does not host.
+// ---------------------------------------------------------------
+
+/**
+ * A thread that fetches a fixed script of µops, one per bundle, in
+ * phases: it blocks at the end of each phase until woken. Every
+ * retirement is logged through the retire hook.
+ */
+class ScriptedThread : public SoftwareThread
+{
+  public:
+    ScriptedThread(ThreadId id, std::vector<std::vector<Uop>> phases)
+        : SoftwareThread(id, 1), _phases(std::move(phases))
+    {
+        _retireHook = true;
+    }
+
+    bool
+    nextBundle(Cycle, FetchBundle& bundle) override
+    {
+        if (_phase == _phases.size() ||
+            _next == _phases[_phase].size()) {
+            ++_phase;
+            _next = 0;
+            setState(ThreadState::kBlocked);
+            return false;
+        }
+        // Every bundle is the same trace line, so after the first
+        // fetch the front end hits the trace cache.
+        bundle = FetchBundle{};
+        bundle.asid = asid();
+        bundle.lineVaddr = 0x40'0000;
+        bundle.traceAddr = 0x1000;
+        bundle.uops[0] = _phases[_phase][_next++];
+        bundle.count = 1;
+        noteGenerated(1);
+        return true;
+    }
+
+    /** (type, cycle) of every retired µop, in retirement order. */
+    std::vector<std::pair<UopType, Cycle>> retired;
+
+  protected:
+    void
+    onRetireHook(const Uop& uop, Cycle now) override
+    {
+        retired.emplace_back(uop.type, now);
+    }
+
+  private:
+    std::vector<std::vector<Uop>> _phases;
+    std::size_t _phase = 0;
+    std::size_t _next = 0;
+};
+
+Uop
+scriptUop(UopType type, Addr data = 0, std::uint8_t dep_dist = 0)
+{
+    Uop uop;
+    uop.type = type;
+    uop.dataVaddr = data;
+    uop.depDist = dep_dist;
+    uop.pc = 0x1000;
+    return uop;
+}
+
+TEST(MigrationDrain, RetiresOnlyTheMigratingThreadAtTheEdge)
+{
+    // One context, so both threads share its ROB: A allocates a
+    // cold (L2-missing) load and three more µops and blocks, B
+    // allocates a cold load, a store and an ALU op and blocks, then
+    // A comes back for two more — a ROB of A A A A B B B A A with
+    // A's load at the head, still in flight.
+    SystemConfig config;
+    config.hyperThreading = false;
+    Machine machine(config);
+    Scheduler& scheduler = machine.scheduler();
+    SmtCore& core = machine.core();
+    ScriptedThread a(1, {{scriptUop(UopType::kLoad, 0x10'0000),
+                          scriptUop(UopType::kAlu),
+                          scriptUop(UopType::kStore, 0x20'0000),
+                          scriptUop(UopType::kAlu)},
+                         {scriptUop(UopType::kAlu),
+                          scriptUop(UopType::kBranch)},
+                         // Depends on the load, six µops back.
+                         {scriptUop(UopType::kAlu, 0, 6)}});
+    ScriptedThread b(2, {{scriptUop(UopType::kLoad, 0x30'0000),
+                          scriptUop(UopType::kStore, 0x40'0000),
+                          scriptUop(UopType::kAlu)}});
+    scheduler.addThread(&a);
+    scheduler.addThread(&b);
+
+    Cycle now = 0;
+    const auto step_until = [&](const auto& done) {
+        for (int i = 0; i < 20'000 && !done(); ++i, ++now) {
+            scheduler.tick(now);
+            core.cycle(now);
+        }
+        ASSERT_TRUE(done()) << "script stalled at cycle " << now;
+    };
+    step_until([&] { return b.generatedUops() == 3; });
+    scheduler.wake(&a);
+    step_until([&] {
+        return a.generatedUops() == 6 &&
+               a.state() == ThreadState::kBlocked;
+    });
+
+    // The load heads the ROB and is still in flight, so nothing has
+    // retired; B's load was issued later and completes later.
+    const Cycle load_done = a.producerCompletion(1, 1);
+    const Cycle b_load_done = b.producerCompletion(1, 1);
+    ASSERT_EQ(a.retiredUops(), 0u);
+    ASSERT_EQ(b.retiredUops(), 0u);
+    ASSERT_GT(load_done, now + config.mem.l2HitCycles);
+    ASSERT_GT(b_load_done, load_done);
+    ASSERT_EQ(core.robOccupancy(0), 9u);
+    ASSERT_EQ(core.ldqOccupancy(0), 2u);
+    ASSERT_EQ(core.stqOccupancy(0), 2u);
+    const Pmu& pmu = machine.pmu();
+    const std::uint64_t uops_before =
+        pmu.raw(EventId::kUopsRetired, 0);
+    const std::uint64_t instr_before =
+        pmu.raw(EventId::kInstrRetired, 0);
+    const std::uint64_t branches_before =
+        pmu.raw(EventId::kBranchRetired, 0);
+
+    const Cycle edge = now;
+    EXPECT_EQ(core.drainThread(&a, edge), 6u);
+    scheduler.removeThread(&a);
+
+    // A is gone from the pipeline, retired early at the edge in
+    // program order and counted on this core.
+    EXPECT_EQ(core.drainThread(&a, edge), 0u);
+    EXPECT_EQ(a.retiredUops(), 6u);
+    const std::vector<UopType> a_order = {
+        UopType::kLoad, UopType::kAlu, UopType::kStore,
+        UopType::kAlu,  UopType::kAlu, UopType::kBranch};
+    ASSERT_EQ(a.retired.size(), a_order.size());
+    for (std::size_t i = 0; i < a_order.size(); ++i) {
+        EXPECT_EQ(a.retired[i].first, a_order[i]) << i;
+        EXPECT_EQ(a.retired[i].second, edge) << i;
+    }
+    EXPECT_EQ(pmu.raw(EventId::kUopsRetired, 0), uops_before + 6);
+    EXPECT_EQ(pmu.raw(EventId::kInstrRetired, 0), instr_before + 6);
+    EXPECT_EQ(pmu.raw(EventId::kBranchRetired, 0),
+              branches_before + 1);
+
+    // B keeps its entries, its buffer slots and the ROB head: with
+    // no thread on the context the next event is B's load.
+    EXPECT_EQ(core.robOccupancy(0), 3u);
+    EXPECT_EQ(core.ldqOccupancy(0), 1u);
+    EXPECT_EQ(core.stqOccupancy(0), 1u);
+    EXPECT_EQ(b.retiredUops(), 0u);
+    EXPECT_EQ(core.stallBound(edge), b_load_done);
+
+    // A's dependence ring kept the load's real completion: the
+    // dependent it allocates next (here, back on the same core)
+    // cannot retire before the load would have completed.
+    EXPECT_EQ(a.producerCompletion(7, 7), load_done);
+    scheduler.addThread(&a);
+    scheduler.wake(&a);
+    step_until([&] { return a.generatedUops() == 7; });
+    ASSERT_LT(now, load_done);
+    step_until([&] {
+        return a.retiredUops() == 7 && b.retiredUops() == 3;
+    });
+    ASSERT_EQ(a.retired.size(), 7u);
+    EXPECT_GT(a.retired[6].second, load_done);
+
+    // B retires in its own program order once its load completes.
+    const std::vector<UopType> b_order = {
+        UopType::kLoad, UopType::kStore, UopType::kAlu};
+    ASSERT_EQ(b.retired.size(), b_order.size());
+    for (std::size_t i = 0; i < b_order.size(); ++i) {
+        EXPECT_EQ(b.retired[i].first, b_order[i]) << i;
+        EXPECT_GE(b.retired[i].second, b_load_done) << i;
+    }
+    EXPECT_EQ(core.ldqOccupancy(0), 0u);
+    EXPECT_EQ(core.stqOccupancy(0), 0u);
+}
+
+TEST(MigrationDrain, NoCoreHoldsUopsOfAThreadItDoesNotHost)
+{
+    // Round-robin moves every process every epoch. After each edge,
+    // draining any thread out of a core that does not host it must
+    // find nothing to drain.
+    const std::vector<std::string> mix = {"PseudoJBB", "jess",
+                                          "MolDyn",    "db",
+                                          "javac",     "compress"};
+    const MultiCoreConfig config =
+        chipConfig(4, AllocPolicyKind::kRoundRobin, 10'000);
+    MultiCoreSystem system(config);
+    MultiCoreSimulation sim(system);
+    std::vector<JavaProcess*> processes;
+    for (const std::string& name : mix) {
+        WorkloadSpec spec;
+        spec.benchmark = name;
+        spec.lengthScale = kScale;
+        processes.push_back(&sim.addProcess(spec));
+    }
+    MultiRunResult last;
+    for (int epoch = 0; epoch < 2000 && !last.allComplete; ++epoch) {
+        MultiCoreSimulation::RunOptions options;
+        options.maxCycles = config.epochCycles;
+        last = sim.run(options);
+        const std::vector<CoreId> placement = sim.placement();
+        for (std::size_t p = 0; p < processes.size(); ++p) {
+            for (CoreId core = 0; core < config.cores; ++core) {
+                if (core == placement[p])
+                    continue;
+                for (const auto& thread : processes[p]->threads()) {
+                    ASSERT_EQ(system.machine(core).core().drainThread(
+                                  thread.get(), sim.now()),
+                              0u)
+                        << "epoch " << epoch << " core " << core
+                        << " holds µops of " << mix[p];
+                }
+            }
+        }
+    }
+    ASSERT_TRUE(last.allComplete);
+    EXPECT_GT(sim.migrations(), 0u);
 }
 
 // ---------------------------------------------------------------
