@@ -11,18 +11,18 @@
  * plus, with a deadline, one clock read.
  *
  * Header-only on purpose: jsmt_core polls tokens without linking
- * against the resilience library that drives them.
+ * against the exec library that drives them.
  */
 
-#ifndef JSMT_RESILIENCE_CANCELLATION_H
-#define JSMT_RESILIENCE_CANCELLATION_H
+#ifndef JSMT_COMMON_CANCELLATION_H
+#define JSMT_COMMON_CANCELLATION_H
 
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <string>
 
-namespace jsmt::resilience {
+namespace jsmt {
 
 /** Shared cancel flag with an optional deadline; thread-safe. */
 class CancellationToken
@@ -38,6 +38,30 @@ class CancellationToken
     }
     CancellationToken(const CancellationToken&) = delete;
     CancellationToken& operator=(const CancellationToken&) = delete;
+
+    /**
+     * @return the deadline @p seconds from now, or
+     * Clock::time_point::max() (no deadline) when @p seconds is not
+     * positive or lies beyond what the clock can represent.
+     */
+    static Clock::time_point
+    deadlineAfter(double seconds)
+    {
+        if (!(seconds > 0.0))
+            return Clock::time_point::max();
+        const Clock::time_point now = Clock::now();
+        // Keep a second of headroom: the double-to-tick conversion
+        // rounds, and the sum must not overflow the tick count.
+        const double headroom =
+            std::chrono::duration<double>(Clock::time_point::max() -
+                                          now)
+                .count() -
+            1.0;
+        if (!(seconds < headroom))
+            return Clock::time_point::max();
+        return now + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(seconds));
+    }
 
     /** Request cancellation (idempotent). */
     void
@@ -69,7 +93,7 @@ class CancellationToken
 /**
  * Thrown by measurement helpers when a run stopped because its
  * cancellation token fired (usually: its deadline passed). The
- * supervisor reports the task as a kTimeout failure.
+ * task pool reports the task as a kTimeout failure.
  */
 class TaskCancelledError : public std::runtime_error
 {
@@ -80,6 +104,6 @@ class TaskCancelledError : public std::runtime_error
     }
 };
 
-} // namespace jsmt::resilience
+} // namespace jsmt
 
-#endif // JSMT_RESILIENCE_CANCELLATION_H
+#endif // JSMT_COMMON_CANCELLATION_H

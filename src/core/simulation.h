@@ -18,7 +18,7 @@
 #include "core/run_result.h"
 #include "jvm/benchmarks.h"
 #include "jvm/process.h"
-#include "resilience/cancellation.h"
+#include "common/cancellation.h"
 
 namespace jsmt {
 
@@ -107,7 +107,7 @@ class Simulation
          * stopping points is deterministic and fast-forward never
          * skips one. Borrowed, not owned.
          */
-        const resilience::CancellationToken* cancellation = nullptr;
+        const CancellationToken* cancellation = nullptr;
         /** Simulated-cycle spacing of cancellation checks. */
         Cycle cancelCheckIntervalCycles = 65536;
     };

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -293,32 +292,10 @@ ResultStore::saveLocked(const std::string& path) const
     }
     out += "\n]}\n";
 
-    const resilience::FaultPlan& plan =
-        _faultPlan != nullptr ? *_faultPlan
-                              : resilience::FaultPlan::global();
-    const resilience::FaultPlan::SpillFault fault =
-        plan.spillFault(plan.nextSpillOrdinal());
-    if (fault == resilience::FaultPlan::SpillFault::kTruncate) {
-        // Injected crash mid-write: the staged .tmp stops halfway
-        // and the rename never happens — exactly what a power cut
-        // between write() and rename() leaves behind.
-        std::ofstream tmp(atomicTempPath(path), std::ios::trunc);
-        tmp << out.substr(0, out.size() / 2);
-        warn("result store: injected crash mid-write of " + path);
-        g_saveFailures.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
     if (!atomicWriteFile(path, out)) {
+        warn("result store: cannot write " + path);
         g_saveFailures.fetch_add(1, std::memory_order_relaxed);
         return false;
-    }
-    if (fault == resilience::FaultPlan::SpillFault::kCorrupt) {
-        // Injected bitrot in the published document: the next load
-        // must reject the file wholesale.
-        std::ofstream file(path, std::ios::in | std::ios::out);
-        file.seekp(static_cast<std::streamoff>(out.size() / 2));
-        file << "\x01garbage\x02";
-        warn("result store: injected corruption into " + path);
     }
     g_saves.fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -338,13 +315,6 @@ ResultStore::flushLocked()
         return false;
     _pending = 0;
     return true;
-}
-
-void
-ResultStore::setFaultPlan(const resilience::FaultPlan* plan)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _faultPlan = plan;
 }
 
 void

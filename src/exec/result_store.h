@@ -15,7 +15,7 @@
  * Loading is all-or-nothing — any parse error or digest mismatch
  * rejects the whole file (warn, start cold). Writes go through
  * atomicWriteFile, so a crash mid-write leaves the previous file
- * intact, and consult the FaultPlan spill faults.
+ * intact.
  */
 
 #ifndef JSMT_EXEC_RESULT_STORE_H
@@ -30,7 +30,6 @@
 
 #include "core/run_result.h"
 #include "core/system_config.h"
-#include "resilience/fault_plan.h"
 
 namespace jsmt::exec {
 
@@ -102,9 +101,6 @@ class ResultStore
     /** Write the backing file now; failed entries stay pending. */
     bool flush();
 
-    /** Fault-injection override; nullptr = FaultPlan::global(). */
-    void setFaultPlan(const resilience::FaultPlan* plan);
-
     /** Drop all entries, pending writes and statistics. */
     void clear();
 
@@ -130,7 +126,7 @@ class ResultStore
     ///@{
     /** Successful file writes. */
     static std::uint64_t totalSaves();
-    /** File writes that failed (I/O error or injected crash). */
+    /** File writes that failed (I/O errors). */
     static std::uint64_t totalSaveFailures();
     /** Files rejected wholesale on load. */
     static std::uint64_t totalLoadRejects();
@@ -157,7 +153,6 @@ class ResultStore
     std::size_t _resumed = 0;
     mutable std::uint64_t _hits = 0;
     mutable std::uint64_t _misses = 0;
-    const resilience::FaultPlan* _faultPlan = nullptr;
 };
 
 /**

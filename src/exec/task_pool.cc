@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "common/env.h"
+#include "common/json.h"
 #include "common/log.h"
 #include "exec/thread_budget.h"
 
@@ -16,8 +18,66 @@ namespace {
 /** Process-wide execution totals (metrics export). */
 std::atomic<std::uint64_t> g_totalTasks{0};
 std::atomic<std::uint64_t> g_totalBatches{0};
+std::atomic<std::uint64_t> g_deadlineCancels{0};
+std::atomic<std::uint64_t> g_timeouts{0};
+std::atomic<std::uint64_t> g_failures{0};
+
+std::mutex g_hookMutex;
+TaskPool::BeforeTaskHook g_beforeTask;
 
 } // namespace
+
+const char*
+failureKindName(FailureKind kind)
+{
+    switch (kind) {
+        case FailureKind::kTimeout: return "timeout";
+        case FailureKind::kException: return "exception";
+    }
+    return "unknown";
+}
+
+std::string
+BatchReport::summary() const
+{
+    return std::to_string(succeeded) + "/" + std::to_string(tasks) +
+           " tasks succeeded, " + std::to_string(timeouts) +
+           " timeouts, " + std::to_string(failures.size()) +
+           " failures";
+}
+
+void
+BatchReport::toJson(std::string& out) const
+{
+    out += "{\"tasks\":" + std::to_string(tasks);
+    out += ",\"succeeded\":" + std::to_string(succeeded);
+    out += ",\"timeouts\":" + std::to_string(timeouts);
+    out += ",\"failures\":[";
+    for (std::size_t i = 0; i < failures.size(); ++i) {
+        const TaskFailure& f = failures[i];
+        if (i > 0)
+            out += ',';
+        out += "{\"index\":" + std::to_string(f.index);
+        out += ",\"name\":";
+        json::appendEscaped(out, f.name);
+        out += ",\"kind\":\"";
+        out += failureKindName(f.kind);
+        out += "\",\"message\":";
+        json::appendEscaped(out, f.message);
+        out += '}';
+    }
+    out += "]}";
+}
+
+BatchError::BatchError(BatchReport report)
+    : std::runtime_error(
+          std::to_string(report.failures.size()) +
+          " task(s) failed; first at index " +
+          std::to_string(report.failures.at(0).index) + ": " +
+          report.failures[0].message),
+      _report(std::move(report))
+{
+}
 
 std::uint64_t
 TaskPool::totalTasksRun()
@@ -29,6 +89,31 @@ std::uint64_t
 TaskPool::totalBatchesRun()
 {
     return g_totalBatches.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+TaskPool::totalDeadlineCancels()
+{
+    return g_deadlineCancels.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+TaskPool::totalTimeouts()
+{
+    return g_timeouts.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+TaskPool::totalFailures()
+{
+    return g_failures.load(std::memory_order_relaxed);
+}
+
+void
+TaskPool::setBeforeTaskHook(BeforeTaskHook hook)
+{
+    std::lock_guard<std::mutex> lock(g_hookMutex);
+    g_beforeTask = std::move(hook);
 }
 
 std::size_t
@@ -109,30 +194,19 @@ void
 TaskPool::drainBatch(std::uint64_t generation)
 {
     for (;;) {
-        const std::function<void(std::size_t)>* body = nullptr;
+        const std::function<void(std::size_t)>* task = nullptr;
         std::size_t index = 0;
         {
             std::lock_guard<std::mutex> lock(_mutex);
             if (_generation != generation || _nextIndex >= _count)
                 return;
             index = _nextIndex++;
-            body = _body;
+            task = _task;
         }
-        std::exception_ptr error;
-        try {
-            (*body)(index);
-        } catch (...) {
-            error = std::current_exception();
-        }
-        // Record the failure and the completion under one lock:
-        // _finished must reach _count (and the waiter must be
-        // woken) no matter what the task threw, or parallelFor's
-        // completion wait would deadlock on a throwing batch.
+        (*task)(index);
         bool last = false;
         {
             std::lock_guard<std::mutex> lock(_mutex);
-            if (error)
-                _errors.push_back({index, std::move(error)});
             last = ++_finished == _count;
         }
         if (last)
@@ -141,60 +215,24 @@ TaskPool::drainBatch(std::uint64_t generation)
 }
 
 void
-TaskPool::throwBatchErrors(std::vector<TaskError>&& errors)
+TaskPool::dispatch(std::size_t count,
+                   const std::function<void(std::size_t)>& task)
 {
-    if (errors.empty())
-        return;
-    std::sort(errors.begin(), errors.end(),
-              [](const TaskError& a, const TaskError& b) {
-                  return a.index < b.index;
-              });
-    std::string message =
-        std::to_string(errors.size()) + " task(s) failed; first at "
-        "index " + std::to_string(errors[0].index);
-    try {
-        std::rethrow_exception(errors[0].error);
-    } catch (const std::exception& e) {
-        message += std::string(": ") + e.what();
-    } catch (...) {
-        message += ": (non-standard exception)";
-    }
-    throw BatchError(std::move(message), std::move(errors));
-}
-
-void
-TaskPool::parallelFor(std::size_t count,
-                      const std::function<void(std::size_t)>& body)
-{
-    if (count == 0)
-        return;
-    g_totalBatches.fetch_add(1, std::memory_order_relaxed);
-    g_totalTasks.fetch_add(count, std::memory_order_relaxed);
     if (_jobs == 1 || count == 1) {
-        // Inline path: same all-tasks-run, all-errors-aggregated
-        // semantics as the threaded path.
-        std::vector<TaskError> errors;
-        for (std::size_t i = 0; i < count; ++i) {
-            try {
-                body(i);
-            } catch (...) {
-                errors.push_back({i, std::current_exception()});
-            }
-        }
-        throwBatchErrors(std::move(errors));
+        for (std::size_t i = 0; i < count; ++i)
+            task(i);
         return;
     }
 
     std::uint64_t generation = 0;
     {
         std::lock_guard<std::mutex> lock(_mutex);
-        if (_body != nullptr)
-            fatal("TaskPool: nested parallelFor is not supported");
-        _body = &body;
+        if (_task != nullptr)
+            fatal("TaskPool: nested batches are not supported");
+        _task = &task;
         _count = count;
         _nextIndex = 0;
         _finished = 0;
-        _errors.clear();
         ++_generation;
         generation = _generation;
     }
@@ -202,14 +240,96 @@ TaskPool::parallelFor(std::size_t count,
 
     drainBatch(generation);
 
-    std::vector<TaskError> errors;
+    std::unique_lock<std::mutex> lock(_mutex);
+    _batchDone.wait(lock, [&] { return _finished == _count; });
+    _task = nullptr;
+}
+
+BatchReport
+TaskPool::run(std::size_t count,
+              const std::function<std::string(std::size_t)>& name_of,
+              const std::function<void(TaskContext&)>& body,
+              double timeout_s)
+{
+    BatchReport report;
+    report.tasks = count;
+    if (count == 0)
+        return report;
+    g_totalBatches.fetch_add(1, std::memory_order_relaxed);
+    g_totalTasks.fetch_add(count, std::memory_order_relaxed);
+    BeforeTaskHook hook;
     {
-        std::unique_lock<std::mutex> lock(_mutex);
-        _batchDone.wait(lock, [&] { return _finished == _count; });
-        _body = nullptr;
-        errors.swap(_errors);
+        std::lock_guard<std::mutex> lock(g_hookMutex);
+        hook = g_beforeTask;
     }
-    throwBatchErrors(std::move(errors));
+
+    std::mutex report_mutex;
+    // Catches everything a task throws, so a failing task can never
+    // leave the batch's completion count short.
+    const std::function<void(std::size_t)> task =
+        [&](std::size_t index) noexcept {
+            CancellationToken token(
+                CancellationToken::deadlineAfter(timeout_s));
+            TaskContext ctx;
+            ctx.index = index;
+            ctx.token = &token;
+            TaskFailure failure;
+            failure.index = index;
+            failure.name = "(task " + std::to_string(index) + ")";
+            bool failed = true;
+            try {
+                if (name_of)
+                    failure.name = name_of(index);
+                if (hook)
+                    hook(failure.name, token);
+                body(ctx);
+                failed = false;
+            } catch (const std::exception& e) {
+                failure.message = e.what();
+            } catch (...) {
+                failure.message = "(non-standard exception)";
+            }
+            const bool timed_out = token.expired();
+            if (timed_out)
+                g_deadlineCancels.fetch_add(1,
+                                            std::memory_order_relaxed);
+            if (!failed) {
+                // A deadline that passed after the body's last
+                // cancellation check is harmless: the result is
+                // complete and valid.
+                std::lock_guard<std::mutex> lock(report_mutex);
+                ++report.succeeded;
+                return;
+            }
+            failure.kind = timed_out ? FailureKind::kTimeout
+                                     : FailureKind::kException;
+            g_failures.fetch_add(1, std::memory_order_relaxed);
+            if (timed_out)
+                g_timeouts.fetch_add(1, std::memory_order_relaxed);
+            warn("task '" + failure.name + "' failed (" +
+                 failureKindName(failure.kind) +
+                 "): " + failure.message);
+            std::lock_guard<std::mutex> lock(report_mutex);
+            report.timeouts += timed_out ? 1 : 0;
+            report.failures.push_back(std::move(failure));
+        };
+    dispatch(count, task);
+
+    std::sort(report.failures.begin(), report.failures.end(),
+              [](const TaskFailure& a, const TaskFailure& b) {
+                  return a.index < b.index;
+              });
+    return report;
+}
+
+void
+TaskPool::parallelFor(std::size_t count,
+                      const std::function<void(std::size_t)>& body)
+{
+    BatchReport report = run(
+        count, nullptr, [&](TaskContext& ctx) { body(ctx.index); });
+    if (!report.ok())
+        throw BatchError(std::move(report));
 }
 
 } // namespace jsmt::exec

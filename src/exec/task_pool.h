@@ -6,10 +6,19 @@
  * Every experiment in the harness is a matrix of independent
  * measurements (benchmark x thread count x HT mode, plus the 9x9
  * multiprogrammed cross product), each of which builds its own
- * Machine from a shared SystemConfig. TaskPool::parallelFor runs
- * such a matrix with results collected by task *index*, so the
- * outcome is bit-identical regardless of the job count or the order
- * in which workers finish.
+ * Machine from a shared SystemConfig. TaskPool runs such a matrix
+ * with results collected by task *index*, so the outcome is
+ * bit-identical regardless of the job count or the order in which
+ * workers finish.
+ *
+ * One loop runs every batch. Each task runs once, with its own
+ * CancellationToken carrying an optional wall-clock deadline
+ * (--task-timeout / JSMT_TASK_TIMEOUT); the simulator polls the
+ * token at deterministic cycle boundaries. Whatever a task throws
+ * becomes a TaskFailure in the batch's BatchReport instead of
+ * unwinding the batch — the simulator is deterministic, so running
+ * a failed task again could only fail the same way. run() returns
+ * the report; parallelFor() throws it inside a BatchError.
  *
  * The job count comes from (highest priority first) the explicit
  * constructor argument, the JSMT_JOBS environment variable, and
@@ -21,59 +30,109 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "exec/thread_budget.h"
 
 namespace jsmt::exec {
 
-/** One failed task of a batch. */
-struct TaskError
+/** What a task body sees about its own execution. */
+struct TaskContext
 {
-    /** Batch index the exception escaped from. */
+    /** Task index within the batch. */
     std::size_t index = 0;
-    std::exception_ptr error;
+    /**
+     * Cancellation token for this task; pass it to
+     * Simulation::RunOptions::cancellation so a passed deadline stops
+     * a wedged run at the next check boundary.
+     */
+    const CancellationToken* token = nullptr;
+};
+
+/** Classification of a failed task. */
+enum class FailureKind
+{
+    /** Failed after its wall-clock deadline fired. */
+    kTimeout,
+    /** Threw before any deadline fired. */
+    kException,
+};
+
+/** @return a stable lowercase name for @p kind. */
+const char* failureKindName(FailureKind kind);
+
+/** One task that failed. */
+struct TaskFailure
+{
+    std::size_t index = 0;
+    std::string name;
+    FailureKind kind = FailureKind::kException;
+    /** what() of the failure. */
+    std::string message;
+};
+
+/** Outcome of one batch. */
+struct BatchReport
+{
+    /** Tasks in the batch. */
+    std::size_t tasks = 0;
+    /** Tasks that succeeded. */
+    std::size_t succeeded = 0;
+    /** Tasks that failed after their deadline fired. */
+    std::uint64_t timeouts = 0;
+    /** Failed tasks, ordered by index. */
+    std::vector<TaskFailure> failures;
+
+    /** @return whether every task succeeded. */
+    bool ok() const { return failures.empty(); }
+    /** One-line human summary. */
+    std::string summary() const;
+    /** Append the report as a JSON object to @p out. */
+    void toJson(std::string& out) const;
 };
 
 /**
- * Thrown by TaskPool::parallelFor when any task threw: carries
- * every failure of the batch (ordered by task index), so a sweep
- * can report all failed configurations instead of only the first.
- * Derives from std::runtime_error with the first failure's message,
- * so callers that only care about "the batch failed" keep working.
+ * Thrown by TaskPool::parallelFor when any task threw. Carries the
+ * batch's report, so a sweep can name every failed configuration
+ * instead of only the first; what() names the count and the first
+ * failure.
  */
 class BatchError : public std::runtime_error
 {
   public:
-    BatchError(std::string message, std::vector<TaskError> errors)
-        : std::runtime_error(std::move(message)),
-          _errors(std::move(errors))
-    {
-    }
+    explicit BatchError(BatchReport report);
 
-    /** @return every task failure, ordered by batch index. */
-    const std::vector<TaskError>& errors() const { return _errors; }
+    /** @return the failed batch's report. */
+    const BatchReport& report() const { return _report; }
 
   private:
-    std::vector<TaskError> _errors;
+    BatchReport _report;
 };
 
 /**
  * A pool of worker threads executing indexed task batches.
  *
- * One batch runs at a time; parallelFor blocks until the batch is
- * done (the calling thread works on the batch too, so a pool of J
- * jobs uses J threads total, not J+1). Nested parallelFor calls on
- * the same pool are not supported.
+ * One batch runs at a time; run() blocks until the batch is done
+ * (the calling thread works on the batch too, so a pool of J jobs
+ * uses J threads total, not J+1). Nested batches on the same pool
+ * are not supported.
  */
 class TaskPool
 {
   public:
+    /**
+     * Test seam: called with a task's name and token just before its
+     * body. A hook that throws fails the task like its body would.
+     */
+    using BeforeTaskHook = std::function<void(
+        const std::string& name, const CancellationToken& token)>;
+
     /**
      * @param jobs worker count; 0 resolves via JSMT_JOBS and then
      *        hardware_concurrency(). A pool of 1 job runs every
@@ -102,13 +161,24 @@ class TaskPool
     std::size_t jobs() const { return _jobs; }
 
     /**
-     * Run body(0) .. body(count-1) across the pool and wait for all
-     * of them. Indices are claimed dynamically (cheap work
-     * stealing), so long tasks do not serialize behind short ones.
-     * Exceptions thrown by tasks never wedge the batch: every task
-     * still runs, the completion wait still drains, and afterwards
-     * a single BatchError carrying *all* captured failures (by task
-     * index) is thrown here.
+     * Run @p body for indices [0, count) and wait for all of them.
+     * Indices are claimed dynamically (cheap work stealing), so long
+     * tasks do not serialize behind short ones. Each task gets a
+     * token whose deadline is @p timeout_s seconds after its start
+     * (0, or too large to represent, means none). @p name_of labels
+     * tasks in the report (nullptr: "(task I)"). Never throws on
+     * task failure — inspect the BatchReport.
+     */
+    BatchReport run(
+        std::size_t count,
+        const std::function<std::string(std::size_t)>& name_of,
+        const std::function<void(TaskContext&)>& body,
+        double timeout_s = 0.0);
+
+    /**
+     * run() without names or deadlines, for batches that must not
+     * fail: throws a BatchError carrying the report if any task
+     * threw.
      */
     void parallelFor(std::size_t count,
                      const std::function<void(std::size_t)>& body);
@@ -135,14 +205,22 @@ class TaskPool
     /** @return @p requested if positive, else defaultJobs(). */
     static std::size_t resolveJobs(std::size_t requested);
 
-    /**
-     * @return tasks executed by every pool in this process so far
-     * (metrics; monotonic, includes failed tasks).
-     */
-    static std::uint64_t totalTasksRun();
+    /** Install @p hook for every later batch (empty = none). */
+    static void setBeforeTaskHook(BeforeTaskHook hook);
 
-    /** @return batches (parallelFor calls) executed process-wide. */
+    /** @name Process-wide totals (metrics export) */
+    ///@{
+    /** Tasks executed by every pool (includes failed tasks). */
+    static std::uint64_t totalTasksRun();
+    /** Batches executed by every pool. */
     static std::uint64_t totalBatchesRun();
+    /** Tasks whose deadline passed before they finished. */
+    static std::uint64_t totalDeadlineCancels();
+    /** Tasks that failed with kTimeout. */
+    static std::uint64_t totalTimeouts();
+    /** Failed tasks (all kinds). */
+    static std::uint64_t totalFailures();
+    ///@}
 
   private:
     void workerLoop();
@@ -156,8 +234,9 @@ class TaskPool
      * leaking into the new batch without a happens-before edge.
      */
     void drainBatch(std::uint64_t generation);
-    /** Throw a BatchError for @p errors (no-op when empty). */
-    static void throwBatchErrors(std::vector<TaskError>&& errors);
+    /** Run @p task for [0, count) across the pool; task must not throw. */
+    void dispatch(std::size_t count,
+                  const std::function<void(std::size_t)>& task);
 
     std::size_t _jobs;
     /** Budget adopted from the caller (releases with the pool). */
@@ -172,13 +251,12 @@ class TaskPool
     std::uint64_t _generation = 0;
     bool _shutdown = false;
 
-    // State of the in-flight batch (valid while _body != nullptr;
+    // State of the in-flight batch (valid while _task != nullptr;
     // all fields guarded by _mutex).
-    const std::function<void(std::size_t)>* _body = nullptr;
+    const std::function<void(std::size_t)>* _task = nullptr;
     std::size_t _count = 0;
     std::size_t _nextIndex = 0;
     std::size_t _finished = 0;
-    std::vector<TaskError> _errors;
 };
 
 } // namespace jsmt::exec

@@ -30,7 +30,7 @@ informFanOut(const char* what, std::size_t points, std::size_t jobs)
 std::vector<MtCounterRow>
 runMultithreadedSweep(const ExperimentConfig& config,
                       const std::vector<std::uint32_t>& thread_counts,
-                      resilience::BatchReport* report)
+                      exec::BatchReport* report)
 {
     const std::vector<std::string> names = multiThreadedNames();
     std::vector<MtCounterRow> rows(names.size() *
@@ -43,10 +43,7 @@ runMultithreadedSweep(const ExperimentConfig& config,
         }
     }
 
-    resilience::SupervisorOptions supervision = config.supervision;
-    if (supervision.jobs == 0)
-        supervision.jobs = config.jobs;
-    resilience::Supervisor supervisor(supervision);
+    exec::TaskPool pool(config.jobs);
     std::unique_ptr<exec::ResultStore> checkpoint;
     if (!config.checkpointPath.empty()) {
         checkpoint = std::make_unique<exec::ResultStore>(
@@ -58,7 +55,7 @@ runMultithreadedSweep(const ExperimentConfig& config,
                    config.checkpointPath);
         }
     }
-    informFanOut("sweep", rows.size() * 2, supervisor.jobs());
+    informFanOut("sweep", rows.size() * 2, pool.jobs());
 
     // Each row is two independent runs (HT off / HT on); fan them
     // out separately so they load-balance across workers.
@@ -69,9 +66,9 @@ runMultithreadedSweep(const ExperimentConfig& config,
         name += (k % 2) == 1 ? "/ht" : "/st";
         return name;
     };
-    resilience::BatchReport batch = supervisor.run(
+    exec::BatchReport batch = pool.run(
         rows.size() * 2, name_of,
-        [&](resilience::TaskContext& ctx) {
+        [&](exec::TaskContext& ctx) {
             MtCounterRow& row = rows[ctx.index / 2];
             const bool ht = (ctx.index % 2) == 1;
             SoloOptions options;
@@ -91,7 +88,8 @@ runMultithreadedSweep(const ExperimentConfig& config,
             if (checkpoint != nullptr)
                 checkpoint->insert(key, result);
             (ht ? row.htOn : row.htOff) = std::move(result);
-        });
+        },
+        config.taskTimeoutSeconds);
     if (report != nullptr)
         *report = std::move(batch);
     else if (!batch.ok())
@@ -131,7 +129,7 @@ runPairMatrix(const ExperimentConfig& config)
     matrix.names = singleThreadedNames();
     MultiprogramRunner runner(config.system, config.lengthScale,
                               config.pairMinRuns, config.jobs,
-                              config.supervision);
+                              config.taskTimeoutSeconds);
     matrix.cells = runner.runCrossProduct(matrix.names);
     return matrix;
 }
@@ -179,7 +177,7 @@ runIdenticalPairs(const ExperimentConfig& config)
     const std::vector<std::string> names = singleThreadedNames();
     MultiprogramRunner runner(config.system, config.lengthScale,
                               config.pairMinRuns, config.jobs,
-                              config.supervision);
+                              config.taskTimeoutSeconds);
     std::vector<std::pair<std::string, std::string>> pairs;
     pairs.reserve(names.size());
     for (const std::string& name : names)

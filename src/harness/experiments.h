@@ -15,8 +15,8 @@
 
 #include "core/run_result.h"
 #include "core/system_config.h"
+#include "exec/task_pool.h"
 #include "harness/multiprogram.h"
-#include "resilience/supervisor.h"
 
 namespace jsmt {
 
@@ -35,13 +35,10 @@ struct ExperimentConfig
      */
     std::size_t jobs = 0;
     /**
-     * Deadline policy for the supervised drivers. The default runs
-     * every task once with no deadline; CLI entry points overlay
-     * JSMT_TASK_TIMEOUT via
-     * resilience::SupervisorOptions::fromEnvironment(). A jobs
-     * value of 0 here inherits the field above.
+     * Wall-clock deadline per task of the sweep and pair drivers,
+     * in seconds; 0 runs every task with no deadline.
      */
-    resilience::SupervisorOptions supervision;
+    double taskTimeoutSeconds = 0.0;
     /**
      * When non-empty, runMultithreadedSweep checkpoints each
      * completed measurement to this manifest and resumes from it —
@@ -64,8 +61,8 @@ struct MtCounterRow
  * Run the four multithreaded benchmarks at each thread count with HT
  * disabled and enabled; the counter rows behind Figures 1-7.
  *
- * The sweep runs under a resilience::Supervisor with
- * config.supervision policy and, when config.checkpointPath is set,
+ * Each measurement runs under config.taskTimeoutSeconds and, when
+ * config.checkpointPath is set,
  * checkpoints/resumes through an exec::ResultStore manifest. When
  * @p report is non-null the batch outcome is stored there and rows
  * whose measurement ultimately failed are left default-initialized;
@@ -74,7 +71,7 @@ struct MtCounterRow
 std::vector<MtCounterRow> runMultithreadedSweep(
     const ExperimentConfig& config,
     const std::vector<std::uint32_t>& thread_counts = {2},
-    resilience::BatchReport* report = nullptr);
+    exec::BatchReport* report = nullptr);
 
 /** Table 2: characterization of multithreaded benchmarks (HT on). */
 struct Table2Row

@@ -24,28 +24,14 @@ droppedMean(const std::vector<double>& durations)
     return mean(middle);
 }
 
-namespace {
-
-/** Merge the standalone jobs knob into a supervision policy. */
-resilience::SupervisorOptions
-mergeJobs(resilience::SupervisorOptions supervision,
-          std::size_t jobs)
-{
-    if (supervision.jobs == 0)
-        supervision.jobs = jobs;
-    return supervision;
-}
-
-} // namespace
-
 MultiprogramRunner::MultiprogramRunner(
     const SystemConfig& config, double length_scale,
-    std::size_t min_runs, std::size_t jobs,
-    resilience::SupervisorOptions supervision)
+    std::size_t min_runs, std::size_t jobs, double task_timeout_s)
     : _config(config),
       _lengthScale(length_scale),
       _minRuns(min_runs),
-      _supervisor(mergeJobs(supervision, jobs))
+      _taskTimeout(task_timeout_s),
+      _pool(jobs)
 {
     if (min_runs < 3)
         fatal("multiprogram: need at least 3 runs to drop "
@@ -55,7 +41,7 @@ MultiprogramRunner::MultiprogramRunner(
 double
 MultiprogramRunner::soloDuration(
     const std::string& benchmark,
-    const resilience::CancellationToken* cancel)
+    const CancellationToken* cancel)
 {
     SoloOptions options;
     options.threads = 1;
@@ -70,21 +56,22 @@ MultiprogramRunner::prefetchSolos(std::vector<std::string> names)
 {
     std::sort(names.begin(), names.end());
     names.erase(std::unique(names.begin(), names.end()), names.end());
-    // Supervised so one failing baseline does not fail the whole
-    // prefetch; the pair that needs it measures it again inline
-    // and reports the failure there.
-    _supervisor.run(
+    // The report is dropped: one failing baseline does not fail
+    // the whole prefetch; the pair that needs it measures it again
+    // inline and reports the failure there.
+    _pool.run(
         names.size(),
         [&](std::size_t i) { return "solo/" + names[i]; },
-        [&](resilience::TaskContext& ctx) {
+        [&](exec::TaskContext& ctx) {
             soloDuration(names[ctx.index], ctx.token);
-        });
+        },
+        _taskTimeout);
 }
 
 PairResult
 MultiprogramRunner::runPair(
     const std::string& a, const std::string& b,
-    const resilience::CancellationToken* cancel)
+    const CancellationToken* cancel)
 {
     PairResult result;
     result.a = a;
@@ -133,7 +120,7 @@ MultiprogramRunner::runPair(
     options.cancellation = cancel;
     const RunResult run = sim.run(options);
     if (run.cancelled) {
-        throw resilience::TaskCancelledError(
+        throw TaskCancelledError(
             "co-run of '" + a + "'+'" + b +
             "' cancelled (deadline or external cancel)");
     }
@@ -163,7 +150,7 @@ MultiprogramRunner::runPair(
 std::vector<PairResult>
 MultiprogramRunner::runPairs(
     const std::vector<std::pair<std::string, std::string>>& pairs,
-    resilience::BatchReport* report)
+    exec::BatchReport* report)
 {
     std::vector<std::string> names;
     names.reserve(pairs.size() * 2);
@@ -176,19 +163,20 @@ MultiprogramRunner::runPairs(
     if (verbose()) {
         inform("multiprogram: " + std::to_string(pairs.size()) +
                " pairs across " +
-               std::to_string(_supervisor.jobs()) + " jobs");
+               std::to_string(_pool.jobs()) + " jobs");
     }
     std::vector<PairResult> results(pairs.size());
-    resilience::BatchReport batch = _supervisor.run(
+    exec::BatchReport batch = _pool.run(
         pairs.size(),
         [&](std::size_t i) {
             return "pair/" + pairs[i].first + "+" + pairs[i].second;
         },
-        [&](resilience::TaskContext& ctx) {
+        [&](exec::TaskContext& ctx) {
             results[ctx.index] =
                 runPair(pairs[ctx.index].first,
                         pairs[ctx.index].second, ctx.token);
-        });
+        },
+        _taskTimeout);
     if (report != nullptr)
         *report = std::move(batch);
     else if (!batch.ok())
@@ -199,7 +187,7 @@ MultiprogramRunner::runPairs(
 std::vector<PairResult>
 MultiprogramRunner::runCrossProduct(
     const std::vector<std::string>& names,
-    resilience::BatchReport* report)
+    exec::BatchReport* report)
 {
     std::vector<std::pair<std::string, std::string>> pairs;
     pairs.reserve(names.size() * names.size());

@@ -19,8 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "core/system_config.h"
-#include "resilience/supervisor.h"
+#include "exec/task_pool.h"
 
 namespace jsmt {
 
@@ -60,13 +61,14 @@ class MultiprogramRunner
      * @param min_runs completions required per program (paper: 12).
      * @param jobs worker threads for batch entry points; 0 resolves
      *        via JSMT_JOBS / hardware_concurrency (see TaskPool).
-     * @param supervision deadline policy for the batch entry
-     *        points; its jobs field, when 0, inherits @p jobs.
+     * @param task_timeout_s wall-clock deadline per task of the
+     *        batch entry points, in seconds (0 = none).
      */
-    explicit MultiprogramRunner(
-        const SystemConfig& config, double length_scale = 1.0,
-        std::size_t min_runs = 12, std::size_t jobs = 0,
-        resilience::SupervisorOptions supervision = {});
+    explicit MultiprogramRunner(const SystemConfig& config,
+                                double length_scale = 1.0,
+                                std::size_t min_runs = 12,
+                                std::size_t jobs = 0,
+                                double task_timeout_s = 0.0);
 
     /**
      * Co-run @p a and @p b on an HT machine; compute C_AB. A
@@ -75,12 +77,12 @@ class MultiprogramRunner
      */
     PairResult
     runPair(const std::string& a, const std::string& b,
-            const resilience::CancellationToken* cancel = nullptr);
+            const CancellationToken* cancel = nullptr);
 
     /** HT-disabled solo duration (memoized). */
     double soloDuration(
         const std::string& benchmark,
-        const resilience::CancellationToken* cancel = nullptr);
+        const CancellationToken* cancel = nullptr);
 
     /**
      * Run @p pairs across the worker pool; results are indexed like
@@ -88,7 +90,7 @@ class MultiprogramRunner
      * baselines of all involved benchmarks are prefetched (also in
      * parallel) before the pairs fan out.
      *
-     * The batch runs supervised under the deadline policy. When
+     * Each pair runs under the per-task deadline. When
      * @p report is non-null the outcome is stored there and failed
      * cells stay default-initialized; when it is null any failure
      * is fatal.
@@ -96,15 +98,15 @@ class MultiprogramRunner
     std::vector<PairResult>
     runPairs(const std::vector<
                  std::pair<std::string, std::string>>& pairs,
-             resilience::BatchReport* report = nullptr);
+             exec::BatchReport* report = nullptr);
 
     /** @return the full cross product over @p names. */
     std::vector<PairResult>
     runCrossProduct(const std::vector<std::string>& names,
-                    resilience::BatchReport* report = nullptr);
+                    exec::BatchReport* report = nullptr);
 
     /** @return resolved worker count. */
-    std::size_t jobs() const { return _supervisor.jobs(); }
+    std::size_t jobs() const { return _pool.jobs(); }
 
   private:
     /** Measure every distinct solo baseline (parallel). */
@@ -113,7 +115,8 @@ class MultiprogramRunner
     SystemConfig _config;
     double _lengthScale;
     std::size_t _minRuns;
-    resilience::Supervisor _supervisor;
+    double _taskTimeout;
+    exec::TaskPool _pool;
 };
 
 /**

@@ -15,7 +15,7 @@ checkCancelled(const RunResult& result, const char* what,
                const std::string& benchmark)
 {
     if (result.cancelled) {
-        throw resilience::TaskCancelledError(
+        throw TaskCancelledError(
             std::string(what) + " of '" + benchmark +
             "' cancelled (deadline or external cancel)");
     }

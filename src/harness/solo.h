@@ -15,7 +15,7 @@
 
 #include "core/simulation.h"
 #include "core/system_config.h"
-#include "resilience/cancellation.h"
+#include "common/cancellation.h"
 
 namespace jsmt {
 
@@ -31,11 +31,11 @@ struct SoloOptions
     /**
      * When non-null, the measurement polls this token at the
      * simulator's cancellation lattice and throws
-     * resilience::TaskCancelledError if it fires. Not part of the
+     * TaskCancelledError if it fires. Not part of the
      * run-cache key: cancellation never changes a completed
      * result, it only prevents one. Borrowed, not owned.
      */
-    const resilience::CancellationToken* cancel = nullptr;
+    const CancellationToken* cancel = nullptr;
 };
 
 /**

@@ -183,7 +183,7 @@ class MultiCoreSimulation
         /** Attached to every slice for the run; borrowed. */
         trace::TraceSink* trace = nullptr;
         /** Forwarded to every slice run; borrowed. */
-        const resilience::CancellationToken* cancellation = nullptr;
+        const CancellationToken* cancellation = nullptr;
         /** Simulated-cycle spacing of cancellation checks. */
         Cycle cancelCheckIntervalCycles = 65536;
         /**

@@ -8,8 +8,6 @@
 #include "core/machine.h"
 #include "exec/result_store.h"
 #include "exec/task_pool.h"
-#include "resilience/fault_plan.h"
-#include "resilience/supervisor.h"
 
 namespace jsmt::trace {
 
@@ -481,17 +479,11 @@ MetricsCollector::writeJson(std::ostream& out) const
         {"task_pool_default_jobs",
          static_cast<double>(exec::TaskPool::defaultJobs())},
         {"supervisor_timeouts",
-         static_cast<double>(
-             resilience::Supervisor::totalTimeouts())},
+         static_cast<double>(exec::TaskPool::totalTimeouts())},
         {"supervisor_deadline_cancels",
-         static_cast<double>(
-             resilience::Supervisor::totalDeadlineCancels())},
+         static_cast<double>(exec::TaskPool::totalDeadlineCancels())},
         {"supervisor_failures",
-         static_cast<double>(
-             resilience::Supervisor::totalFailures())},
-        {"faults_injected",
-         static_cast<double>(
-             resilience::FaultPlan::totalInjectedAll())},
+         static_cast<double>(exec::TaskPool::totalFailures())},
         // One result store serves the memo spill and the resume
         // manifest, so each pair of names reads one counter.
         {"checkpoint_entries_resumed",

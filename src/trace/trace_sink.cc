@@ -20,18 +20,14 @@ static_assert(sizeof(kTrackNames) / sizeof(kTrackNames[0]) ==
 
 } // namespace
 
-TraceSink::TraceSink(std::size_t capacity,
-                     const resilience::FaultPlan* fault_plan)
+TraceSink::TraceSink(std::size_t capacity, AllocHook alloc_hook)
     : _capacity(capacity)
 {
     if (capacity == 0)
         fatal("trace: ring capacity must be positive");
-    const resilience::FaultPlan& plan =
-        fault_plan != nullptr ? *fault_plan
-                              : resilience::FaultPlan::global();
     try {
-        if (plan.shouldFailSinkAllocation())
-            throw std::bad_alloc();
+        if (alloc_hook != nullptr)
+            alloc_hook(capacity);
         _ring.resize(_capacity);
     } catch (const std::bad_alloc&) {
         // Observability must never take down the run it observes:

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "resilience/fault_plan.h"
 
 namespace jsmt::trace {
 
@@ -80,15 +79,19 @@ class TraceSink
     static constexpr std::size_t kDefaultCapacity = 1u << 16;
 
     /**
-     * Construct with a ring of @p capacity events. Allocation
-     * failure (real bad_alloc, or injected via @p fault_plan's
-     * sink-alloc clause; nullptr = FaultPlan::global()) does not
-     * throw: the sink degrades to permanently disabled — the run
-     * proceeds correct but untraced.
+     * Test seam: called with the capacity inside the ring
+     * allocation's try block; a hook that throws std::bad_alloc
+     * takes the real allocation-failure path.
      */
-    explicit TraceSink(
-        std::size_t capacity = kDefaultCapacity,
-        const resilience::FaultPlan* fault_plan = nullptr);
+    using AllocHook = void (*)(std::size_t capacity);
+
+    /**
+     * Construct with a ring of @p capacity events. Allocation
+     * failure does not throw: the sink degrades to permanently
+     * disabled — the run proceeds correct but untraced.
+     */
+    explicit TraceSink(std::size_t capacity = kDefaultCapacity,
+                       AllocHook alloc_hook = nullptr);
 
     /**
      * Runtime switch; emit calls are no-ops while disabled. A

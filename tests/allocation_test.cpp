@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <new>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,7 +22,6 @@
 #include "os/allocation/allocation.h"
 #include "os/allocation/multi_core.h"
 #include "os/allocation/pair_matrix.h"
-#include "resilience/fault_plan.h"
 #include "trace/trace_sink.h"
 
 namespace jsmt {
@@ -290,29 +290,33 @@ TEST(AllocationPolicy, FuzzStepThreadsBitIdenticalAcrossTopologies)
     }
 }
 
-TEST(AllocationPolicy, StepThreadsIdenticalUnderHostileFaultPlan)
+void
+failAllocation(std::size_t)
 {
-    // A hostile fault plan that kills the trace-sink ring must not
-    // perturb parallel stepping: the degraded sink suppresses the
-    // per-core shard machinery (shards only exist for an enabled
-    // sink), and results stay bit-identical to the serial
-    // reference with the same degraded sink attached.
+    throw std::bad_alloc();
+}
+
+TEST(AllocationPolicy, StepThreadsIdenticalUnderDegradedTraceSink)
+{
+    // A trace sink whose ring allocation failed must not perturb
+    // parallel stepping: the degraded sink suppresses the per-core
+    // shard machinery (shards only exist for an enabled sink), and
+    // results stay bit-identical to the serial reference with the
+    // same degraded sink attached.
     BudgetGuard budget(16);
-    resilience::FaultPlan plan;
-    ASSERT_TRUE(resilience::FaultPlan::parse("sink-alloc", &plan));
     const std::vector<std::string> mix = {"PseudoJBB", "jess",
                                           "MolDyn", "db"};
     const MultiCoreConfig config =
         chipConfig(2, AllocPolicyKind::kIpcSymbiosis);
 
-    trace::TraceSink serial_sink(1u << 12, &plan);
+    trace::TraceSink serial_sink(1u << 12, failAllocation);
     ASSERT_TRUE(serial_sink.degraded());
     serial_sink.setEnabled(true); // Ignored: stays degraded.
     const MultiRunResult reference =
         runChip(config, mix, true, 1, &serial_sink);
     ASSERT_TRUE(reference.allComplete);
 
-    trace::TraceSink parallel_sink(1u << 12, &plan);
+    trace::TraceSink parallel_sink(1u << 12, failAllocation);
     parallel_sink.setEnabled(true);
     const MultiRunResult parallel =
         runChip(config, mix, true, 4, &parallel_sink);

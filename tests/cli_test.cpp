@@ -103,6 +103,14 @@ TEST(CliUsage, MalformedNumericValueExitsTwo)
               kUsageError);
 }
 
+TEST(CliUsage, NegativeTaskTimeoutExitsTwo)
+{
+    const CommandResult r = runCommand(
+        binary() + " --sweep jess --scale 0.02 --task-timeout -1 2>&1");
+    EXPECT_EQ(r.status, kUsageError) << r.output;
+    EXPECT_TRUE(contains(r.output, "--task-timeout")) << r.output;
+}
+
 TEST(CliUsage, MissingFlagValueExitsTwo)
 {
     const CommandResult r =
@@ -156,6 +164,99 @@ TEST(CliSweep, SupervisionFlagsAreAccepted)
                          " --sweep jess --scale 0.02 --retries 2 2>&1")
                   .status,
               kUsageError);
+}
+
+TEST(CliSweep, UnrepresentableTaskTimeoutMeansNoDeadline)
+{
+    // Seconds beyond the clock's range must disable the deadline,
+    // not wrap it into the past and time out every task.
+    for (const std::string& command :
+         {binary() + " --sweep jess --scale 0.02 --task-timeout 1e10",
+          "JSMT_TASK_TIMEOUT=inf " + binary() +
+              " --sweep jess --scale 0.02"}) {
+        const CommandResult r = runCommand(command + " 2>&1");
+        EXPECT_EQ(r.status, 0) << r.output;
+        EXPECT_TRUE(contains(r.output, "2/2 tasks succeeded"))
+            << r.output;
+    }
+}
+
+TEST(CliSweep, DeadlineThatFiresExitsOneAndResumeCompletes)
+{
+    const std::string manifest =
+        testing::TempDir() + "jsmt_cli_deadline_manifest.json";
+    std::remove(manifest.c_str());
+    const std::string sweep = binary() + " --sweep jess,db --scale 0.02";
+    const CommandResult cold = runCommand(sweep + " 2>/dev/null");
+    ASSERT_EQ(cold.status, 0) << cold.output;
+
+    // A nanosecond deadline has passed before the simulator's first
+    // cancellation check, so every point times out.
+    const CommandResult timed_out = runCommand(
+        sweep + " --task-timeout 1e-9 --resume \"" + manifest +
+        "\" 2>&1 1>/dev/null");
+    EXPECT_EQ(timed_out.status, 1) << timed_out.output;
+    EXPECT_TRUE(contains(timed_out.output,
+                         "0/4 tasks succeeded, 4 timeouts"))
+        << timed_out.output;
+
+    // Nothing timed out was recorded: the same manifest with no
+    // deadline measures every point and prints the cold table.
+    const CommandResult resumed = runCommand(
+        sweep + " --resume \"" + manifest + "\" 2>/dev/null");
+    EXPECT_EQ(resumed.status, 0) << resumed.output;
+    EXPECT_EQ(cold.output, resumed.output);
+    std::remove(manifest.c_str());
+}
+
+TEST(CliSweep, GarbageManifestStartsColdWithIdenticalStdout)
+{
+    const std::string manifest =
+        testing::TempDir() + "jsmt_cli_garbage_manifest.json";
+    const std::string sweep = binary() + " --sweep jess,db --scale 0.02";
+    const CommandResult cold = runCommand(sweep + " 2>/dev/null");
+    ASSERT_EQ(cold.status, 0) << cold.output;
+
+    std::ofstream(manifest, std::ios::trunc | std::ios::binary)
+        << "{\"version\":2,\x01garbage\x02";
+    const CommandResult damaged = runCommand(
+        sweep + " --resume \"" + manifest + "\" 2>/dev/null");
+    EXPECT_EQ(damaged.status, 0) << damaged.output;
+    EXPECT_EQ(cold.output, damaged.output);
+    std::remove(manifest.c_str());
+}
+
+TEST(CliSweep, TruncatedTmpBesideManifestResumesEveryPoint)
+{
+    // What a crash between write() and rename() leaves behind: the
+    // published manifest plus a half-written .tmp sibling.
+    const std::string manifest =
+        testing::TempDir() + "jsmt_cli_truncated_manifest.json";
+    const std::string tmp = manifest + ".tmp";
+    std::remove(manifest.c_str());
+    const std::string sweep = binary() +
+                              " --sweep jess,db --scale 0.02"
+                              " --resume \"" +
+                              manifest + "\"";
+    const CommandResult cold = runCommand(sweep + " 2>/dev/null");
+    ASSERT_EQ(cold.status, 0) << cold.output;
+
+    std::ifstream in(manifest, std::ios::binary);
+    const std::string published((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+    ASSERT_FALSE(published.empty());
+    std::ofstream(tmp, std::ios::trunc | std::ios::binary)
+        << published.substr(0, published.size() / 2);
+
+    const CommandResult resumed =
+        runCommand(sweep + " 2>&1 1>/dev/null");
+    EXPECT_EQ(resumed.status, 0) << resumed.output;
+    EXPECT_TRUE(contains(resumed.output,
+                         "resumed 4 completed measurement(s)"))
+        << resumed.output;
+    EXPECT_EQ(runCommand(sweep + " 2>/dev/null").output, cold.output);
+    std::remove(tmp.c_str());
+    std::remove(manifest.c_str());
 }
 
 TEST(CliSweep, ResumedSweepPrintsBitIdenticalStdout)

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -25,7 +26,6 @@
 #include "harness/solo.h"
 #include "jvm/benchmarks.h"
 #include "mem/l2_gate.h"
-#include "resilience/fault_plan.h"
 
 namespace jsmt {
 namespace {
@@ -284,13 +284,11 @@ storeFaultPath()
 }
 
 std::unique_ptr<ResultStore>
-openStore(bool manifest, const resilience::FaultPlan& plan)
+openStore(bool manifest)
 {
-    auto store = std::make_unique<ResultStore>(
+    return std::make_unique<ResultStore>(
         storeFaultPath(), manifest ? 1 : 0,
         manifest ? ResultStore::describeTopology(1, "static-pin") : "");
-    store->setFaultPlan(&plan);
-    return store;
 }
 
 // A well-formed two-entry store file ("a" and "b").
@@ -298,9 +296,7 @@ std::string
 goodStoreText()
 {
     const std::string path = storeFaultPath();
-    const resilience::FaultPlan clean{};
     ResultStore store;
-    store.setFaultPlan(&clean);
     store.insert("a", storedResult());
     store.insert("b", storedResult());
     EXPECT_TRUE(store.save(path));
@@ -313,9 +309,8 @@ goodStoreText()
 void
 expectStartsCold(bool manifest)
 {
-    const resilience::FaultPlan clean{};
     const std::uint64_t rejects = ResultStore::totalLoadRejects();
-    const auto store = openStore(manifest, clean);
+    const auto store = openStore(manifest);
     EXPECT_EQ(ResultStore::totalLoadRejects(), rejects + 1);
     EXPECT_EQ(store->size(), 0u);
     EXPECT_EQ(store->resumed(), 0u);
@@ -324,7 +319,7 @@ expectStartsCold(bool manifest)
     // The cold store keeps working and rewrites the file.
     store->insert("k", storedResult());
     EXPECT_TRUE(store->flush());
-    EXPECT_EQ(openStore(manifest, clean)->resumed(), 1u);
+    EXPECT_EQ(openStore(manifest)->resumed(), 1u);
 }
 
 using DamagedFiles = std::vector<std::pair<const char*, std::string>>;
@@ -345,71 +340,86 @@ expectDamagedFilesStartColdInBothRoles(const DamagedFiles& damaged)
     std::remove(path.c_str());
 }
 
-// Injected bitrot after the rename, through the role's own write path.
+// Bitrot in a published file: the role writes through its own
+// path, then bad bytes land in the middle of the document.
 void
-expectInjectedCorruptionStartsCold(bool manifest)
+expectCorruptionStartsCold(bool manifest)
 {
     const std::string path = storeFaultPath();
     std::remove(path.c_str());
-    resilience::FaultPlan corrupting;
-    ASSERT_TRUE(
-        resilience::FaultPlan::parse("spill-corrupt=1", &corrupting));
     {
-        const auto store = openStore(manifest, corrupting);
+        const auto store = openStore(manifest);
         store->insert("a", storedResult());
         store->insert("b", storedResult());
     }
-    EXPECT_GE(corrupting.injected(resilience::FaultKind::kSpillCorrupt),
-              1u);
+    std::string published;
+    ASSERT_TRUE(readFile(path, &published));
+    {
+        std::fstream file(path, std::ios::in | std::ios::out |
+                                    std::ios::binary);
+        file.seekp(static_cast<std::streamoff>(published.size() / 2));
+        file << "\x01garbage\x02";
+    }
+    std::string rotten;
+    ASSERT_TRUE(readFile(path, &rotten));
+    EXPECT_NE(rotten, published);
     expectStartsCold(manifest);
     std::remove(path.c_str());
 }
 
-// Injected crash mid-write: the first write is clean, the second
-// crashes. A truncated .tmp is left behind and the previous file
-// still loads, fully intact; the failed entry stays pending, so the
-// store's destructor (the third, unfaulted write) lands both.
+// A write that fails: the first write is clean, then a directory
+// on the .tmp path makes the second one fail for real. The previous
+// file still loads, fully intact; the failed entry stays pending.
+// Once the obstruction is gone — replaced by the truncated .tmp a
+// crash mid-write leaves behind — the store's destructor (the
+// third write) lands both entries.
 void
 expectCrashMidWriteKeepsPriorFile(bool manifest)
 {
     const std::string path = storeFaultPath();
+    const std::string tmp = atomicTempPath(path);
     std::remove(path.c_str());
-    const resilience::FaultPlan clean{};
-    resilience::FaultPlan crashing;
-    ASSERT_TRUE(
-        resilience::FaultPlan::parse("spill-truncate=2", &crashing));
+    std::filesystem::remove_all(tmp);
     const std::uint64_t saves = ResultStore::totalSaves();
     const std::uint64_t failures = ResultStore::totalSaveFailures();
     {
-        const auto store = openStore(manifest, crashing);
+        const auto store = openStore(manifest);
         // The manifest writes on every insert, the memo spill on
         // flush().
         store->insert("a", storedResult());
         if (!manifest) {
             EXPECT_TRUE(store->flush());
         }
+        ASSERT_TRUE(std::filesystem::create_directory(tmp));
         store->insert("b", storedResult());
         if (!manifest) {
             EXPECT_FALSE(store->flush());
         }
         EXPECT_EQ(ResultStore::totalSaves(), saves + 1);
         EXPECT_EQ(ResultStore::totalSaveFailures(), failures + 1);
-        EXPECT_TRUE(std::ifstream(atomicTempPath(path)).good());
+        EXPECT_TRUE(std::filesystem::exists(tmp));
 
-        const auto observer = openStore(manifest, clean);
+        const auto observer = openStore(manifest);
         EXPECT_EQ(observer->resumed(), 1u);
         RunResult back;
         EXPECT_TRUE(observer->lookup("a", &back));
         EXPECT_EQ(back.cycles, 77u);
         EXPECT_FALSE(observer->lookup("b", nullptr));
+
+        std::filesystem::remove(tmp);
+        std::string published;
+        ASSERT_TRUE(readFile(path, &published));
+        std::ofstream(tmp, std::ios::trunc | std::ios::binary)
+            << published.substr(0, published.size() / 2);
     }
     EXPECT_EQ(ResultStore::totalSaves(), saves + 2);
     EXPECT_EQ(ResultStore::totalSaveFailures(), failures + 1);
-    const auto retried = openStore(manifest, clean);
+    EXPECT_FALSE(std::filesystem::exists(tmp));
+    const auto retried = openStore(manifest);
     EXPECT_EQ(retried->resumed(), 2u);
     EXPECT_TRUE(retried->lookup("a", nullptr));
     EXPECT_TRUE(retried->lookup("b", nullptr));
-    std::remove(atomicTempPath(path).c_str());
+    std::filesystem::remove_all(tmp);
     std::remove(path.c_str());
 }
 
@@ -470,12 +480,12 @@ TEST(RunCache, PartiallyValidSpillIsNotHalfLoaded)
 
 TEST(RunCache, SpillPathOnCorruptFileStartsCold)
 {
-    expectInjectedCorruptionStartsCold(kMemoSpill);
+    expectCorruptionStartsCold(kMemoSpill);
 }
 
 TEST(SweepCheckpoint, CorruptManifestIsRejectedWholesale)
 {
-    expectInjectedCorruptionStartsCold(kResumeManifest);
+    expectCorruptionStartsCold(kResumeManifest);
 }
 
 TEST(RunCache, InjectedCrashMidSaveLeavesPriorSpillLoadable)
@@ -621,10 +631,13 @@ TEST(TaskPool, AllExceptionsAggregateIntoBatchError)
         });
     } catch (const exec::BatchError& batch) {
         caught = true;
-        ASSERT_EQ(batch.errors().size(), 3u);
-        EXPECT_EQ(batch.errors()[0].index, 3u);
-        EXPECT_EQ(batch.errors()[1].index, 11u);
-        EXPECT_EQ(batch.errors()[2].index, 19u);
+        const std::vector<exec::TaskFailure>& failures =
+            batch.report().failures;
+        ASSERT_EQ(failures.size(), 3u);
+        EXPECT_EQ(failures[0].index, 3u);
+        EXPECT_EQ(failures[1].index, 11u);
+        EXPECT_EQ(failures[2].index, 19u);
+        EXPECT_EQ(failures[0].message, "boom 3");
         EXPECT_NE(std::string(batch.what()).find("3 task(s)"),
                   std::string::npos);
         EXPECT_NE(std::string(batch.what()).find("index 3"),
@@ -644,7 +657,7 @@ TEST(TaskPool, AllTasksThrowingDoesNotDeadlock)
         });
         FAIL() << "batch should have thrown";
     } catch (const exec::BatchError& batch) {
-        EXPECT_EQ(batch.errors().size(), 64u);
+        EXPECT_EQ(batch.report().failures.size(), 64u);
     }
     // Pool destructs immediately here; a stuck worker would hang
     // the test past its ctest timeout.

@@ -13,26 +13,24 @@
  * it twice, horizon skipping on vs. off (`--no-fast-forward`
  * equivalent). The full RunResult — final cycle count, every PMU
  * counter on every context, per-process results and sample edges —
- * must match bit for bit. A fault-plan case runs the same check
- * with a degraded trace sink, mirroring the CI fault-injection job.
+ * must match bit for bit. One case runs the same check with a
+ * trace sink whose ring allocation failed.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/simulation.h"
 #include "jvm/benchmarks.h"
-#include "resilience/fault_plan.h"
 #include "trace/trace_sink.h"
 
 namespace jsmt {
 namespace {
-
-using resilience::FaultPlan;
 
 /** One randomized machine + workload draw. */
 struct FuzzCase
@@ -192,19 +190,23 @@ TEST(HorizonFuzz, RandomGeometriesAreBitIdenticalToCycleByCycle)
     }
 }
 
-TEST(HorizonFuzz, DegradedTraceSinkUnderFaultPlanStaysIdentical)
+void
+failAllocation(std::size_t)
 {
-    // An active fault plan that kills the trace-sink ring must not
-    // interact with horizon skipping: the degraded sink is a no-op
-    // observer either way.
-    FaultPlan plan;
-    ASSERT_TRUE(FaultPlan::parse("sink-alloc", &plan));
+    throw std::bad_alloc();
+}
+
+TEST(HorizonFuzz, DegradedTraceSinkStaysIdentical)
+{
+    // A trace sink whose ring allocation failed must not interact
+    // with horizon skipping: the degraded sink is a no-op observer
+    // either way.
     Rng rng(0xfa417);
     for (std::size_t i = 0; i < 3; ++i) {
         const FuzzCase fuzz = drawCase(rng);
         const std::string label = "faulted " + describe(fuzz, i);
-        trace::TraceSink ff_sink(1u << 12, &plan);
-        trace::TraceSink plain_sink(1u << 12, &plan);
+        trace::TraceSink ff_sink(1u << 12, failAllocation);
+        trace::TraceSink plain_sink(1u << 12, failAllocation);
         EXPECT_TRUE(ff_sink.degraded());
         const RunResult ff = runCase(fuzz, true, nullptr, &ff_sink);
         const RunResult plain =

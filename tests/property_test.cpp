@@ -14,14 +14,13 @@
 
 #include "core/simulation.h"
 #include "exec/result_store.h"
+#include "exec/task_pool.h"
 #include "exec/thread_budget.h"
 #include "jvm/benchmarks.h"
 #include "jvm/data_model.h"
 #include "mem/cache.h"
 #include "os/allocation/allocation.h"
 #include "os/allocation/multi_core.h"
-#include "resilience/fault_plan.h"
-#include "resilience/supervisor.h"
 
 namespace jsmt {
 namespace {
@@ -248,7 +247,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ThreadCountTest,
 // ---------------------------------------------------------------
 // OS scheduler invariants under cross-core migration: a thread is
 // never on two contexts at once, and no thread is lost or
-// duplicated across quantum boundaries, epoch edges, or Supervisor
+// duplicated across quantum boundaries, epoch edges, or deadline
 // cancellation points.
 // ---------------------------------------------------------------
 
@@ -341,24 +340,15 @@ TEST(MigrationInvariants, HoldAtEveryEpochUnderEveryPolicy)
 
 TEST(MigrationInvariants, HoldAtSupervisorCancellationPoints)
 {
-    // Supervised multi-core runs with an injected task-delay fault
-    // and a tight wall-clock deadline: the deadline cancels the
-    // simulation at an arbitrary cancellation-lattice edge. No
-    // matter where the run stopped, the chip's schedulers must
-    // still conserve every thread.
-    resilience::FaultPlan plan;
-    ASSERT_TRUE(
-        resilience::FaultPlan::parse("task-delay=chip@50", &plan));
-    resilience::SupervisorOptions options;
-    options.jobs = 2;
-    options.taskTimeoutSeconds = 0.2;
-    options.faultPlan = &plan;
-    resilience::Supervisor supervisor(options);
-
-    supervisor.run(
+    // Multi-core runs under a tight wall-clock deadline: the
+    // deadline cancels the simulation at an arbitrary
+    // cancellation-lattice edge. No matter where the run stopped,
+    // the chip's schedulers must still conserve every thread.
+    exec::TaskPool pool(2);
+    pool.run(
         2,
         [](std::size_t i) { return "chip" + std::to_string(i); },
-        [&](resilience::TaskContext& ctx) {
+        [&](exec::TaskContext& ctx) {
             MultiCoreConfig config;
             config.system.seed = 11 + ctx.index;
             config.cores = 2;
@@ -390,7 +380,8 @@ TEST(MigrationInvariants, HoldAtSupervisorCancellationPoints)
                 ASSERT_TRUE(resumed.allComplete);
                 checkThreadConservation(system, sim);
             }
-        });
+        },
+        0.15);
 }
 
 TEST(MigrationInvariants,
@@ -404,19 +395,11 @@ TEST(MigrationInvariants,
     // reference engine (thread count is a wall-clock knob, never
     // state).
     exec::ThreadBudget::instance().setCapacityForTest(16);
-    resilience::FaultPlan plan;
-    ASSERT_TRUE(
-        resilience::FaultPlan::parse("task-delay=chip@50", &plan));
-    resilience::SupervisorOptions options;
-    options.jobs = 2;
-    options.taskTimeoutSeconds = 0.2;
-    options.faultPlan = &plan;
-    resilience::Supervisor supervisor(options);
-
-    supervisor.run(
+    exec::TaskPool pool(2);
+    pool.run(
         2,
         [](std::size_t i) { return "chip" + std::to_string(i); },
-        [&](resilience::TaskContext& ctx) {
+        [&](exec::TaskContext& ctx) {
             MultiCoreConfig config;
             config.system.seed = 23 + ctx.index;
             config.cores = 4;
@@ -447,7 +430,8 @@ TEST(MigrationInvariants,
                 ASSERT_TRUE(resumed.allComplete);
                 checkThreadConservation(system, sim);
             }
-        });
+        },
+        0.15);
     exec::ThreadBudget::instance().setCapacityForTest(0);
 }
 

@@ -1,15 +1,14 @@
 /**
  * @file
- * Tests for the supervised execution layer: FaultPlan parsing and
- * deterministic injection, Supervisor deadline/report semantics,
- * simulator cancellation, trace-sink degradation, and sweep
- * checkpoint/resume (bit-identical to an uninterrupted run). The
- * store's file-fault cases live in exec_test.
+ * Tests for failure handling around the task pool: deadline and
+ * report semantics of TaskPool::run, simulator cancellation,
+ * trace-sink degradation, and sweep checkpoint/resume
+ * (bit-identical to an uninterrupted run). The store's file-fault
+ * cases live in exec_test.
  *
- * Every test that injects faults uses an explicit FaultPlan
- * instance, so a process-wide JSMT_FAULT_PLAN (the CI
- * fault-injection job sets one) can never flip an assertion; one
- * test exercises the global plan on purpose.
+ * Faults come from two test seams, never from the environment: the
+ * pool's before-task hook wedges named tasks, and the trace sink's
+ * allocation hook fails its ring allocation.
  */
 
 #include <gtest/gtest.h>
@@ -18,32 +17,29 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "core/simulation.h"
 #include "exec/result_store.h"
+#include "exec/task_pool.h"
 #include "harness/experiments.h"
 #include "harness/solo.h"
 #include "jvm/benchmarks.h"
-#include "resilience/cancellation.h"
-#include "resilience/fault_plan.h"
-#include "resilience/supervisor.h"
 #include "trace/trace_sink.h"
 
 namespace jsmt {
 namespace {
 
+using exec::BatchReport;
+using exec::FailureKind;
 using exec::ResultStore;
-using resilience::BatchReport;
-using resilience::CancellationToken;
-using resilience::FailureKind;
-using resilience::FaultKind;
-using resilience::FaultPlan;
-using resilience::SupervisorOptions;
-using resilience::TaskCancelledError;
-using resilience::TaskContext;
+using exec::TaskContext;
+using exec::TaskPool;
 
 constexpr double kTinyScale = 0.02;
 
@@ -71,81 +67,53 @@ expectIdenticalResults(const RunResult& a, const RunResult& b)
     }
 }
 
-// ----------------------------------------------------------------
-// FaultPlan
-// ----------------------------------------------------------------
-
-TEST(FaultPlan, ParsesEveryClauseKind)
+/**
+ * Installs a before-task hook for its lifetime that wedges every
+ * task whose name contains one of @p names: the task sleeps until
+ * its deadline cancels it — then fails as a cancelled simulation
+ * would — or until @p cap passes, after which its body runs.
+ */
+class WedgeTasks
 {
-    FaultPlan plan;
-    std::string error;
-    ASSERT_TRUE(FaultPlan::parse(
-        "task-delay=*@5,spill-corrupt=3,spill-truncate=4,sink-alloc",
-        &plan, &error))
-        << error;
-    EXPECT_FALSE(plan.empty());
-    EXPECT_EQ(plan.describe(),
-              "task-delay=*@5,spill-corrupt@3,spill-truncate@4,"
-              "sink-alloc");
-}
-
-TEST(FaultPlan, RejectsMalformedSpecs)
-{
-    for (const char* bad :
-         {"task-delay", "task-delay=jess", "task-delay=jess@x",
-          "task-fail=*@1", "spill-corrupt=0", "nonsense=1",
-          "spill-corrupt"}) {
-        FaultPlan plan;
-        std::string error;
-        EXPECT_FALSE(FaultPlan::parse(bad, &plan, &error))
-            << "spec '" << bad << "' should be rejected";
-        EXPECT_FALSE(error.empty());
-        EXPECT_TRUE(plan.empty());
+  public:
+    explicit WedgeTasks(std::vector<std::string> names,
+                        std::chrono::milliseconds cap =
+                            std::chrono::minutes(1))
+    {
+        TaskPool::setBeforeTaskHook(
+            [names, cap](const std::string& name,
+                         const CancellationToken& token) {
+                bool wedged = false;
+                for (const std::string& match : names)
+                    wedged = wedged ||
+                             name.find(match) != std::string::npos;
+                if (!wedged)
+                    return;
+                const auto until =
+                    std::chrono::steady_clock::now() + cap;
+                while (!token.cancelled() &&
+                       std::chrono::steady_clock::now() < until)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                if (token.cancelled())
+                    throw TaskCancelledError("task '" + name +
+                                             "' wedged");
+            });
     }
-}
-
-TEST(FaultPlan, EmptySpecYieldsEmptyPlan)
-{
-    FaultPlan plan;
-    ASSERT_TRUE(FaultPlan::parse("", &plan));
-    EXPECT_TRUE(plan.empty());
-    EXPECT_EQ(plan.taskDelayMs("anything"), 0u);
-    EXPECT_EQ(plan.spillFault(1), FaultPlan::SpillFault::kNone);
-    EXPECT_FALSE(plan.shouldFailSinkAllocation());
-}
-
-TEST(FaultPlan, InjectionIsAPureFunctionOfIdentity)
-{
-    FaultPlan plan;
-    ASSERT_TRUE(FaultPlan::parse("task-delay=jess@2,spill-corrupt=3",
-                                 &plan));
-    // Matching tasks are delayed, by name alone.
-    EXPECT_EQ(plan.taskDelayMs("sweep/jess/ht"), 2u);
-    EXPECT_EQ(plan.taskDelayMs("sweep/jess/ht"), 2u);
-    EXPECT_EQ(plan.taskDelayMs("sweep/db/ht"), 0u);
-    // Every 3rd spill save faults, by ordinal alone.
-    EXPECT_EQ(plan.spillFault(1), FaultPlan::SpillFault::kNone);
-    EXPECT_EQ(plan.spillFault(3), FaultPlan::SpillFault::kCorrupt);
-    EXPECT_EQ(plan.spillFault(6), FaultPlan::SpillFault::kCorrupt);
-    // Counters recorded the queries that injected.
-    EXPECT_EQ(plan.injected(FaultKind::kTaskDelay), 2u);
-    EXPECT_EQ(plan.injected(FaultKind::kSpillCorrupt), 2u);
-}
+    ~WedgeTasks() { TaskPool::setBeforeTaskHook(nullptr); }
+    WedgeTasks(const WedgeTasks&) = delete;
+    WedgeTasks& operator=(const WedgeTasks&) = delete;
+};
 
 // ----------------------------------------------------------------
-// Supervisor: deadline, report
+// TaskPool::run: deadline, report
 // ----------------------------------------------------------------
 
-TEST(Supervisor, PermanentExceptionIsNotRetried)
+TEST(TaskPool, PermanentExceptionIsNotRetried)
 {
-    SupervisorOptions options;
-    options.jobs = 1;
-    FaultPlan empty;
-    options.faultPlan = &empty;
-    resilience::Supervisor supervisor(options);
-
+    TaskPool pool(1);
     std::atomic<int> attempts{0};
-    const BatchReport report = supervisor.run(
+    const BatchReport report = pool.run(
         1, [](std::size_t) { return "thrower"; },
         [&](TaskContext&) {
             attempts.fetch_add(1);
@@ -158,16 +126,10 @@ TEST(Supervisor, PermanentExceptionIsNotRetried)
     EXPECT_EQ(report.timeouts, 0u);
 }
 
-TEST(Supervisor, DeadlineCancelsWedgedTaskAndReportsTimeout)
+TEST(TaskPool, DeadlineCancelsWedgedTaskAndReportsTimeout)
 {
-    SupervisorOptions options;
-    options.jobs = 2;
-    options.taskTimeoutSeconds = 0.05;
-    FaultPlan empty;
-    options.faultPlan = &empty;
-    resilience::Supervisor supervisor(options);
-
-    const BatchReport report = supervisor.run(
+    TaskPool pool(2);
+    const BatchReport report = pool.run(
         1, [](std::size_t) { return "wedged"; },
         [](TaskContext& ctx) {
             // Cooperative wedge: spin until the deadline passes.
@@ -175,7 +137,8 @@ TEST(Supervisor, DeadlineCancelsWedgedTaskAndReportsTimeout)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
             throw TaskCancelledError("wedged task observed cancel");
-        });
+        },
+        0.05);
     EXPECT_FALSE(report.ok());
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_EQ(report.failures[0].kind, FailureKind::kTimeout);
@@ -184,17 +147,11 @@ TEST(Supervisor, DeadlineCancelsWedgedTaskAndReportsTimeout)
 
 // Deadline cancellation is final: the task's body runs exactly
 // once and the task is reported once, as a timeout.
-TEST(Supervisor, DeadlineCancelledTaskRunsItsBodyOnce)
+TEST(TaskPool, DeadlineCancelledTaskRunsItsBodyOnce)
 {
-    SupervisorOptions options;
-    options.jobs = 1;
-    options.taskTimeoutSeconds = 0.05;
-    FaultPlan empty;
-    options.faultPlan = &empty;
-    resilience::Supervisor supervisor(options);
-
+    TaskPool pool(1);
     std::atomic<int> runs{0};
-    const BatchReport report = supervisor.run(
+    const BatchReport report = pool.run(
         1, [](std::size_t) { return "slow"; },
         [&](TaskContext& ctx) {
             runs.fetch_add(1);
@@ -202,7 +159,8 @@ TEST(Supervisor, DeadlineCancelledTaskRunsItsBodyOnce)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
             throw TaskCancelledError("slow task observed cancel");
-        });
+        },
+        0.05);
     EXPECT_EQ(runs.load(), 1);
     EXPECT_EQ(report.succeeded, 0u);
     EXPECT_EQ(report.timeouts, 1u);
@@ -213,65 +171,59 @@ TEST(Supervisor, DeadlineCancelledTaskRunsItsBodyOnce)
     EXPECT_NE(json.find("\"kind\":\"timeout\""), std::string::npos);
 }
 
-TEST(Supervisor, InjectedDelaySlowsButDoesNotFail)
+// A deadline too far out to represent means no deadline, not one
+// already in the past.
+TEST(TaskPool, UnrepresentableTimeoutMeansNoDeadline)
 {
-    FaultPlan plan;
-    ASSERT_TRUE(FaultPlan::parse("task-delay=*@5", &plan));
-    SupervisorOptions options;
-    options.jobs = 2;
-    options.faultPlan = &plan;
-    resilience::Supervisor supervisor(options);
-
-    const BatchReport report = supervisor.run(
-        3, [](std::size_t i) { return "d" + std::to_string(i); },
-        [](TaskContext&) {});
-    EXPECT_TRUE(report.ok());
-    EXPECT_EQ(plan.injected(FaultKind::kTaskDelay), 3u);
+    EXPECT_EQ(CancellationToken::deadlineAfter(1e10),
+              CancellationToken::Clock::time_point::max());
+    TaskPool pool(2);
+    for (const double timeout :
+         {1e10, std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(timeout);
+        const BatchReport report = pool.run(
+            2, nullptr,
+            [](TaskContext& ctx) {
+                SoloOptions options;
+                options.lengthScale = kTinyScale;
+                options.cancel = ctx.token;
+                EXPECT_FALSE(ctx.token->cancelled());
+                EXPECT_TRUE(measureSolo(SystemConfig(), "jess",
+                                        ctx.index == 1, options)
+                                .allComplete);
+            },
+            timeout);
+        EXPECT_TRUE(report.ok()) << report.summary();
+        EXPECT_EQ(report.succeeded, 2u);
+    }
 }
 
-TEST(Supervisor, CountersSumAcrossEightJobs)
+TEST(TaskPool, CountersSumAcrossEightJobs)
 {
-    FaultPlan plan;
-    ASSERT_TRUE(FaultPlan::parse("task-delay=*@1", &plan));
-    SupervisorOptions options;
-    options.jobs = 8;
-    options.faultPlan = &plan;
-
-    const std::uint64_t failures_before =
-        resilience::Supervisor::totalFailures();
-    resilience::Supervisor supervisor(options);
+    std::atomic<std::size_t> hooked{0};
+    TaskPool::setBeforeTaskHook(
+        [&](const std::string&, const CancellationToken&) {
+            hooked.fetch_add(1);
+        });
+    TaskPool pool(8);
+    const std::uint64_t failures_before = TaskPool::totalFailures();
     const std::size_t count = 32;
-    const BatchReport report = supervisor.run(
+    const BatchReport report = pool.run(
         count,
         [](std::size_t i) { return "j" + std::to_string(i); },
         [](TaskContext& ctx) {
             if (ctx.index % 2 == 1)
                 throw std::runtime_error("odd task");
         });
-    // Every task was delayed once and every odd one failed; the
-    // per-report, per-plan and process-wide counters must agree.
+    TaskPool::setBeforeTaskHook(nullptr);
+    // Every task passed the hook once and every odd one failed; the
+    // per-report, per-hook and process-wide counters must agree.
     EXPECT_EQ(report.succeeded, count / 2);
     ASSERT_EQ(report.failures.size(), count / 2);
     for (std::size_t i = 0; i < report.failures.size(); ++i)
         EXPECT_EQ(report.failures[i].index, 2 * i + 1);
-    EXPECT_EQ(plan.injected(FaultKind::kTaskDelay), count);
-    EXPECT_EQ(resilience::Supervisor::totalFailures(),
-              failures_before + count / 2);
-}
-
-TEST(Supervisor, GlobalPlanWhateverItIsNeverCrashesASweep)
-{
-    // CI sets JSMT_FAULT_PLAN for the whole test binary; this test
-    // runs under whatever that plan injects and must account for
-    // every task.
-    SupervisorOptions options;
-    options.jobs = 2;
-    resilience::Supervisor supervisor(options);
-    const BatchReport report = supervisor.run(
-        4, [](std::size_t i) { return "g" + std::to_string(i); },
-        [](TaskContext&) {});
-    EXPECT_EQ(report.tasks, 4u);
-    EXPECT_EQ(report.succeeded + report.failures.size(), 4u);
+    EXPECT_EQ(hooked.load(), count);
+    EXPECT_EQ(TaskPool::totalFailures(), failures_before + count / 2);
 }
 
 // ----------------------------------------------------------------
@@ -361,13 +313,20 @@ TEST(Cancellation, UncancelledTokenDoesNotPerturbTheRun)
 // Trace-sink degradation
 // ----------------------------------------------------------------
 
+std::atomic<int> g_failedAllocations{0};
+
+void
+failAllocation(std::size_t)
+{
+    g_failedAllocations.fetch_add(1);
+    throw std::bad_alloc();
+}
+
 TEST(SinkDegradation, InjectedAllocationFailureDegradesGracefully)
 {
-    FaultPlan plan;
-    ASSERT_TRUE(FaultPlan::parse("sink-alloc", &plan));
-    trace::TraceSink sink(1u << 12, &plan);
+    trace::TraceSink sink(1u << 12, failAllocation);
     EXPECT_TRUE(sink.degraded());
-    EXPECT_EQ(plan.injected(FaultKind::kSinkAlloc), 1u);
+    EXPECT_EQ(g_failedAllocations.load(), 1);
 
     // Enable requests are ignored; emits are no-ops, not crashes.
     sink.setEnabled(true);
@@ -395,8 +354,7 @@ TEST(SinkDegradation, InjectedAllocationFailureDegradesGracefully)
 
 TEST(SinkDegradation, HealthySinkIsUnaffectedByEmptyPlan)
 {
-    FaultPlan empty;
-    trace::TraceSink sink(1u << 12, &empty);
+    trace::TraceSink sink(1u << 12);
     EXPECT_FALSE(sink.degraded());
     sink.setEnabled(true);
     EXPECT_TRUE(sink.enabled());
@@ -424,8 +382,6 @@ TEST(SweepCheckpoint, RoundTripsEntriesThroughTheManifest)
     const RunResult b = tinyResult("db", true);
     {
         ResultStore checkpoint(path);
-        FaultPlan empty;
-        checkpoint.setFaultPlan(&empty);
         checkpoint.record("key/a", a);
         checkpoint.record("key/b", b);
         EXPECT_TRUE(checkpoint.flush());
@@ -451,8 +407,6 @@ TEST(SweepResume, InterruptedSweepResumesBitIdentically)
     ExperimentConfig config;
     config.lengthScale = kTinyScale;
     config.jobs = 2;
-    FaultPlan empty;
-    config.supervision.faultPlan = &empty;
 
     // Uninterrupted baseline (no checkpoint).
     const std::vector<MtCounterRow> baseline =
@@ -460,16 +414,14 @@ TEST(SweepResume, InterruptedSweepResumesBitIdentically)
 
     // "Killed" sweep: two benchmarks' measurements wedge past their
     // deadline (both HT modes), the rest land in the checkpoint.
-    FaultPlan killer;
-    ASSERT_TRUE(FaultPlan::parse("task-delay=MolDyn@60000,"
-                                 "task-delay=RayTracer@60000",
-                                 &killer));
     ExperimentConfig interrupted = config;
     interrupted.checkpointPath = path;
-    interrupted.supervision.faultPlan = &killer;
-    interrupted.supervision.taskTimeoutSeconds = 0.2;
+    interrupted.taskTimeoutSeconds = 0.2;
     BatchReport report;
-    runMultithreadedSweep(interrupted, {2}, &report);
+    {
+        const WedgeTasks killer({"MolDyn", "RayTracer"});
+        runMultithreadedSweep(interrupted, {2}, &report);
+    }
     EXPECT_FALSE(report.ok());
     EXPECT_EQ(report.failures.size(), 4u); // 2 benchmarks x 2 modes.
     EXPECT_EQ(report.timeouts, 4u);
@@ -503,14 +455,11 @@ TEST(SweepResume, SupervisedPairBatchReportsInsteadOfThrowing)
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
             .count();
-    FaultPlan killer;
-    ASSERT_TRUE(FaultPlan::parse("task-delay=pair/jess+db@600000",
-                                 &killer));
-    SupervisorOptions supervision;
-    supervision.faultPlan = &killer;
-    supervision.taskTimeoutSeconds = 0.5 + 4.0 * healthy_seconds;
+    const WedgeTasks killer({"pair/jess+db"},
+                            std::chrono::minutes(10));
     MultiprogramRunner runner(system, kTinyScale, /*min_runs=*/3,
-                              /*jobs=*/2, supervision);
+                              /*jobs=*/2,
+                              0.5 + 4.0 * healthy_seconds);
     BatchReport report;
     const std::vector<PairResult> results = runner.runPairs(
         {{"jess", "db"}, {"jess", "jess"}}, &report);

@@ -71,7 +71,7 @@
  *                                  interval snapshots) as JSON
  *     --list-benchmarks            print the registry and exit
  *     --list-events                print the event catalogue, exit
- *     --sweep NAMES                supervised solo sweep of the
+ *     --sweep NAMES                solo sweep of the
  *                                  comma-separated benchmarks, each
  *                                  measured HT-off and HT-on
  *     --resume MANIFEST            checkpoint the sweep to MANIFEST
@@ -82,9 +82,10 @@
  *                                  resuming under a different
  *                                  topology is refused (exit 2)
  *     --task-timeout SEC           per-task wall-clock deadline for
- *                                  supervised runs (0 = none; also
- *                                  JSMT_TASK_TIMEOUT); a task past
- *                                  it is reported as failed
+ *                                  --sweep points (0 = none; also
+ *                                  JSMT_TASK_TIMEOUT; negative exits
+ *                                  2); a task past it is reported as
+ *                                  failed
  *
  * Invalid usage (unknown flag, malformed value, unknown benchmark
  * or event) exits with code 2 after printing the valid set.
@@ -119,6 +120,7 @@
 #include "common/log.h"
 #include "core/simulation.h"
 #include "exec/result_store.h"
+#include "exec/task_pool.h"
 #include "harness/solo.h"
 #include "harness/table.h"
 #include "jvm/benchmarks.h"
@@ -127,7 +129,6 @@
 #include "os/allocation/pair_matrix.h"
 #include "pmu/abyss.h"
 #include "pmu/sampler.h"
-#include "resilience/supervisor.h"
 #include "trace/metrics.h"
 #include "trace/trace_sink.h"
 #include "uarch/stage_profiler.h"
@@ -173,9 +174,8 @@ struct Options
     std::vector<std::string> sweep;
     /** Checkpoint manifest for --sweep (empty = no checkpoint). */
     std::string resumePath;
-    /** Supervision policy (env defaults, flags override). */
-    resilience::SupervisorOptions supervision =
-        resilience::SupervisorOptions::fromEnvironment();
+    /** Per-task deadline in seconds (env default, flag overrides). */
+    double taskTimeout = envDouble("JSMT_TASK_TIMEOUT", 0.0, 0.0);
 };
 
 /** Flags accepted by jsmt_run (printed on invalid usage). */
@@ -361,8 +361,12 @@ parseArgs(int argc, char** argv)
         } else if (arg == "--resume") {
             options.resumePath = next();
         } else if (arg == "--task-timeout") {
-            options.supervision.taskTimeoutSeconds =
-                doubleArg(arg, next());
+            options.taskTimeout = doubleArg(arg, next());
+            if (!(options.taskTimeout >= 0.0)) {
+                std::cerr << "--task-timeout must be >= 0 (0 = no "
+                             "deadline)\n";
+                std::exit(kUsageError);
+            }
         } else if (arg == "--no-fast-forward") {
             options.fastForward = false;
         } else if (arg == "--profile") {
@@ -452,7 +456,7 @@ parseArgs(int argc, char** argv)
 RunResult
 measureMultiSolo(const Options& options, SystemConfig config,
                  const std::string& benchmark, bool ht,
-                 const resilience::CancellationToken* cancel)
+                 const CancellationToken* cancel)
 {
     config.hyperThreading = ht;
     MultiCoreConfig chip;
@@ -479,7 +483,7 @@ measureMultiSolo(const Options& options, SystemConfig config,
 
 /**
  * --sweep mode: measure each named benchmark HT-off and HT-on under
- * a Supervisor, optionally checkpointed to --resume MANIFEST. The
+ * a per-task deadline, optionally checkpointed to --resume MANIFEST. The
  * stdout table is a pure function of the completed measurements, so
  * a killed-and-resumed sweep prints bit-identical output to an
  * uninterrupted one. The manifest records the chip topology;
@@ -500,7 +504,7 @@ runSweep(const Options& options,
             options.cores, allocPolicyName(options.alloc));
     const bool multi_core = options.cores > 1;
 
-    resilience::Supervisor supervisor(options.supervision);
+    exec::TaskPool pool;
     std::unique_ptr<exec::ResultStore> checkpoint;
     if (!options.resumePath.empty()) {
         checkpoint = std::make_unique<exec::ResultStore>(
@@ -527,8 +531,9 @@ runSweep(const Options& options,
         return options.sweep[k / 2] +
                ((k % 2) == 1 ? "/ht" : "/st");
     };
-    const resilience::BatchReport report = supervisor.run(
-        tasks, name_of, [&](resilience::TaskContext& ctx) {
+    const exec::BatchReport report = pool.run(
+        tasks, name_of,
+        [&](exec::TaskContext& ctx) {
             const std::string& benchmark =
                 options.sweep[ctx.index / 2];
             const bool ht = (ctx.index % 2) == 1;
@@ -552,7 +557,8 @@ runSweep(const Options& options,
                                         solo);
             if (checkpoint != nullptr)
                 checkpoint->insert(key, results[ctx.index]);
-        });
+        },
+        options.taskTimeout);
 
     std::vector<std::string> headers = {"benchmark", "ht", "cycles",
                                         "IPC"};
@@ -571,13 +577,11 @@ runSweep(const Options& options,
     }
     table.print(std::cout);
 
-    // Supervision/fault totals go to stderr so stdout stays a pure
-    // function of the measurements (bit-identical across resumes).
+    // Batch totals go to stderr so stdout stays a pure function
+    // of the measurements (bit-identical across resumes).
     std::cerr << "sweep: " << report.summary() << "; "
-              << resilience::Supervisor::totalDeadlineCancels()
-              << " deadline cancels and "
-              << resilience::FaultPlan::totalInjectedAll()
-              << " injected fault(s) process-wide\n";
+              << exec::TaskPool::totalDeadlineCancels()
+              << " deadline cancels process-wide\n";
 
     if (!options.metricsFile.empty()) {
         Machine machine(config);
