@@ -9,7 +9,6 @@
 #include "common/env.h"
 #include "common/json.h"
 #include "common/log.h"
-#include "exec/thread_budget.h"
 
 namespace jsmt::exec {
 
@@ -135,26 +134,10 @@ TaskPool::resolveJobs(std::size_t requested)
     return requested > 0 ? requested : defaultJobs();
 }
 
-TaskPool::TaskPool(std::size_t jobs)
-    : TaskPool(jobs, ThreadReservation())
-{
-}
-
-TaskPool::TaskPool(std::size_t jobs, ThreadReservation reservation)
-    : _jobs(resolveJobs(jobs)), _reservation(std::move(reservation))
+TaskPool::TaskPool(std::size_t jobs) : _jobs(resolveJobs(jobs))
 {
     // The calling thread participates in every batch, so spawn one
-    // worker fewer than the job count. Extra workers the adopted
-    // reservation does not already cover are a hard charge against
-    // the process thread budget: `--jobs N` means N, and polite
-    // consumers (the multi-core stepping engine inside each task)
-    // see the reduced remainder and scale back instead of
-    // oversubscribing the host.
-    const std::size_t covered = _reservation.granted();
-    _charged = _jobs - 1 > covered ? _jobs - 1 - covered : 0;
-    if (_charged > 0)
-        ThreadBudget::instance().acquireExtra(_charged,
-                                              /*force=*/true);
+    // worker fewer than the job count.
     for (std::size_t i = 1; i < _jobs; ++i)
         _workers.emplace_back([this] { workerLoop(); });
 }
@@ -168,8 +151,6 @@ TaskPool::~TaskPool()
     _wake.notify_all();
     for (std::thread& worker : _workers)
         worker.join();
-    if (_charged > 0)
-        ThreadBudget::instance().release(_charged);
 }
 
 void

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "common/cancellation.h"
-#include "exec/thread_budget.h"
 
 namespace jsmt::exec {
 
@@ -140,18 +139,6 @@ class TaskPool
      */
     explicit TaskPool(std::size_t jobs = 0);
 
-    /**
-     * Build a pool whose extra workers are (partly) covered by an
-     * already-held budget reservation: only the shortfall beyond
-     * @p reservation.granted() is force-charged. A caller that
-     * politely reserved N threads and sizes the pool at N + 1 is
-     * therefore charged atomically at reservation time — the
-     * observe-then-charge race of available() followed by a forced
-     * constructor charge cannot oversubscribe the host. The pool
-     * owns the reservation for its lifetime.
-     */
-    TaskPool(std::size_t jobs, ThreadReservation reservation);
-
     ~TaskPool();
 
     TaskPool(const TaskPool&) = delete;
@@ -239,10 +226,6 @@ class TaskPool
                   const std::function<void(std::size_t)>& task);
 
     std::size_t _jobs;
-    /** Budget adopted from the caller (releases with the pool). */
-    ThreadReservation _reservation;
-    /** Extra threads force-charged beyond the reservation. */
-    std::size_t _charged = 0;
     std::vector<std::thread> _workers;
 
     std::mutex _mutex;

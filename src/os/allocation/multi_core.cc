@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <thread>
 
 #include "common/log.h"
 #include "exec/task_pool.h"
-#include "exec/thread_budget.h"
 #include "mem/l2_gate.h"
 
 namespace jsmt {
@@ -22,13 +22,14 @@ struct EpochCore
 };
 
 /**
- * Unwind guard for stepGroup: if the group's thread exits by
+ * Exit guard for stepGroup: if the group's thread leaves early — by
  * exception (TaskPool catches per-task errors and waits for the
- * whole batch), the dead slices' commit horizons would stay stale
- * and every peer group — including the parallelFor caller — would
- * spin in the gate forever. Parking the remainder unblocks them,
- * and raising the cancel flag stops the surviving groups at their
- * next check instead of letting them finish a doomed epoch.
+ * whole batch) or on a cancel — the unfinished slices' commit
+ * horizons would stay stale and every peer group, including the
+ * parallelFor caller, would spin in the gate forever. Parking the
+ * remainder unblocks them, and raising the cancel flag stops the
+ * surviving groups at their next check instead of letting them
+ * finish a doomed epoch.
  */
 struct GroupParkGuard
 {
@@ -87,21 +88,12 @@ stepGroup(EpochCore* group_begin, EpochCore* group_end,
     GroupParkGuard guard{group_begin, group_end, gate, &cancel};
     for (;;) {
         // A cancel observed by any slice (on its deterministic
-        // check lattice) stops the whole chip: park what is left so
-        // no other group spins on our commit horizons. A cancelled
-        // run is wall-clock-driven and makes no bit-identity
-        // promises.
-        if (cancel.load(std::memory_order_relaxed)) {
-            guard.armed = false;
-            if (gate != nullptr) {
-                for (EpochCore* ec = group_begin; ec != group_end;
-                     ++ec) {
-                    if (!ec->done)
-                        gate->park(ec->core);
-                }
-            }
+        // check lattice) stops the whole chip: the armed guard
+        // parks what is left so no other group spins on our commit
+        // horizons. A cancelled run is wall-clock-driven and makes
+        // no bit-identity promises.
+        if (cancel.load(std::memory_order_relaxed))
             return;
-        }
         EpochCore* pick = nullptr;
         for (EpochCore* ec = group_begin; ec != group_end; ++ec) {
             if (ec->done)
@@ -472,36 +464,23 @@ MultiCoreSimulation::run(const RunOptions& options)
 
     // Worker count for in-epoch stepping. 1 (the default) is the
     // serial reference; the parallel settings only change wall-clock
-    // behaviour, never results. Extra workers are drawn from the
-    // process-wide thread budget: auto (0) takes only what --jobs
-    // has left free, an explicit N is a hard request. The auto
-    // claim must be one atomic reservation (not available() read
-    // back as a forced charge): two sweep cells deciding
-    // concurrently would both see the same free budget and
-    // oversubscribe the host the budget exists to protect.
+    // behaviour, never results. Auto (0) sizes to the host, an
+    // explicit N to itself; both are clamped to the core count.
     std::uint32_t workers = 1;
-    exec::ThreadReservation step_claim;
     if (cores > 1 && options.stepThreads != 1) {
-        if (options.stepThreads == 0) {
-            step_claim = exec::ThreadReservation(cores - 1,
-                                                 /*force=*/false);
-            workers = 1 + static_cast<std::uint32_t>(
-                              step_claim.granted());
-        } else {
-            workers = std::min(options.stepThreads, cores);
-        }
+        const std::uint32_t want =
+            options.stepThreads != 0
+                ? options.stepThreads
+                : std::max(1u, std::thread::hardware_concurrency());
+        workers = std::min(want, cores);
     }
     // The pool persists across epochs (TaskPool's workers sleep on
     // a condition variable between batches), so the per-epoch cost
     // of parallel stepping is one wake/notify round, not a thread
-    // spawn. It adopts the auto-mode reservation (charging only any
-    // shortfall, i.e. an explicit --step-threads N) for its
-    // lifetime.
+    // spawn.
     std::unique_ptr<exec::TaskPool> pool;
-    if (workers > 1) {
-        pool = std::make_unique<exec::TaskPool>(
-            workers, std::move(step_claim));
-    }
+    if (workers > 1)
+        pool = std::make_unique<exec::TaskPool>(workers);
 
     // The gate serializes cross-core shared-L2 accesses into
     // (cycle, coreId) order; it is only needed when groups step

@@ -190,10 +190,10 @@ class MultiCoreSimulation
          * Worker threads stepping core slices inside each epoch.
          * 1 (the default) is the serial reference: one thread
          * interleaves the slices in deterministic (cycle, coreId)
-         * order. 0 asks for as many workers as the process thread
-         * budget has free (polite: never oversubscribes a host
-         * already saturated by `--jobs`). N > 1 requests exactly N
-         * workers, clamped to the core count. Every setting
+         * order. 0 (auto) uses one worker per host hardware thread
+         * and N > 1 uses N; both are clamped to the core count.
+         * Callers that already fan cells out over a TaskPool pass
+         * 1 (see runPairMatrix). Every setting
          * produces bit-identical results — parallel stepping
          * serializes shared-L2 accesses into the same
          * (cycle, coreId) order the serial reference uses (see

@@ -54,10 +54,10 @@ runPairMatrix(const SystemConfig& config,
             }
             MultiCoreSimulation::RunOptions run;
             run.maxCycles = options.maxCyclesPerCell;
-            // Any parallel step-thread request degrades to the
-            // budget-polite auto mode: explicit counts would
-            // multiply with the cell fan-out and oversubscribe.
-            run.stepThreads = options.stepThreads == 1 ? 1 : 0;
+            // Cells already fan out over the pool's jobs; stepping
+            // them in parallel too would multiply the two.
+            run.stepThreads =
+                pool.jobs() > 1 ? 1 : options.stepThreads;
             PairMatrixCell cell;
             cell.a = a;
             cell.b = b;

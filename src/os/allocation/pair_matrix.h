@@ -44,13 +44,10 @@ struct PairMatrixOptions
     std::size_t jobs = 0;
     /**
      * Worker threads stepping the core slices inside each cell (see
-     * MultiCoreSimulation::RunOptions::stepThreads). Because cells
-     * already fan out over `--jobs` threads, any parallel request
-     * (0 or N > 1) is applied budget-politely: each cell takes only
-     * what the process thread budget has free after the cell pool's
-     * charge, so jobs x step-threads never oversubscribes the host.
-     * 1 (the default) steps every cell's slices serially. Results
-     * are bit-identical for every setting.
+     * MultiCoreSimulation::RunOptions::stepThreads). Applies only
+     * when the cell pool has one job: with more, cells already fan
+     * out over the jobs and each steps serially. Results are
+     * bit-identical for every setting.
      */
     std::uint32_t stepThreads = 1;
     /** Sweep only the ten identical pairs (the canonical list). */

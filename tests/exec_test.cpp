@@ -22,7 +22,7 @@
 #include "core/simulation.h"
 #include "exec/result_store.h"
 #include "exec/task_pool.h"
-#include "exec/thread_budget.h"
+#include "expect_identical.h"
 #include "harness/solo.h"
 #include "jvm/benchmarks.h"
 #include "mem/l2_gate.h"
@@ -34,30 +34,6 @@ using exec::ResultStore;
 using exec::TaskPool;
 
 constexpr double kTinyScale = 0.02;
-
-void
-expectIdenticalResults(const RunResult& a, const RunResult& b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.allComplete, b.allComplete);
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            EXPECT_EQ(a.events[ctx][e], b.events[ctx][e])
-                << "event " << eventName(static_cast<EventId>(e))
-                << " on context " << static_cast<int>(ctx);
-        }
-    }
-    ASSERT_EQ(a.processes.size(), b.processes.size());
-    for (std::size_t i = 0; i < a.processes.size(); ++i) {
-        EXPECT_EQ(a.processes[i].benchmark,
-                  b.processes[i].benchmark);
-        EXPECT_EQ(a.processes[i].durationCycles,
-                  b.processes[i].durationCycles);
-        EXPECT_EQ(a.processes[i].gcRuns, b.processes[i].gcRuns);
-        EXPECT_EQ(a.processes[i].allocatedBytes,
-                  b.processes[i].allocatedBytes);
-    }
-}
 
 TEST(TaskPool, RunsEveryIndexExactlyOnce)
 {
@@ -122,37 +98,6 @@ TEST(TaskPool, JobResolutionHonorsEnvironment)
     EXPECT_EQ(TaskPool::resolveJobs(0), 3u);
     unsetenv("JSMT_JOBS");
     EXPECT_GE(TaskPool::resolveJobs(0), 1u);
-}
-
-TEST(TaskPool, AdoptedReservationIsNotDoubleCharged)
-{
-    auto& budget = exec::ThreadBudget::instance();
-    budget.setCapacityForTest(8);
-
-    // Fully covered: the pool's 3 extra workers ride the adopted
-    // reservation, so construction charges nothing further — the
-    // atomic claim at reservation time is the whole charge.
-    exec::ThreadReservation claim(3, /*force=*/false);
-    ASSERT_EQ(claim.granted(), 3u);
-    EXPECT_EQ(budget.used(), 3u);
-    {
-        TaskPool pool(4, std::move(claim));
-        EXPECT_EQ(pool.jobs(), 4u);
-        EXPECT_EQ(budget.used(), 3u);
-    }
-    EXPECT_EQ(budget.used(), 0u);
-
-    // Partial cover: only the shortfall beyond the reservation is
-    // hard-charged, and both halves release with the pool.
-    exec::ThreadReservation partial(1, /*force=*/false);
-    ASSERT_EQ(partial.granted(), 1u);
-    {
-        TaskPool pool(4, std::move(partial));
-        EXPECT_EQ(budget.used(), 3u);
-    }
-    EXPECT_EQ(budget.used(), 0u);
-
-    budget.setCapacityForTest(0);
 }
 
 TEST(L2Gate, ColdStartSerializesSharedAccessesInKeyOrder)
@@ -249,7 +194,7 @@ TEST(RunCache, SpillRoundTripPreservesEverything)
     EXPECT_EQ(reloaded.size(), 1u);
     RunResult back;
     ASSERT_TRUE(reloaded.lookup("spill-key", &back));
-    expectIdenticalResults(result, back);
+    expectIdentical(result, back);
     EXPECT_EQ(back.processes[0].pid, 7u);
     EXPECT_EQ(back.processes[0].launchCycle, 10u);
     EXPECT_EQ(back.processes[0].completionCycle, 110u);
@@ -566,7 +511,7 @@ TEST(ExecDeterminism, ParallelJobsMatchSerial)
 
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdenticalResults(serial[i], parallel[i]);
+        expectIdentical(serial[i], parallel[i]);
 }
 
 TEST(ExecDeterminism, CachedReplayMatchesFreshRun)
@@ -588,8 +533,8 @@ TEST(ExecDeterminism, CachedReplayMatchesFreshRun)
     const RunResult computed = cache.getOrCompute(key, compute);
     const RunResult replayed = cache.getOrCompute(key, compute);
     EXPECT_EQ(cache.hits(), 1u);
-    expectIdenticalResults(fresh, computed);
-    expectIdenticalResults(fresh, replayed);
+    expectIdentical(fresh, computed);
+    expectIdentical(fresh, replayed);
 }
 
 TEST(ExecDeterminism, SpilledReplayMatchesFreshRun)
@@ -613,7 +558,7 @@ TEST(ExecDeterminism, SpilledReplayMatchesFreshRun)
     ResultStore warm(path, 0);
     RunResult replayed;
     ASSERT_TRUE(warm.lookup(key, &replayed));
-    expectIdenticalResults(fresh, replayed);
+    expectIdentical(fresh, replayed);
     std::remove(path.c_str());
 }
 

@@ -26,6 +26,7 @@
 
 #include "common/rng.h"
 #include "core/simulation.h"
+#include "expect_identical.h"
 #include "jvm/benchmarks.h"
 #include "trace/trace_sink.h"
 
@@ -123,33 +124,6 @@ runCase(const FuzzCase& fuzz, bool fast_forward, int* samples,
         };
     }
     return sim.run(options);
-}
-
-void
-expectIdentical(const RunResult& ff, const RunResult& plain,
-                const std::string& label)
-{
-    EXPECT_EQ(ff.cycles, plain.cycles) << label;
-    EXPECT_EQ(ff.allComplete, plain.allComplete) << label;
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            ASSERT_EQ(ff.events[ctx][e], plain.events[ctx][e])
-                << label << ": event "
-                << eventName(static_cast<EventId>(e))
-                << " on context " << static_cast<int>(ctx);
-        }
-    }
-    ASSERT_EQ(ff.processes.size(), plain.processes.size()) << label;
-    for (std::size_t i = 0; i < ff.processes.size(); ++i) {
-        EXPECT_EQ(ff.processes[i].durationCycles,
-                  plain.processes[i].durationCycles)
-            << label;
-        EXPECT_EQ(ff.processes[i].gcRuns, plain.processes[i].gcRuns)
-            << label;
-        EXPECT_EQ(ff.processes[i].allocatedBytes,
-                  plain.processes[i].allocatedBytes)
-            << label;
-    }
 }
 
 std::string

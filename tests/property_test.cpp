@@ -15,7 +15,7 @@
 #include "core/simulation.h"
 #include "exec/result_store.h"
 #include "exec/task_pool.h"
-#include "exec/thread_budget.h"
+#include "expect_identical.h"
 #include "jvm/benchmarks.h"
 #include "jvm/data_model.h"
 #include "mem/cache.h"
@@ -394,7 +394,6 @@ TEST(MigrationInvariants,
     // under 4 step threads must resume cleanly under the serial
     // reference engine (thread count is a wall-clock knob, never
     // state).
-    exec::ThreadBudget::instance().setCapacityForTest(16);
     exec::TaskPool pool(2);
     pool.run(
         2,
@@ -432,7 +431,6 @@ TEST(MigrationInvariants,
             }
         },
         0.15);
-    exec::ThreadBudget::instance().setCapacityForTest(0);
 }
 
 // ---------------------------------------------------------------
@@ -443,7 +441,6 @@ TEST(MigrationInvariants,
 
 TEST(MigrationInvariants, SweepResumeAcrossStepThreadCounts)
 {
-    exec::ThreadBudget::instance().setCapacityForTest(16);
     const std::string path =
         testing::TempDir() + "jsmt_property_stepthreads.json";
     std::remove(path.c_str());
@@ -487,19 +484,8 @@ TEST(MigrationInvariants, SweepResumeAcrossStepThreadCounts)
     ASSERT_EQ(resumed.resumed(), 1u);
     RunResult replayed;
     ASSERT_TRUE(resumed.lookup("point0", &replayed));
-    const RunResult serial = run_chip(1).toRunResult();
-    EXPECT_EQ(replayed.cycles, serial.cycles);
-    EXPECT_EQ(replayed.allComplete, serial.allComplete);
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            EXPECT_EQ(replayed.events[ctx][e],
-                      serial.events[ctx][e])
-                << "ctx " << ctx << " event "
-                << eventName(static_cast<EventId>(e));
-        }
-    }
+    expectIdentical(replayed, run_chip(1).toRunResult());
     std::remove(path.c_str());
-    exec::ThreadBudget::instance().setCapacityForTest(0);
 }
 
 } // namespace

@@ -27,6 +27,7 @@
 #include "core/simulation.h"
 #include "exec/result_store.h"
 #include "exec/task_pool.h"
+#include "expect_identical.h"
 #include "harness/experiments.h"
 #include "harness/solo.h"
 #include "jvm/benchmarks.h"
@@ -42,30 +43,6 @@ using exec::TaskContext;
 using exec::TaskPool;
 
 constexpr double kTinyScale = 0.02;
-
-void
-expectIdenticalResults(const RunResult& a, const RunResult& b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.allComplete, b.allComplete);
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            EXPECT_EQ(a.events[ctx][e], b.events[ctx][e])
-                << "event " << eventName(static_cast<EventId>(e))
-                << " on context " << static_cast<int>(ctx);
-        }
-    }
-    ASSERT_EQ(a.processes.size(), b.processes.size());
-    for (std::size_t i = 0; i < a.processes.size(); ++i) {
-        EXPECT_EQ(a.processes[i].benchmark,
-                  b.processes[i].benchmark);
-        EXPECT_EQ(a.processes[i].durationCycles,
-                  b.processes[i].durationCycles);
-        EXPECT_EQ(a.processes[i].gcRuns, b.processes[i].gcRuns);
-        EXPECT_EQ(a.processes[i].allocatedBytes,
-                  b.processes[i].allocatedBytes);
-    }
-}
 
 /**
  * Installs a before-task hook for its lifetime that wedges every
@@ -278,7 +255,7 @@ TEST(Cancellation, StopsOnTheCheckLatticeIdenticallyWithAndWithoutFastForward)
     EXPECT_TRUE(with_ff.cancelled);
     EXPECT_TRUE(without_ff.cancelled);
     EXPECT_FALSE(with_ff.allComplete);
-    expectIdenticalResults(with_ff, without_ff);
+    expectIdentical(with_ff, without_ff);
 }
 
 TEST(Cancellation, MeasureSoloThrowsTaskCancelledError)
@@ -306,7 +283,7 @@ TEST(Cancellation, UncancelledTokenDoesNotPerturbTheRun)
     watched.cancel = &token;
     const RunResult supervised =
         measureSolo(config, "jess", true, watched);
-    expectIdenticalResults(baseline, supervised);
+    expectIdentical(baseline, supervised);
 }
 
 // ----------------------------------------------------------------
@@ -349,7 +326,7 @@ TEST(SinkDegradation, InjectedAllocationFailureDegradesGracefully)
     Machine plain_machine(config);
     Simulation plain_sim(plain_machine);
     plain_sim.addProcess(spec);
-    expectIdenticalResults(traced, plain_sim.run());
+    expectIdentical(traced, plain_sim.run());
 }
 
 TEST(SinkDegradation, HealthySinkIsUnaffectedByEmptyPlan)
@@ -391,9 +368,9 @@ TEST(SweepCheckpoint, RoundTripsEntriesThroughTheManifest)
     EXPECT_EQ(resumed.resumed(), 2u);
     RunResult back;
     ASSERT_TRUE(resumed.lookup("key/a", &back));
-    expectIdenticalResults(a, back);
+    expectIdentical(a, back);
     ASSERT_TRUE(resumed.lookup("key/b", &back));
-    expectIdenticalResults(b, back);
+    expectIdentical(b, back);
     EXPECT_FALSE(resumed.lookup("key/missing", nullptr));
     std::remove(path.c_str());
 }
@@ -436,8 +413,8 @@ TEST(SweepResume, InterruptedSweepResumesBitIdentically)
     ASSERT_EQ(rows.size(), baseline.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
         EXPECT_EQ(rows[i].benchmark, baseline[i].benchmark);
-        expectIdenticalResults(rows[i].htOff, baseline[i].htOff);
-        expectIdenticalResults(rows[i].htOn, baseline[i].htOn);
+        expectIdentical(rows[i].htOff, baseline[i].htOff);
+        expectIdentical(rows[i].htOn, baseline[i].htOn);
     }
     std::remove(path.c_str());
 }

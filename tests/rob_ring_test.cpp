@@ -17,9 +17,11 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/simulation.h"
+#include "expect_identical.h"
 #include "jvm/benchmarks.h"
 
 // ---------------------------------------------------------------
@@ -119,23 +121,12 @@ runGeometry(const Geometry& g, bool ht, bool fast_forward,
     return sim.run(options);
 }
 
-void
-expectIdentical(const RunResult& a, const RunResult& b,
-                const Geometry& g, bool ht)
+std::string
+describe(const Geometry& g, bool ht)
 {
-    ASSERT_EQ(a.cycles, b.cycles)
-        << "rob=" << g.rob << " ldq=" << g.ldq << " stq=" << g.stq
-        << " ht=" << ht;
-    EXPECT_EQ(a.allComplete, b.allComplete);
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            ASSERT_EQ(a.events[ctx][e], b.events[ctx][e])
-                << "event " << eventName(static_cast<EventId>(e))
-                << " ctx " << static_cast<int>(ctx) << " rob="
-                << g.rob << " ldq=" << g.ldq << " stq=" << g.stq
-                << " ht=" << ht;
-        }
-    }
+    return "rob=" + std::to_string(g.rob) + " ldq=" +
+           std::to_string(g.ldq) + " stq=" + std::to_string(g.stq) +
+           " ht=" + (ht ? "1" : "0");
 }
 
 // Tiny windows force the ring to wrap every few cycles and keep the
@@ -169,7 +160,7 @@ TEST(RobRingStress, RandomizedGeometryBitIdentity)
             const RunResult plain =
                 runGeometry(g, ht, false, "compress", 1);
             EXPECT_TRUE(ff.allComplete);
-            expectIdentical(ff, plain, g, ht);
+            expectIdentical(ff, plain, describe(g, ht));
         }
     }
 }
@@ -185,7 +176,7 @@ TEST(RobRingStress, MultithreadTinyWindowBitIdentity)
         const RunResult plain =
             runGeometry(g, ht, false, "MolDyn", 2);
         EXPECT_TRUE(ff.allComplete);
-        expectIdentical(ff, plain, g, ht);
+        expectIdentical(ff, plain, describe(g, ht));
     }
 }
 

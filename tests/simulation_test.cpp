@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/simulation.h"
+#include "expect_identical.h"
 #include "jvm/benchmarks.h"
 
 namespace jsmt {
@@ -181,30 +182,6 @@ TEST(Simulation, ProcessResultsPopulated)
     EXPECT_GT(pr.allocatedBytes, 0u);
 }
 
-// Fast-forward (bulk-accounting provably stalled windows) must be
-// invisible: every counter on every context, the final cycle count
-// and all process results have to match the cycle-by-cycle path.
-void
-expectIdenticalRuns(const RunResult& ff, const RunResult& plain)
-{
-    EXPECT_EQ(ff.cycles, plain.cycles);
-    EXPECT_EQ(ff.allComplete, plain.allComplete);
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            EXPECT_EQ(ff.events[ctx][e], plain.events[ctx][e])
-                << "event " << eventName(static_cast<EventId>(e))
-                << " on context " << static_cast<int>(ctx);
-        }
-    }
-    ASSERT_EQ(ff.processes.size(), plain.processes.size());
-    for (std::size_t i = 0; i < ff.processes.size(); ++i) {
-        EXPECT_EQ(ff.processes[i].durationCycles,
-                  plain.processes[i].durationCycles);
-        EXPECT_EQ(ff.processes[i].gcRuns,
-                  plain.processes[i].gcRuns);
-    }
-}
-
 RunResult
 runWorkloads(const std::vector<WorkloadSpec>& specs,
              bool hyper_threading, bool fast_forward,
@@ -237,7 +214,7 @@ TEST(SimulationFastForward, IdenticalToCycleByCycleSolo)
     for (const bool ht : {false, true}) {
         const RunResult ff = runWorkloads({spec}, ht, true);
         const RunResult plain = runWorkloads({spec}, ht, false);
-        expectIdenticalRuns(ff, plain);
+        expectIdentical(ff, plain);
     }
 }
 
@@ -253,7 +230,7 @@ TEST(SimulationFastForward, IdenticalToCycleByCycleMultiprogrammed)
     b.lengthScale = kTinyScale;
     const RunResult ff = runWorkloads({a, b}, true, true);
     const RunResult plain = runWorkloads({a, b}, true, false);
-    expectIdenticalRuns(ff, plain);
+    expectIdentical(ff, plain);
 }
 
 TEST(SimulationFastForward, SamplingSeesTheSameClockEdges)
@@ -268,7 +245,7 @@ TEST(SimulationFastForward, SamplingSeesTheSameClockEdges)
         runWorkloads({spec}, true, true, 10'000, &ff_samples);
     const RunResult plain =
         runWorkloads({spec}, true, false, 10'000, &plain_samples);
-    expectIdenticalRuns(ff, plain);
+    expectIdentical(ff, plain);
     EXPECT_EQ(ff_samples, plain_samples);
     EXPECT_GT(ff_samples, 0);
 }

@@ -17,6 +17,7 @@
 #include "common/json.h"
 #include "core/simulation.h"
 #include "exec/task_pool.h"
+#include "expect_identical.h"
 #include "trace/metrics.h"
 #include "trace/trace_sink.h"
 
@@ -28,20 +29,6 @@ using trace::TraceSink;
 using trace::Track;
 
 constexpr double kTinyScale = 0.02;
-
-void
-expectIdenticalResults(const RunResult& a, const RunResult& b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.allComplete, b.allComplete);
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            EXPECT_EQ(a.events[ctx][e], b.events[ctx][e])
-                << "event " << eventName(static_cast<EventId>(e))
-                << " on context " << static_cast<int>(ctx);
-        }
-    }
-}
 
 /** One solo run; optionally traced, optionally cycle-by-cycle. */
 RunResult
@@ -199,7 +186,7 @@ TEST(TraceDeterminism, TracingOnVsOffIsBitIdentical)
             const RunResult on =
                 runSolo("jess", ht, fast_forward, &sink);
             EXPECT_GT(sink.size(), 0u);
-            expectIdenticalResults(off, on);
+            expectIdentical(off, on);
         }
     }
 }
@@ -210,7 +197,7 @@ TEST(TraceDeterminism, AttachedButDisabledSinkIsInert)
     TraceSink sink; // Never enabled.
     const RunResult with_sink = runSolo("db", true, true, &sink);
     EXPECT_EQ(sink.size(), 0u);
-    expectIdenticalResults(bare, with_sink);
+    expectIdentical(bare, with_sink);
 }
 
 TEST(TraceDeterminism, TracedParallelRunsMatchSerialUntraced)
@@ -234,7 +221,7 @@ TEST(TraceDeterminism, TracedParallelRunsMatchSerialUntraced)
 
     ASSERT_EQ(traced.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdenticalResults(serial[i], traced[i]);
+        expectIdentical(serial[i], traced[i]);
 }
 
 // ----------------------------------------------------------------
@@ -316,7 +303,7 @@ TEST(Metrics, CollectionDoesNotPerturbTheRun)
         collector.collect(now);
     };
     const RunResult measured = sim.run(options);
-    expectIdenticalResults(bare, measured);
+    expectIdentical(bare, measured);
 }
 
 TEST(Metrics, JsonExportParsesWithTheSharedParser)

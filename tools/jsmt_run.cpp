@@ -27,12 +27,14 @@
  *     --step-threads N             worker threads stepping the core
  *                                  slices inside each epoch
  *                                  (default 1 = serial reference;
- *                                  0 = auto-size to what the thread
- *                                  budget left free after --jobs;
- *                                  max 64). Results are
+ *                                  0 = one per host hardware
+ *                                  thread; max 64; at most one per
+ *                                  core). --sweep and --pair-matrix
+ *                                  honour it only with one job
+ *                                  (JSMT_JOBS=1); with more, each
+ *                                  point steps serially. Results are
  *                                  bit-identical for every value —
  *                                  this is purely a wall-clock knob
- *                                  (also JSMT_STEP_THREADS)
  *     --pair-matrix                run the canonical pair matrix
  *                                  (the ten identical benchmark
  *                                  pairs, 2 x cores processes per
@@ -168,8 +170,6 @@ struct Options
     bool pairMatrixFull = false;
     /** In-epoch stepping workers (1 = serial ref, 0 = auto). */
     std::uint32_t stepThreads = 1;
-    /** Whether --step-threads was given (beats the env var). */
-    bool stepThreadsSet = false;
     /** Benchmarks of a --sweep run (empty = single-run mode). */
     std::vector<std::string> sweep;
     /** Checkpoint manifest for --sweep (empty = no checkpoint). */
@@ -340,7 +340,6 @@ parseArgs(int argc, char** argv)
                 std::exit(kUsageError);
             }
             options.stepThreads = static_cast<std::uint32_t>(n);
-            options.stepThreadsSet = true;
         } else if (arg == "--pair-matrix") {
             options.pairMatrix = true;
         } else if (arg == "--pair-matrix-full") {
@@ -402,18 +401,6 @@ parseArgs(int argc, char** argv)
     }
     if (options.traceFile.empty())
         options.traceFile = envPath("JSMT_TRACE");
-    if (!options.stepThreadsSet && envIsSet("JSMT_STEP_THREADS")) {
-        // Same warn-and-default hardening as every JSMT_* knob: a
-        // malformed or out-of-range value must never silently
-        // change how a run executes.
-        const std::uint64_t n = envUint("JSMT_STEP_THREADS", 1, 0);
-        if (n > 64) {
-            warn("JSMT_STEP_THREADS=" + std::to_string(n) +
-                 " above 64; using 1");
-        } else {
-            options.stepThreads = static_cast<std::uint32_t>(n);
-        }
-    }
     if (options.pairMatrix) {
         if (!options.workloads.empty() ||
             !options.sweep.empty()) {
@@ -456,6 +443,7 @@ parseArgs(int argc, char** argv)
 RunResult
 measureMultiSolo(const Options& options, SystemConfig config,
                  const std::string& benchmark, bool ht,
+                 std::uint32_t step_threads,
                  const CancellationToken* cancel)
 {
     config.hyperThreading = ht;
@@ -474,10 +462,7 @@ measureMultiSolo(const Options& options, SystemConfig config,
     MultiCoreSimulation::RunOptions run_options;
     run_options.fastForward = options.fastForward;
     run_options.cancellation = cancel;
-    // Sweep points may already be fanned out over --jobs; explicit
-    // step-thread requests degrade to budget-polite auto so the two
-    // layers share the host instead of multiplying on it.
-    run_options.stepThreads = options.stepThreads == 1 ? 1 : 0;
+    run_options.stepThreads = step_threads;
     return sim.run(run_options).toRunResult();
 }
 
@@ -527,6 +512,10 @@ runSweep(const Options& options,
 
     const std::size_t tasks = options.sweep.size() * 2;
     std::vector<RunResult> results(tasks);
+    // Points already fan out over the pool's jobs; stepping them in
+    // parallel too would multiply the two.
+    const std::uint32_t step_threads =
+        pool.jobs() > 1 ? 1 : options.stepThreads;
     const auto name_of = [&](std::size_t k) {
         return options.sweep[k / 2] +
                ((k % 2) == 1 ? "/ht" : "/st");
@@ -552,7 +541,7 @@ runSweep(const Options& options,
             results[ctx.index] =
                 multi_core
                     ? measureMultiSolo(options, config, benchmark,
-                                       ht, ctx.token)
+                                       ht, step_threads, ctx.token)
                     : measureSoloCached(config, benchmark, ht,
                                         solo);
             if (checkpoint != nullptr)
@@ -1028,8 +1017,9 @@ main(int argc, char** argv)
                               profiler.fetchAllocSeconds +
                               profiler.accountSeconds +
                               profiler.fastForwardSeconds;
-        const double driver = run_wall > staged ? run_wall - staged
-                                                : 0.0;
+        // Signed: a negative residue is the probe's over-count
+        // (sampled stages summing past the wall time), not zero.
+        const double driver = run_wall - staged;
         const auto pct = [&](double s) {
             return run_wall > 0.0 ? s / run_wall * 100.0 : 0.0;
         };
@@ -1049,7 +1039,7 @@ main(int argc, char** argv)
             "  memory walk      %8.3f s  %5.1f%%\n"
             "  accounting       %8.3f s  %5.1f%%\n"
             "  fast_forward     %8.3f s  %5.1f%%\n"
-            "  driver/other     %8.3f s  %5.1f%%\n"
+            "  driver/other     %+8.3f s  %+5.1f%%\n"
             "horizon skip: %llu of %llu cycles fast-forwarded "
             "(horizon_skip_pct %.2f)\n",
             static_cast<unsigned long long>(profiler.cycles),
@@ -1063,6 +1053,12 @@ main(int argc, char** argv)
             static_cast<unsigned long long>(ff_cycles),
             static_cast<unsigned long long>(result.cycles),
             skip_pct);
+        if (driver < 0.0) {
+            std::fprintf(stderr,
+                         "note: sampled stages over-count wall time "
+                         "by %.1f%%; driver/other is negative\n",
+                         -pct(driver));
+        }
         const double plain_wall = plainRunSeconds(config, options);
         std::fprintf(
             stderr,
