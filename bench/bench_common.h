@@ -5,12 +5,15 @@
  * Every binary accepts an optional positional scale argument plus
  * `--jobs=N` and `--pair-runs=N` flags, with JSMT_SCALE, JSMT_JOBS
  * and JSMT_PAIR_RUNS environment fallbacks (tests and CI use small
- * scales; 1.0 reproduces the paper-scale runs).
+ * scales; 1.0 reproduces the paper-scale runs). A malformed argument
+ * is fatal (exit 1); a malformed environment value warns and falls
+ * back to its default.
  */
 
 #ifndef JSMT_BENCH_BENCH_COMMON_H
 #define JSMT_BENCH_BENCH_COMMON_H
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -23,35 +26,41 @@
 
 namespace jsmt {
 
+/** @return the count after @p arg's @p prefix; fatal if malformed. */
+inline std::size_t
+countFlag(const std::string& arg, std::size_t prefix)
+{
+    std::uint64_t value = 0;
+    if (!parseUint(arg.substr(prefix), &value))
+        fatal("invalid value in " + arg +
+              " (expected an unsigned integer)");
+    return static_cast<std::size_t>(value);
+}
+
 /** Build the experiment config from argv/env. */
 inline ExperimentConfig
 benchConfig(int argc, char** argv, double default_scale = 1.0)
 {
     setVerbose(std::getenv("JSMT_VERBOSE") != nullptr);
     ExperimentConfig config;
-    config.lengthScale = default_scale;
-    if (const char* env = std::getenv("JSMT_SCALE"))
-        config.lengthScale = std::atof(env);
-    if (const char* env = std::getenv("JSMT_PAIR_RUNS"))
-        config.pairMinRuns = static_cast<std::size_t>(
-            std::atoi(env));
+    config.lengthScale = envDouble("JSMT_SCALE", default_scale);
+    config.pairMinRuns = static_cast<std::size_t>(
+        envUint("JSMT_PAIR_RUNS", config.pairMinRuns));
     // config.jobs stays 0 here: TaskPool resolves 0 through
     // JSMT_JOBS and hardware_concurrency, so only explicit flags
     // need to override it.
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--jobs=", 0) == 0) {
-            config.jobs = static_cast<std::size_t>(
-                std::atoi(arg.c_str() + 7));
+            config.jobs = countFlag(arg, 7);
         } else if (arg.rfind("--pair-runs=", 0) == 0) {
-            config.pairMinRuns = static_cast<std::size_t>(
-                std::atoi(arg.c_str() + 12));
+            config.pairMinRuns = countFlag(arg, 12);
         } else if (arg.rfind("--", 0) == 0) {
             fatal("unknown flag " + arg +
                   " (expected --jobs=N, --pair-runs=N or a "
                   "positional scale)");
-        } else {
-            config.lengthScale = std::atof(arg.c_str());
+        } else if (!parseDouble(arg, &config.lengthScale)) {
+            fatal("invalid scale '" + arg + "' (expected a number)");
         }
     }
     if (config.lengthScale <= 0.0)
@@ -66,9 +75,6 @@ benchConfig(int argc, char** argv, double default_scale = 1.0)
 inline void
 banner(const std::string& what, const ExperimentConfig& config)
 {
-    // envPath() so a set-but-empty JSMT_TRACE warns here instead of
-    // silently reporting "off" while jsmt_run would also ignore it.
-    const std::string trace_env = envPath("JSMT_TRACE");
     std::cout
         << "=================================================\n"
         << what << '\n'
@@ -77,11 +83,7 @@ banner(const std::string& what, const ExperimentConfig& config)
         << "Processors\", ISPASS 2005 (simulated reproduction)\n"
         << "scale=" << config.lengthScale << " jobs="
         << exec::TaskPool::resolveJobs(config.jobs)
-        << " pair-runs=" << config.pairMinRuns << " tracing="
-        << (!trace_env.empty()
-                ? "on (JSMT_TRACE; jsmt_run only)"
-                : "off")
-        << '\n'
+        << " pair-runs=" << config.pairMinRuns << '\n'
         << "=================================================\n\n";
 }
 

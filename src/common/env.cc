@@ -10,12 +10,6 @@
 namespace jsmt {
 
 bool
-envIsSet(const char* name)
-{
-    return std::getenv(name) != nullptr;
-}
-
-bool
 parseUint(const std::string& text, std::uint64_t* out)
 {
     if (text.empty() || text[0] == '-' || text[0] == '+' ||
@@ -80,13 +74,6 @@ envDouble(const char* name, double fallback, double min)
         return fallback;
     }
     return value;
-}
-
-std::string
-envString(const char* name, const std::string& fallback)
-{
-    const char* raw = std::getenv(name);
-    return raw != nullptr ? std::string(raw) : fallback;
 }
 
 std::string

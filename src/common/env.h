@@ -19,9 +19,6 @@
 
 namespace jsmt {
 
-/** @return whether @p name is set (even to the empty string). */
-bool envIsSet(const char* name);
-
 /**
  * Read @p name as an unsigned integer.
  *
@@ -39,15 +36,11 @@ std::uint64_t envUint(const char* name, std::uint64_t fallback,
 double envDouble(const char* name, double fallback,
                  double min = 0.0);
 
-/** Read @p name as a string; @p fallback when unset. */
-std::string envString(const char* name,
-                      const std::string& fallback = "");
-
 /**
- * Read @p name as a filesystem path. Unlike envString, a variable
- * that is set but empty (JSMT_TRACE= ...) warns and falls back: an
- * empty path is always an operator slip — were it passed through it
- * would either disable the feature silently or name the current
+ * Read @p name as a filesystem path. A variable that is set but
+ * empty (JSMT_RUN_CACHE= ...) warns and falls back: an empty path
+ * is always an operator slip — were it passed through it would
+ * either disable the feature silently or name the current
  * directory, neither of which was asked for.
  */
 std::string envPath(const char* name,

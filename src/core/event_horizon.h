@@ -5,13 +5,12 @@
  * Aggregates the next-event cycles of every simulator clock — the OS
  * scheduler (pending dispatches, quantum expiries), the SMT core
  * (ROB-head completions, fetch gates, window-resource frees, all via
- * the fused CoreBounds), the memory system and JVM helpers (both
- * event-driven; see their nextEventCycle() docs), and the driver's
- * own sampling/cancellation lattices — and decides how far the clock
- * may jump in one step. See DESIGN.md §9 for the contract:
- * components may only *shrink* a published horizon by bumping the
- * scheduler state epoch (directly or via SoftwareThread::setState);
- * within one epoch a cached horizon is exact.
+ * the fused CoreBounds) and the driver's own sampling/cancellation
+ * lattices — and decides how far the clock may jump in one step.
+ * See DESIGN.md §9 for the contract: components may only *shrink* a
+ * published horizon by bumping the scheduler state epoch (directly
+ * or via SoftwareThread::setState); within one epoch a cached
+ * horizon is exact.
  *
  * The scheduler horizon is the piece worth caching: it is
  * now-independent (0 / next quantum expiry / kNoCycle) and changes
@@ -57,21 +56,6 @@ class EventHorizon
     Cycle end() const { return _end; }
 
     /**
-     * Fold a component's published next-event cycle (memory system,
-     * JVM process) into the jump cap. All current components are
-     * event-driven and publish kNoCycle; folding them here keeps the
-     * aggregation honest if one ever grows a real clock.
-     */
-    void
-    observeComponent(Cycle next)
-    {
-        if (next < _componentFloor) {
-            _componentFloor = next;
-            recomputeCap();
-        }
-    }
-
-    /**
      * Whether Scheduler::tick(now) could act at @p now. Refreshes
      * the cached scheduler horizon only when the state epoch moved;
      * on the vast majority of cycles this is one load and one
@@ -93,9 +77,9 @@ class EventHorizon
     }
 
     /**
-     * The scheduler's stall bound at @p now — identical to
-     * Scheduler::stallBound(now), served from the epoch-validated
-     * cache.
+     * The scheduler's stall bound at @p now: the earliest cycle at or
+     * after @p now at which Scheduler::tick() could act, served from
+     * the epoch-validated cache.
      */
     Cycle
     schedulerBound(Cycle now)
@@ -132,9 +116,9 @@ class EventHorizon
     /**
      * Latest admissible jump target: one short of the next sample
      * and cancellation edges (so both fire on the exact clock edge
-     * the cycle-by-cycle path would produce), capped by maxCycles
-     * and by every observed component horizon. The caller min()s
-     * this against the core/scheduler stall bound.
+     * the cycle-by-cycle path would produce), capped by maxCycles.
+     * The caller min()s this against the core/scheduler stall
+     * bound.
      */
     Cycle jumpCap() const { return _cap; }
 
@@ -154,9 +138,7 @@ class EventHorizon
     {
         // The -1 edges never underflow: disabled lattices sit at
         // kNoCycle and active ones are strictly future cycles.
-        _cap = std::min(
-            {_end, _nextSample - 1, _nextCancel - 1,
-             _componentFloor});
+        _cap = std::min({_end, _nextSample - 1, _nextCancel - 1});
         _nextEdge = std::min(_nextSample, _nextCancel);
     }
 
@@ -166,7 +148,6 @@ class EventHorizon
     const Cycle _cancelInterval;
     Cycle _nextSample;
     Cycle _nextCancel;
-    Cycle _componentFloor = kNoCycle;
     Cycle _cap = 0;
     Cycle _nextEdge = 0;
     std::uint64_t _schedEpoch;

@@ -122,8 +122,7 @@ Simulation::Stepper::Stepper(Simulation& sim,
       _start(sim._cycle),
       // The composite next-event horizon of this run: the
       // scheduler's cached event cycle (ticks run only when due),
-      // the sampling and cancellation lattices, maxCycles, and the
-      // (event-driven) memory/JVM component horizons.
+      // the sampling and cancellation lattices and maxCycles.
       _horizon(sim._machine.scheduler(),
                sim._cycle + options.maxCycles,
                options.sampleIntervalCycles,
@@ -158,10 +157,6 @@ Simulation::Stepper::Stepper(Simulation& sim,
         _cancelled = true;
         _stopRequested = true;
     }
-
-    _horizon.observeComponent(machine.mem().nextEventCycle());
-    for (const JavaProcess* process : sim._live)
-        _horizon.observeComponent(process->nextEventCycle());
 }
 
 Cycle

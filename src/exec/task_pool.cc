@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/env.h"
-#include "common/json.h"
 #include "common/log.h"
 
 namespace jsmt::exec {
@@ -43,29 +42,6 @@ BatchReport::summary() const
            " tasks succeeded, " + std::to_string(timeouts) +
            " timeouts, " + std::to_string(failures.size()) +
            " failures";
-}
-
-void
-BatchReport::toJson(std::string& out) const
-{
-    out += "{\"tasks\":" + std::to_string(tasks);
-    out += ",\"succeeded\":" + std::to_string(succeeded);
-    out += ",\"timeouts\":" + std::to_string(timeouts);
-    out += ",\"failures\":[";
-    for (std::size_t i = 0; i < failures.size(); ++i) {
-        const TaskFailure& f = failures[i];
-        if (i > 0)
-            out += ',';
-        out += "{\"index\":" + std::to_string(f.index);
-        out += ",\"name\":";
-        json::appendEscaped(out, f.name);
-        out += ",\"kind\":\"";
-        out += failureKindName(f.kind);
-        out += "\",\"message\":";
-        json::appendEscaped(out, f.message);
-        out += '}';
-    }
-    out += "]}";
 }
 
 BatchError::BatchError(BatchReport report)

@@ -12,9 +12,9 @@
  * workers finish.
  *
  * One loop runs every batch. Each task runs once, with its own
- * CancellationToken carrying an optional wall-clock deadline
- * (--task-timeout / JSMT_TASK_TIMEOUT); the simulator polls the
- * token at deterministic cycle boundaries. Whatever a task throws
+ * CancellationToken carrying an optional wall-clock deadline (only
+ * `jsmt_run --sweep --task-timeout` sets one); the simulator polls
+ * the token at deterministic cycle boundaries. Whatever a task throws
  * becomes a TaskFailure in the batch's BatchReport instead of
  * unwinding the batch — the simulator is deterministic, so running
  * a failed task again could only fail the same way. run() returns
@@ -92,8 +92,6 @@ struct BatchReport
     bool ok() const { return failures.empty(); }
     /** One-line human summary. */
     std::string summary() const;
-    /** Append the report as a JSON object to @p out. */
-    void toJson(std::string& out) const;
 };
 
 /**

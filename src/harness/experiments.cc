@@ -1,11 +1,9 @@
 #include "harness/experiments.h"
 
 #include <array>
-#include <memory>
 #include <utility>
 
 #include "common/log.h"
-#include "exec/result_store.h"
 #include "exec/task_pool.h"
 #include "harness/solo.h"
 #include "jvm/benchmarks.h"
@@ -29,8 +27,7 @@ informFanOut(const char* what, std::size_t points, std::size_t jobs)
 
 std::vector<MtCounterRow>
 runMultithreadedSweep(const ExperimentConfig& config,
-                      const std::vector<std::uint32_t>& thread_counts,
-                      exec::BatchReport* report)
+                      const std::vector<std::uint32_t>& thread_counts)
 {
     const std::vector<std::string> names = multiThreadedNames();
     std::vector<MtCounterRow> rows(names.size() *
@@ -44,56 +41,18 @@ runMultithreadedSweep(const ExperimentConfig& config,
     }
 
     exec::TaskPool pool(config.jobs);
-    std::unique_ptr<exec::ResultStore> checkpoint;
-    if (!config.checkpointPath.empty()) {
-        checkpoint = std::make_unique<exec::ResultStore>(
-            config.checkpointPath);
-        if (checkpoint->resumed() > 0 && verbose()) {
-            inform("sweep: resumed " +
-                   std::to_string(checkpoint->resumed()) +
-                   " completed measurement(s) from " +
-                   config.checkpointPath);
-        }
-    }
     informFanOut("sweep", rows.size() * 2, pool.jobs());
-
     // Each row is two independent runs (HT off / HT on); fan them
     // out separately so they load-balance across workers.
-    const auto name_of = [&](std::size_t k) {
-        const MtCounterRow& row = rows[k / 2];
-        std::string name = row.benchmark;
-        name += "/t" + std::to_string(row.threads);
-        name += (k % 2) == 1 ? "/ht" : "/st";
-        return name;
-    };
-    exec::BatchReport batch = pool.run(
-        rows.size() * 2, name_of,
-        [&](exec::TaskContext& ctx) {
-            MtCounterRow& row = rows[ctx.index / 2];
-            const bool ht = (ctx.index % 2) == 1;
-            SoloOptions options;
-            options.threads = row.threads;
-            options.lengthScale = config.lengthScale;
-            const std::string key = soloRunKey(
-                config.system, row.benchmark, ht, options);
-            RunResult result;
-            if (checkpoint != nullptr &&
-                checkpoint->lookup(key, &result)) {
-                (ht ? row.htOn : row.htOff) = std::move(result);
-                return;
-            }
-            options.cancel = ctx.token;
-            result = measureSoloCached(config.system,
-                                       row.benchmark, ht, options);
-            if (checkpoint != nullptr)
-                checkpoint->insert(key, result);
-            (ht ? row.htOn : row.htOff) = std::move(result);
-        },
-        config.taskTimeoutSeconds);
-    if (report != nullptr)
-        *report = std::move(batch);
-    else if (!batch.ok())
-        fatal("sweep: " + batch.summary());
+    pool.parallelFor(rows.size() * 2, [&](std::size_t k) {
+        MtCounterRow& row = rows[k / 2];
+        const bool ht = (k % 2) == 1;
+        SoloOptions options;
+        options.threads = row.threads;
+        options.lengthScale = config.lengthScale;
+        (ht ? row.htOn : row.htOff) = measureSoloCached(
+            config.system, row.benchmark, ht, options);
+    });
     return rows;
 }
 
@@ -128,8 +87,7 @@ runPairMatrix(const ExperimentConfig& config)
     PairMatrix matrix;
     matrix.names = singleThreadedNames();
     MultiprogramRunner runner(config.system, config.lengthScale,
-                              config.pairMinRuns, config.jobs,
-                              config.taskTimeoutSeconds);
+                              config.pairMinRuns, config.jobs);
     matrix.cells = runner.runCrossProduct(matrix.names);
     return matrix;
 }
@@ -176,8 +134,7 @@ runIdenticalPairs(const ExperimentConfig& config)
 {
     const std::vector<std::string> names = singleThreadedNames();
     MultiprogramRunner runner(config.system, config.lengthScale,
-                              config.pairMinRuns, config.jobs,
-                              config.taskTimeoutSeconds);
+                              config.pairMinRuns, config.jobs);
     std::vector<std::pair<std::string, std::string>> pairs;
     pairs.reserve(names.size());
     for (const std::string& name : names)

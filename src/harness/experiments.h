@@ -15,7 +15,6 @@
 
 #include "core/run_result.h"
 #include "core/system_config.h"
-#include "exec/task_pool.h"
 #include "harness/multiprogram.h"
 
 namespace jsmt {
@@ -34,18 +33,6 @@ struct ExperimentConfig
      * exec::TaskPool). Results are bit-identical for any value.
      */
     std::size_t jobs = 0;
-    /**
-     * Wall-clock deadline per task of the sweep and pair drivers,
-     * in seconds; 0 runs every task with no deadline.
-     */
-    double taskTimeoutSeconds = 0.0;
-    /**
-     * When non-empty, runMultithreadedSweep checkpoints each
-     * completed measurement to this manifest and resumes from it —
-     * a sweep killed partway through redoes only the remainder,
-     * bit-identically.
-     */
-    std::string checkpointPath;
 };
 
 /** One multithreaded benchmark measured HT-off and HT-on. */
@@ -59,19 +46,13 @@ struct MtCounterRow
 
 /**
  * Run the four multithreaded benchmarks at each thread count with HT
- * disabled and enabled; the counter rows behind Figures 1-7.
- *
- * Each measurement runs under config.taskTimeoutSeconds and, when
- * config.checkpointPath is set,
- * checkpoints/resumes through an exec::ResultStore manifest. When
- * @p report is non-null the batch outcome is stored there and rows
- * whose measurement ultimately failed are left default-initialized;
- * when it is null any terminal failure is fatal.
+ * disabled and enabled; the counter rows behind Figures 1-7. A
+ * resumable, deadline-bounded sweep is `jsmt_run --sweep --resume
+ * --task-timeout`.
  */
 std::vector<MtCounterRow> runMultithreadedSweep(
     const ExperimentConfig& config,
-    const std::vector<std::uint32_t>& thread_counts = {2},
-    exec::BatchReport* report = nullptr);
+    const std::vector<std::uint32_t>& thread_counts = {2});
 
 /** Table 2: characterization of multithreaded benchmarks (HT on). */
 struct Table2Row

@@ -26,11 +26,10 @@ droppedMean(const std::vector<double>& durations)
 
 MultiprogramRunner::MultiprogramRunner(
     const SystemConfig& config, double length_scale,
-    std::size_t min_runs, std::size_t jobs, double task_timeout_s)
+    std::size_t min_runs, std::size_t jobs)
     : _config(config),
       _lengthScale(length_scale),
       _minRuns(min_runs),
-      _taskTimeout(task_timeout_s),
       _pool(jobs)
 {
     if (min_runs < 3)
@@ -39,14 +38,11 @@ MultiprogramRunner::MultiprogramRunner(
 }
 
 double
-MultiprogramRunner::soloDuration(
-    const std::string& benchmark,
-    const CancellationToken* cancel)
+MultiprogramRunner::soloDuration(const std::string& benchmark)
 {
     SoloOptions options;
     options.threads = 1;
     options.lengthScale = _lengthScale;
-    options.cancel = cancel;
     return soloDurationCyclesCached(_config, benchmark,
                                     /*hyper_threading=*/false, options);
 }
@@ -62,22 +58,17 @@ MultiprogramRunner::prefetchSolos(std::vector<std::string> names)
     _pool.run(
         names.size(),
         [&](std::size_t i) { return "solo/" + names[i]; },
-        [&](exec::TaskContext& ctx) {
-            soloDuration(names[ctx.index], ctx.token);
-        },
-        _taskTimeout);
+        [&](exec::TaskContext& ctx) { soloDuration(names[ctx.index]); });
 }
 
 PairResult
-MultiprogramRunner::runPair(
-    const std::string& a, const std::string& b,
-    const CancellationToken* cancel)
+MultiprogramRunner::runPair(const std::string& a, const std::string& b)
 {
     PairResult result;
     result.a = a;
     result.b = b;
-    result.soloA = soloDuration(a, cancel);
-    result.soloB = soloDuration(b, cancel);
+    result.soloA = soloDuration(a);
+    result.soloB = soloDuration(b);
 
     SystemConfig cfg = _config;
     cfg.hyperThreading = true;
@@ -117,13 +108,7 @@ MultiprogramRunner::runPair(
         slot_of[next.pid()] = slot;
         return true;
     };
-    options.cancellation = cancel;
     const RunResult run = sim.run(options);
-    if (run.cancelled) {
-        throw TaskCancelledError(
-            "co-run of '" + a + "'+'" + b +
-            "' cancelled (deadline or external cancel)");
-    }
     result.coRunCycles = static_cast<double>(run.cycles);
 
     if (durations[0].size() < _minRuns ||
@@ -172,11 +157,9 @@ MultiprogramRunner::runPairs(
             return "pair/" + pairs[i].first + "+" + pairs[i].second;
         },
         [&](exec::TaskContext& ctx) {
-            results[ctx.index] =
-                runPair(pairs[ctx.index].first,
-                        pairs[ctx.index].second, ctx.token);
-        },
-        _taskTimeout);
+            results[ctx.index] = runPair(pairs[ctx.index].first,
+                                         pairs[ctx.index].second);
+        });
     if (report != nullptr)
         *report = std::move(batch);
     else if (!batch.ok())

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "core/system_config.h"
 #include "exec/task_pool.h"
 
@@ -61,28 +60,17 @@ class MultiprogramRunner
      * @param min_runs completions required per program (paper: 12).
      * @param jobs worker threads for batch entry points; 0 resolves
      *        via JSMT_JOBS / hardware_concurrency (see TaskPool).
-     * @param task_timeout_s wall-clock deadline per task of the
-     *        batch entry points, in seconds (0 = none).
      */
     explicit MultiprogramRunner(const SystemConfig& config,
                                 double length_scale = 1.0,
                                 std::size_t min_runs = 12,
-                                std::size_t jobs = 0,
-                                double task_timeout_s = 0.0);
+                                std::size_t jobs = 0);
 
-    /**
-     * Co-run @p a and @p b on an HT machine; compute C_AB. A
-     * non-null @p cancel token aborts the co-run at the simulator's
-     * cancellation lattice (throws TaskCancelledError).
-     */
-    PairResult
-    runPair(const std::string& a, const std::string& b,
-            const CancellationToken* cancel = nullptr);
+    /** Co-run @p a and @p b on an HT machine; compute C_AB. */
+    PairResult runPair(const std::string& a, const std::string& b);
 
     /** HT-disabled solo duration (memoized). */
-    double soloDuration(
-        const std::string& benchmark,
-        const CancellationToken* cancel = nullptr);
+    double soloDuration(const std::string& benchmark);
 
     /**
      * Run @p pairs across the worker pool; results are indexed like
@@ -90,10 +78,9 @@ class MultiprogramRunner
      * baselines of all involved benchmarks are prefetched (also in
      * parallel) before the pairs fan out.
      *
-     * Each pair runs under the per-task deadline. When
-     * @p report is non-null the outcome is stored there and failed
-     * cells stay default-initialized; when it is null any failure
-     * is fatal.
+     * When @p report is non-null the outcome is stored there and
+     * cells whose pair threw stay default-initialized; when it is
+     * null any failure is fatal.
      */
     std::vector<PairResult>
     runPairs(const std::vector<
@@ -115,7 +102,6 @@ class MultiprogramRunner
     SystemConfig _config;
     double _lengthScale;
     std::size_t _minRuns;
-    double _taskTimeout;
     exec::TaskPool _pool;
 };
 

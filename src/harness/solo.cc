@@ -60,30 +60,6 @@ measureSolo(const SystemConfig& config, const std::string& benchmark,
     return result;
 }
 
-double
-soloDurationCycles(const SystemConfig& config,
-                   const std::string& benchmark,
-                   bool hyper_threading, const SoloOptions& options)
-{
-    SystemConfig cfg = config;
-    cfg.hyperThreading = hyper_threading;
-    Machine machine(cfg);
-    Simulation sim(machine);
-
-    WorkloadSpec spec;
-    spec.benchmark = benchmark;
-    spec.threads = options.threads;
-    spec.lengthScale = options.lengthScale;
-    JavaProcess& process = sim.addProcess(spec);
-    Simulation::RunOptions run_options;
-    run_options.cancellation = options.cancel;
-    const RunResult result = sim.run(run_options);
-    checkCancelled(result, "solo run", benchmark);
-    if (!result.allComplete)
-        fatal("soloDurationCycles: run did not complete");
-    return static_cast<double>(process.durationCycles());
-}
-
 std::string
 soloRunKey(const SystemConfig& config, const std::string& benchmark,
            bool hyper_threading, const SoloOptions& options)
@@ -124,32 +100,16 @@ soloDurationCyclesCached(const SystemConfig& config,
                          bool hyper_threading,
                          const SoloOptions& options)
 {
-    // soloDurationCycles runs a single fresh process with no warm-up
-    // and reads its duration; the equivalent RunResult is cacheable
-    // because the measured process is the only one in the run.
-    const std::string key =
-        "solodur|" +
-        soloRunKey(config, benchmark, hyper_threading, options);
+    // The key keeps the caller's options (warm-up flag included) so
+    // existing memo files and their readers still find it.
+    SoloOptions fresh = options;
+    fresh.warmup = false;
     const RunResult result = exec::ResultStore::global().getOrCompute(
-        key, [&] {
-            SystemConfig cfg = config;
-            cfg.hyperThreading = hyper_threading;
-            Machine machine(cfg);
-            Simulation sim(machine);
-
-            WorkloadSpec spec;
-            spec.benchmark = benchmark;
-            spec.threads = options.threads;
-            spec.lengthScale = options.lengthScale;
-            sim.addProcess(spec);
-            Simulation::RunOptions run_options;
-            run_options.cancellation = options.cancel;
-            RunResult r = sim.run(run_options);
-            checkCancelled(r, "solo run", benchmark);
-            if (!r.allComplete)
-                fatal("soloDurationCyclesCached: run did not "
-                      "complete");
-            return r;
+        "solodur|" +
+            soloRunKey(config, benchmark, hyper_threading, options),
+        [&] {
+            return measureSolo(config, benchmark, hyper_threading,
+                               fresh);
         });
     if (result.processes.empty())
         fatal("soloDurationCyclesCached: empty cached result");

@@ -54,16 +54,6 @@ RunResult measureSolo(const SystemConfig& config,
                       const SoloOptions& options = {});
 
 /**
- * Execution time (cycles) of one fresh launch of @p benchmark with
- * no warm-up — the paper's A_S / B_S baseline for combined speedups
- * (run on an HT-disabled processor).
- */
-double soloDurationCycles(const SystemConfig& config,
-                          const std::string& benchmark,
-                          bool hyper_threading,
-                          const SoloOptions& options = {});
-
-/**
  * Canonical run-cache key for a solo measurement; two calls with the
  * same key are guaranteed to return identical results (the simulator
  * is deterministic).
@@ -85,7 +75,14 @@ RunResult measureSoloCached(const SystemConfig& config,
                             bool hyper_threading,
                             const SoloOptions& options = {});
 
-/** soloDurationCycles memoized through exec::ResultStore::global(). */
+/**
+ * Execution time (cycles) of one fresh launch of @p benchmark: a
+ * measureSolo without warm-up (@p options.warmup is ignored) — the
+ * paper's A_S / B_S baseline for combined speedups (run on an
+ * HT-disabled processor). Memoized through
+ * exec::ResultStore::global() under "solodur|" + soloRunKey of the
+ * caller's @p options.
+ */
 double soloDurationCyclesCached(const SystemConfig& config,
                                 const std::string& benchmark,
                                 bool hyper_threading,

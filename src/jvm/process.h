@@ -125,17 +125,6 @@ class JavaProcess
     void noteThreadDrained(JavaThread& thread, Cycle now);
     ///@}
 
-    /**
-     * The process's contribution to the simulation event horizon
-     * (DESIGN.md §9). Always kNoCycle: the JVM has no free-running
-     * clock — GC starts from an allocating µop, the collector wakes
-     * through Scheduler::wake (an epoch-bumping event), safepoint
-     * barriers release from retiring µops — so every JVM-driven
-     * wakeup is already carried by the core bounds and the
-     * scheduler's state epoch.
-     */
-    Cycle nextEventCycle() const { return kNoCycle; }
-
     /** @return scheduler this process's threads run under. */
     Scheduler& scheduler() { return *_scheduler; }
 

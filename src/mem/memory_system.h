@@ -119,18 +119,6 @@ class MemorySystem
     void setHyperThreading(bool enabled);
 
     /**
-     * The memory system's contribution to the simulation event
-     * horizon (DESIGN.md §9). Always kNoCycle: the hierarchy has no
-     * autonomous clocked events — every miss and bus/DRAM queueing
-     * delay is latency-resolved at access time, so each
-     * memory-driven wakeup already surfaces through the core's
-     * ROB-head completion and fetch-gate bounds. The FSB/L2 busy
-     * cursors (_fsbNextFree/_l2NextFree) constrain only *future*
-     * accesses; they never wake a stalled machine by themselves.
-     */
-    Cycle nextEventCycle() const { return kNoCycle; }
-
-    /**
      * Request the trace line containing code address @p vaddr.
      * A trace-cache hit delivers µops with no extra latency; a miss
      * walks the ITLB, reads the code block through the L2 and pays

@@ -149,13 +149,6 @@ Scheduler::nextEventCycle() const
     return bound;
 }
 
-Cycle
-Scheduler::stallBound(Cycle now) const
-{
-    const Cycle next = nextEventCycle();
-    return next > now ? next : now;
-}
-
 void
 Scheduler::reset()
 {

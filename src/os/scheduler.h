@@ -93,16 +93,6 @@ class Scheduler
     std::vector<SoftwareThread*> runQueueSnapshot() const;
 
     /**
-     * Earliest future cycle at which tick() could act, assuming no
-     * thread changes state in between — the scheduler's contribution
-     * to the simulation fast-forward bound. Returns @p now when a
-     * tick at @p now would already act (a lazy deschedule or a
-     * dispatch is pending), the next quantum expiry when threads are
-     * running, and kNoCycle when nothing is scheduled at all.
-     */
-    Cycle stallBound(Cycle now) const;
-
-    /**
      * The scheduler's next-event horizon, independent of the current
      * cycle: 0 when a tick at any cycle would already act (a lazy
      * deschedule or a dispatch is pending), otherwise the earliest

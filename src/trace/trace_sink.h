@@ -60,7 +60,7 @@ struct TraceEvent
     const char* name = nullptr;
     const char* category = nullptr;
     Track track = Track::kSim;
-    char phase = 'i';              ///< Chrome phase: i, X or C.
+    char phase = 'i';              ///< Chrome phase: i or X.
     /** Optional integer argument (arg name must be static). */
     const char* argName = nullptr;
     std::uint64_t argValue = 0;
@@ -179,22 +179,6 @@ class TraceSink
      * one event, not N.
      */
     void span(Track track, const char* name, Cycle start, Cycle end);
-
-    /** Counter sample (rendered as a track graph by Perfetto). */
-    void
-    counter(const char* name, Cycle ts, std::uint64_t value)
-    {
-        if (!_enabled)
-            return;
-        TraceEvent event;
-        event.ts = ts;
-        event.name = name;
-        event.track = Track::kSim;
-        event.phase = 'C';
-        event.argName = "value";
-        event.argValue = value;
-        push(std::move(event));
-    }
 
     /** @return events currently held (≤ capacity). */
     std::size_t size() const { return _size; }

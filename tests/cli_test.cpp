@@ -18,6 +18,8 @@
 
 #include <sys/wait.h>
 
+#include "common/json.h"
+
 namespace jsmt {
 namespace {
 
@@ -131,29 +133,6 @@ TEST(CliEnv, MalformedJobsWarnsAndStillRuns)
     EXPECT_TRUE(contains(r.output, "JSMT_JOBS")) << r.output;
 }
 
-TEST(CliEnv, MalformedTaskTimeoutWarnsAndStillRuns)
-{
-    const CommandResult r = runCommand(
-        "JSMT_TASK_TIMEOUT=never " + binary() +
-        " --benchmark compress --scale 0.02 2>&1");
-    EXPECT_EQ(r.status, 0) << r.output;
-    EXPECT_TRUE(contains(r.output, "JSMT_TASK_TIMEOUT"))
-        << r.output;
-}
-
-TEST(CliEnv, EmptyTracePathWarnsAndStillRuns)
-{
-    // JSMT_TRACE= (set but empty) is an operator slip: the run must
-    // warn and proceed untraced rather than silently dropping the
-    // request or writing to an unnamed file.
-    const CommandResult r = runCommand(
-        "JSMT_TRACE= " + binary() +
-        " --benchmark compress --scale 0.02 2>&1");
-    EXPECT_EQ(r.status, 0) << r.output;
-    EXPECT_TRUE(contains(r.output, "JSMT_TRACE")) << r.output;
-    EXPECT_TRUE(contains(r.output, "empty")) << r.output;
-}
-
 TEST(CliSweep, SupervisionFlagsAreAccepted)
 {
     const CommandResult r = runCommand(
@@ -172,15 +151,10 @@ TEST(CliSweep, UnrepresentableTaskTimeoutMeansNoDeadline)
 {
     // Seconds beyond the clock's range must disable the deadline,
     // not wrap it into the past and time out every task.
-    for (const std::string& command :
-         {binary() + " --sweep jess --scale 0.02 --task-timeout 1e10",
-          "JSMT_TASK_TIMEOUT=inf " + binary() +
-              " --sweep jess --scale 0.02"}) {
-        const CommandResult r = runCommand(command + " 2>&1");
-        EXPECT_EQ(r.status, 0) << r.output;
-        EXPECT_TRUE(contains(r.output, "2/2 tasks succeeded"))
-            << r.output;
-    }
+    const CommandResult r = runCommand(
+        binary() + " --sweep jess --scale 0.02 --task-timeout 1e10 2>&1");
+    EXPECT_EQ(r.status, 0) << r.output;
+    EXPECT_TRUE(contains(r.output, "2/2 tasks succeeded")) << r.output;
 }
 
 TEST(CliSweep, DeadlineThatFiresExitsOneAndResumeCompletes)
@@ -341,6 +315,80 @@ TEST(CliUsage, StepThreadsFlagIsValidated)
     EXPECT_EQ(
         runCommand(binary() + " --step-threads 2>&1").status,
         kUsageError);
+}
+
+/** @return the whole of file @p path ("" when unreadable). */
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+TEST(CliRun, MultiCoreTraceAndMetricsAreWritten)
+{
+    // A chip run writes --trace and --metrics through the same
+    // writers as a single-core run, and the metrics' alloc totals
+    // are the counts the alloc line prints.
+    const std::string trace_path =
+        testing::TempDir() + "jsmt_cli_chip_trace.json";
+    const std::string metrics_path =
+        testing::TempDir() + "jsmt_cli_chip_metrics.json";
+    std::remove(trace_path.c_str());
+    std::remove(metrics_path.c_str());
+    const CommandResult r = runCommand(
+        binary() +
+        " --benchmark jess --benchmark db --cores 2"
+        " --alloc round-robin --alloc-epoch 20000 --scale 0.02"
+        " --trace \"" + trace_path + "\" --metrics \"" +
+        metrics_path + "\" 2>&1");
+    ASSERT_EQ(r.status, 0) << r.output;
+
+    json::Value trace;
+    ASSERT_TRUE(json::parse(readFile(trace_path), &trace));
+    const json::Value* events = trace.field("traceEvents");
+    ASSERT_NE(events, nullptr);
+    EXPECT_FALSE(events->items.empty());
+
+    const std::size_t line = r.output.find("alloc: ");
+    ASSERT_NE(line, std::string::npos) << r.output;
+    unsigned long long epochs = 0;
+    unsigned long long migrations = 0;
+    unsigned long long steals = 0;
+    ASSERT_EQ(std::sscanf(r.output.c_str() + line,
+                          "alloc: %llu epoch(s), %llu migration(s), "
+                          "%llu steal(s)",
+                          &epochs, &migrations, &steals),
+              3)
+        << r.output;
+    EXPECT_GT(epochs, 0u) << r.output;
+
+    json::Value metrics;
+    ASSERT_TRUE(json::parse(readFile(metrics_path), &metrics));
+    const json::Value* list = metrics.field("metrics");
+    ASSERT_NE(list, nullptr);
+    std::size_t found = 0;
+    for (const json::Value& metric : list->items) {
+        if (json::asString(metric.field("module")) != "alloc")
+            continue;
+        const std::string name =
+            json::asString(metric.field("name"));
+        const unsigned long long total =
+            json::asNumber(metric.field("total"));
+        ++found;
+        if (name == "epochs")
+            EXPECT_EQ(total, epochs);
+        else if (name == "migrations")
+            EXPECT_EQ(total, migrations);
+        else if (name == "steals")
+            EXPECT_EQ(total, steals);
+        else
+            ADD_FAILURE() << "unexpected alloc metric " << name;
+    }
+    EXPECT_EQ(found, 3u);
+    std::remove(trace_path.c_str());
+    std::remove(metrics_path.c_str());
 }
 
 TEST(CliSweep, ResumeAcrossStepThreadCountsIsBitIdentical)

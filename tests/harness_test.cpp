@@ -33,9 +33,9 @@ TEST(Harness, SoloDurationPositiveAndHtSensitive)
     options.threads = 1;
     options.lengthScale = kSmallScale;
     const double off =
-        soloDurationCycles(config, "compress", false, options);
+        soloDurationCyclesCached(config, "compress", false, options);
     const double on =
-        soloDurationCycles(config, "compress", true, options);
+        soloDurationCyclesCached(config, "compress", true, options);
     EXPECT_GT(off, 0.0);
     EXPECT_GT(on, 0.0);
     // The static partition makes the HT-on solo run no faster.

@@ -2,12 +2,13 @@
  * @file
  * Tests for failure handling around the task pool: deadline and
  * report semantics of TaskPool::run, simulator cancellation,
- * trace-sink degradation, and sweep checkpoint/resume
- * (bit-identical to an uninterrupted run). The store's file-fault
- * cases live in exec_test.
+ * trace-sink degradation, the manifest round trip and the pair
+ * runner's failure report. The store's file-fault cases live in
+ * exec_test; the resumable, deadline-bounded sweep is the CLI's
+ * (cli_test).
  *
  * Faults come from two test seams, never from the environment: the
- * pool's before-task hook wedges named tasks, and the trace sink's
+ * pool's before-task hook fails named tasks, and the trace sink's
  * allocation hook fails its ring allocation.
  */
 
@@ -16,7 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <new>
 #include <string>
@@ -28,7 +28,7 @@
 #include "exec/result_store.h"
 #include "exec/task_pool.h"
 #include "expect_identical.h"
-#include "harness/experiments.h"
+#include "harness/multiprogram.h"
 #include "harness/solo.h"
 #include "jvm/benchmarks.h"
 #include "trace/trace_sink.h"
@@ -43,44 +43,6 @@ using exec::TaskContext;
 using exec::TaskPool;
 
 constexpr double kTinyScale = 0.02;
-
-/**
- * Installs a before-task hook for its lifetime that wedges every
- * task whose name contains one of @p names: the task sleeps until
- * its deadline cancels it — then fails as a cancelled simulation
- * would — or until @p cap passes, after which its body runs.
- */
-class WedgeTasks
-{
-  public:
-    explicit WedgeTasks(std::vector<std::string> names,
-                        std::chrono::milliseconds cap =
-                            std::chrono::minutes(1))
-    {
-        TaskPool::setBeforeTaskHook(
-            [names, cap](const std::string& name,
-                         const CancellationToken& token) {
-                bool wedged = false;
-                for (const std::string& match : names)
-                    wedged = wedged ||
-                             name.find(match) != std::string::npos;
-                if (!wedged)
-                    return;
-                const auto until =
-                    std::chrono::steady_clock::now() + cap;
-                while (!token.cancelled() &&
-                       std::chrono::steady_clock::now() < until)
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(1));
-                if (token.cancelled())
-                    throw TaskCancelledError("task '" + name +
-                                             "' wedged");
-            });
-    }
-    ~WedgeTasks() { TaskPool::setBeforeTaskHook(nullptr); }
-    WedgeTasks(const WedgeTasks&) = delete;
-    WedgeTasks& operator=(const WedgeTasks&) = delete;
-};
 
 // ----------------------------------------------------------------
 // TaskPool::run: deadline, report
@@ -143,9 +105,6 @@ TEST(TaskPool, DeadlineCancelledTaskRunsItsBodyOnce)
     EXPECT_EQ(report.timeouts, 1u);
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_EQ(report.failures[0].kind, FailureKind::kTimeout);
-    std::string json;
-    report.toJson(json);
-    EXPECT_NE(json.find("\"kind\":\"timeout\""), std::string::npos);
 }
 
 // A deadline too far out to represent means no deadline, not one
@@ -375,76 +334,27 @@ TEST(SweepCheckpoint, RoundTripsEntriesThroughTheManifest)
     std::remove(path.c_str());
 }
 
-TEST(SweepResume, InterruptedSweepResumesBitIdentically)
-{
-    const std::string path =
-        testing::TempDir() + "jsmt_resilience_sweep.json";
-    std::remove(path.c_str());
-
-    ExperimentConfig config;
-    config.lengthScale = kTinyScale;
-    config.jobs = 2;
-
-    // Uninterrupted baseline (no checkpoint).
-    const std::vector<MtCounterRow> baseline =
-        runMultithreadedSweep(config);
-
-    // "Killed" sweep: two benchmarks' measurements wedge past their
-    // deadline (both HT modes), the rest land in the checkpoint.
-    ExperimentConfig interrupted = config;
-    interrupted.checkpointPath = path;
-    interrupted.taskTimeoutSeconds = 0.2;
-    BatchReport report;
-    {
-        const WedgeTasks killer({"MolDyn", "RayTracer"});
-        runMultithreadedSweep(interrupted, {2}, &report);
-    }
-    EXPECT_FALSE(report.ok());
-    EXPECT_EQ(report.failures.size(), 4u); // 2 benchmarks x 2 modes.
-    EXPECT_EQ(report.timeouts, 4u);
-
-    // Resume with the fault gone: only the remainder is measured,
-    // and the full row set matches the uninterrupted baseline
-    // bit-for-bit.
-    ExperimentConfig resumed = config;
-    resumed.checkpointPath = path;
-    const std::vector<MtCounterRow> rows =
-        runMultithreadedSweep(resumed);
-    ASSERT_EQ(rows.size(), baseline.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        EXPECT_EQ(rows[i].benchmark, baseline[i].benchmark);
-        expectIdentical(rows[i].htOff, baseline[i].htOff);
-        expectIdentical(rows[i].htOn, baseline[i].htOn);
-    }
-    std::remove(path.c_str());
-}
-
 TEST(SweepResume, SupervisedPairBatchReportsInsteadOfThrowing)
 {
-    // One cell wedges past its deadline. The deadline is sized
-    // from an unsupervised run of the healthy cell so that cell
-    // finishes well inside it on any host.
-    SystemConfig system;
-    const auto start = std::chrono::steady_clock::now();
-    MultiprogramRunner(system, kTinyScale, /*min_runs=*/3, 1)
-        .runPair("jess", "jess");
-    const double healthy_seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    const WedgeTasks killer({"pair/jess+db"},
-                            std::chrono::minutes(10));
-    MultiprogramRunner runner(system, kTinyScale, /*min_runs=*/3,
-                              /*jobs=*/2,
-                              0.5 + 4.0 * healthy_seconds);
+    // One cell throws; the batch reports it and the other cell
+    // still runs.
+    TaskPool::setBeforeTaskHook(
+        [](const std::string& name, const CancellationToken&) {
+            if (name == "pair/jess+db")
+                throw std::runtime_error("injected pair failure");
+        });
+    MultiprogramRunner runner(SystemConfig{}, kTinyScale,
+                              /*min_runs=*/3, /*jobs=*/2);
     BatchReport report;
     const std::vector<PairResult> results = runner.runPairs(
         {{"jess", "db"}, {"jess", "jess"}}, &report);
+    TaskPool::setBeforeTaskHook(nullptr);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_FALSE(report.ok());
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_EQ(report.failures[0].name, "pair/jess+db");
-    EXPECT_EQ(report.failures[0].kind, FailureKind::kTimeout);
+    EXPECT_EQ(report.failures[0].kind, FailureKind::kException);
+    EXPECT_EQ(report.failures[0].message, "injected pair failure");
     // The failed cell stays default-initialized; the other is real.
     EXPECT_EQ(results[0].combinedSpeedup, 0.0);
     EXPECT_GT(results[1].combinedSpeedup, 0.0);

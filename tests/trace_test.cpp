@@ -63,7 +63,6 @@ TEST(TraceSink, DisabledSinkCapturesNothing)
     sink.instantText(Track::kSim, "c", 3, "s", "text");
     sink.complete(Track::kMachine, "d", 4, 9);
     sink.span(Track::kContext0, "e", 5, 6);
-    sink.counter("f", 6, 7);
     EXPECT_EQ(sink.size(), 0u);
     EXPECT_EQ(sink.dropped(), 0u);
 }

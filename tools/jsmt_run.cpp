@@ -6,6 +6,13 @@
  * Hyper-Threading Pentium 4, with full control over machine mode,
  * workload scale, counter selection and interval sampling.
  *
+ * A --benchmark run takes one path whatever the topology: one core
+ * runs a Simulation, --cores N a MultiCoreSimulation, and both
+ * report from one folded RunResult (a chip adds its allocation
+ * summary). One helper builds the machine of every mode and one
+ * writer exports --metrics for all four (run, chip run, --sweep,
+ * --pair-matrix).
+ *
  * Usage:
  *   jsmt_run [options]
  *     --benchmark NAME[:THREADS]   workload to run (repeatable; a
@@ -65,9 +72,7 @@
  *                                  the results are unchanged
  *     --trace FILE                 capture a Chrome trace_event JSON
  *                                  timeline of the run (open in
- *                                  Perfetto / chrome://tracing); the
- *                                  JSMT_TRACE environment variable
- *                                  sets the same output path
+ *                                  Perfetto / chrome://tracing)
  *     --metrics FILE               export the metrics registry
  *                                  (counters, gauges, histograms and
  *                                  interval snapshots) as JSON
@@ -84,10 +89,9 @@
  *                                  resuming under a different
  *                                  topology is refused (exit 2)
  *     --task-timeout SEC           per-task wall-clock deadline for
- *                                  --sweep points (0 = none; also
- *                                  JSMT_TASK_TIMEOUT; negative exits
- *                                  2); a task past it is reported as
- *                                  failed
+ *                                  --sweep points (0 = none; negative
+ *                                  exits 2); a task past it is
+ *                                  reported as failed
  *
  * Invalid usage (unknown flag, malformed value, unknown benchmark
  * or event) exits with code 2 after printing the valid set.
@@ -110,12 +114,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/env.h"
@@ -174,8 +179,8 @@ struct Options
     std::vector<std::string> sweep;
     /** Checkpoint manifest for --sweep (empty = no checkpoint). */
     std::string resumePath;
-    /** Per-task deadline in seconds (env default, flag overrides). */
-    double taskTimeout = envDouble("JSMT_TASK_TIMEOUT", 0.0, 0.0);
+    /** Per-task deadline of --sweep points in seconds (0 = none). */
+    double taskTimeout = 0.0;
 };
 
 /** Flags accepted by jsmt_run (printed on invalid usage). */
@@ -399,8 +404,6 @@ parseArgs(int argc, char** argv)
             usage(kUsageError);
         }
     }
-    if (options.traceFile.empty())
-        options.traceFile = envPath("JSMT_TRACE");
     if (options.pairMatrix) {
         if (!options.workloads.empty() ||
             !options.sweep.empty()) {
@@ -433,6 +436,81 @@ parseArgs(int argc, char** argv)
     return options;
 }
 
+/** The machine of every mode: --ht, --seed, --dynamic-partition. */
+SystemConfig
+systemConfig(const Options& options)
+{
+    SystemConfig config;
+    config.hyperThreading = options.hyperThreading;
+    config.seed = options.seed;
+    if (options.dynamicPartition)
+        config.core.partitionPolicy = PartitionPolicy::kDynamic;
+    return config;
+}
+
+/** The chip of --cores N: --alloc and --alloc-epoch on top. */
+MultiCoreConfig
+multiCoreConfig(const Options& options)
+{
+    MultiCoreConfig chip;
+    chip.system = systemConfig(options);
+    chip.cores = options.cores;
+    chip.policy = options.alloc;
+    if (options.allocEpoch > 0)
+        chip.epochCycles = options.allocEpoch;
+    return chip;
+}
+
+/** A chip's allocation activity, exported as the alloc metrics. */
+struct AllocTotals
+{
+    std::uint64_t epochs = 0;
+    std::uint64_t migrations = 0;
+    std::uint64_t steals = 0;
+
+    void
+    add(const MultiRunResult& run)
+    {
+        epochs += run.epochs;
+        migrations += run.migrations;
+        steals += run.steals;
+    }
+};
+
+/**
+ * Write the --metrics file of every mode: @p collector's registry
+ * after a final snapshot at @p now. A chip's @p alloc totals join
+ * it as alloc counters, each baselined at zero so its exported
+ * total is exactly the count.
+ *
+ * @return false (after saying why) when @p path cannot be written.
+ */
+bool
+writeMetrics(const std::string& path,
+             trace::MetricsCollector& collector, Cycle now,
+             const AllocTotals* alloc)
+{
+    if (alloc != nullptr) {
+        trace::MetricsRegistry& registry = collector.registry();
+        for (const auto& [name, total] :
+             {std::pair{"epochs", alloc->epochs},
+              std::pair{"migrations", alloc->migrations},
+              std::pair{"steals", alloc->steals}}) {
+            const std::size_t id = registry.addCounter("alloc", name);
+            registry.setCounter(id, 0);
+            registry.setCounter(id, total);
+        }
+    }
+    collector.collect(now);
+    std::ofstream out(path, std::ios::trunc);
+    if (!out) {
+        std::cerr << "cannot write metrics file '" << path << "'\n";
+        return false;
+    }
+    collector.writeJson(out);
+    return true;
+}
+
 /**
  * Measure one sweep point on a multi-core chip: the benchmark runs
  * solo (one process) on an N-core chip under the selected policy,
@@ -441,18 +519,12 @@ parseArgs(int argc, char** argv)
  * reporting paths as a single-core sweep.
  */
 RunResult
-measureMultiSolo(const Options& options, SystemConfig config,
-                 const std::string& benchmark, bool ht,
-                 std::uint32_t step_threads,
+measureMultiSolo(const Options& options, const std::string& benchmark,
+                 bool ht, std::uint32_t step_threads,
                  const CancellationToken* cancel)
 {
-    config.hyperThreading = ht;
-    MultiCoreConfig chip;
-    chip.system = config;
-    chip.cores = options.cores;
-    chip.policy = options.alloc;
-    if (options.allocEpoch > 0)
-        chip.epochCycles = options.allocEpoch;
+    MultiCoreConfig chip = multiCoreConfig(options);
+    chip.system.hyperThreading = ht;
     MultiCoreSystem system(chip);
     MultiCoreSimulation sim(system);
     WorkloadSpec spec;
@@ -479,10 +551,11 @@ int
 runSweep(const Options& options,
          const std::vector<EventId>& events)
 {
-    SystemConfig config;
-    config.seed = options.seed;
-    if (options.dynamicPartition)
-        config.core.partitionPolicy = PartitionPolicy::kDynamic;
+    // Every point sets HT itself; the config keeps the default so
+    // --ht never changes a point's key, and so which manifest
+    // entries resume.
+    SystemConfig config = systemConfig(options);
+    config.hyperThreading = SystemConfig{}.hyperThreading;
 
     const std::string topology =
         exec::ResultStore::describeTopology(
@@ -540,8 +613,8 @@ runSweep(const Options& options,
             solo.cancel = ctx.token;
             results[ctx.index] =
                 multi_core
-                    ? measureMultiSolo(options, config, benchmark,
-                                       ht, step_threads, ctx.token)
+                    ? measureMultiSolo(options, benchmark, ht,
+                                       step_threads, ctx.token)
                     : measureSoloCached(config, benchmark, ht,
                                         solo);
             if (checkpoint != nullptr)
@@ -575,53 +648,10 @@ runSweep(const Options& options,
     if (!options.metricsFile.empty()) {
         Machine machine(config);
         trace::MetricsCollector collector(machine);
-        collector.collect(0);
-        std::ofstream out(options.metricsFile, std::ios::trunc);
-        if (!out) {
-            std::cerr << "cannot write metrics file '"
-                      << options.metricsFile << "'\n";
+        if (!writeMetrics(options.metricsFile, collector, 0, nullptr))
             return 1;
-        }
-        collector.writeJson(out);
     }
     return report.ok() ? 0 : 1;
-}
-
-/**
- * Register the allocation counters on @p collector's registry and
- * baseline them at zero, so the exported totals are exactly the
- * run's epoch/migration/steal counts.
- */
-struct AllocCounterIds
-{
-    std::size_t epochs = 0;
-    std::size_t migrations = 0;
-    std::size_t steals = 0;
-};
-
-AllocCounterIds
-registerAllocCounters(trace::MetricsCollector& collector)
-{
-    trace::MetricsRegistry& registry = collector.registry();
-    AllocCounterIds ids;
-    ids.epochs = registry.addCounter("alloc", "epochs");
-    ids.migrations = registry.addCounter("alloc", "migrations");
-    ids.steals = registry.addCounter("alloc", "steals");
-    registry.setCounter(ids.epochs, 0);
-    registry.setCounter(ids.migrations, 0);
-    registry.setCounter(ids.steals, 0);
-    return ids;
-}
-
-void
-setAllocCounters(trace::MetricsCollector& collector,
-                 const AllocCounterIds& ids, std::uint64_t epochs,
-                 std::uint64_t migrations, std::uint64_t steals)
-{
-    trace::MetricsRegistry& registry = collector.registry();
-    registry.setCounter(ids.epochs, epochs);
-    registry.setCounter(ids.migrations, migrations);
-    registry.setCounter(ids.steals, steals);
 }
 
 /**
@@ -634,11 +664,7 @@ setAllocCounters(trace::MetricsCollector& collector,
 int
 runPairMatrixMode(const Options& options)
 {
-    SystemConfig config;
-    config.hyperThreading = options.hyperThreading;
-    config.seed = options.seed;
-    if (options.dynamicPartition)
-        config.core.partitionPolicy = PartitionPolicy::kDynamic;
+    const SystemConfig config = systemConfig(options);
 
     PairMatrixOptions matrix;
     matrix.cores = options.cores;
@@ -662,17 +688,13 @@ runPairMatrixMode(const Options& options)
     TextTable table({"pair", "cycles", "uops", "uops/cycle", "IPC",
                      "epochs", "migrations", "steals"});
     double throughput_sum = 0.0;
-    std::uint64_t epochs = 0;
-    std::uint64_t migrations = 0;
-    std::uint64_t steals = 0;
+    AllocTotals alloc;
     bool all_complete = true;
     for (const PairMatrixCell& cell : cells) {
         const MultiRunResult& result = cell.result;
         all_complete = all_complete && result.allComplete;
         throughput_sum += cell.uopThroughput;
-        epochs += result.epochs;
-        migrations += result.migrations;
-        steals += result.steals;
+        alloc.add(result);
         table.addRow(
             {cell.a + "+" + cell.b, TextTable::fmt(result.cycles),
              TextTable::fmt(result.total(EventId::kUopsRetired)),
@@ -690,174 +712,17 @@ runPairMatrixMode(const Options& options)
                          : throughput_sum /
                                static_cast<double>(cells.size()),
                      3)
-              << " uops/cycle, " << migrations << " migration(s), "
-              << steals << " steal(s)"
+              << " uops/cycle, " << alloc.migrations
+              << " migration(s), " << alloc.steals << " steal(s)"
               << (all_complete ? "" : "  [INCOMPLETE]") << '\n';
 
     if (!options.metricsFile.empty()) {
         Machine machine(config);
         trace::MetricsCollector collector(machine);
-        const AllocCounterIds ids =
-            registerAllocCounters(collector);
-        setAllocCounters(collector, ids, epochs, migrations,
-                         steals);
-        collector.collect(0);
-        std::ofstream out(options.metricsFile, std::ios::trunc);
-        if (!out) {
-            std::cerr << "cannot write metrics file '"
-                      << options.metricsFile << "'\n";
+        if (!writeMetrics(options.metricsFile, collector, 0, &alloc))
             return 1;
-        }
-        collector.writeJson(out);
     }
     return all_complete ? 0 : 1;
-}
-
-/**
- * --cores N single-run mode: the requested workloads run together
- * on an N-core chip under the selected policy. Reporting mirrors
- * the single-core path (folded counters table) plus the allocation
- * counters and per-process placement. Multi-core runs always
- * simulate (no run-cache memo).
- */
-int
-runMulti(const Options& options,
-         const std::vector<EventId>& events)
-{
-    MultiCoreConfig chip;
-    chip.system.hyperThreading = options.hyperThreading;
-    chip.system.seed = options.seed;
-    if (options.dynamicPartition)
-        chip.system.core.partitionPolicy =
-            PartitionPolicy::kDynamic;
-    chip.cores = options.cores;
-    chip.policy = options.alloc;
-    if (options.allocEpoch > 0)
-        chip.epochCycles = options.allocEpoch;
-
-    MultiCoreSystem system(chip);
-
-    const bool tracing = !options.traceFile.empty();
-    trace::TraceSink sink;
-    if (tracing) {
-        sink.setEnabled(true);
-        system.setTraceSink(&sink);
-    }
-
-    MultiCoreSimulation sim(system);
-    for (const auto& spec : options.workloads)
-        sim.addProcess(spec);
-
-    // The collector is bound to slice 0; the chip-wide PMU picture
-    // comes from the folded RunResult below, while the registry
-    // carries the allocation counters.
-    std::unique_ptr<trace::MetricsCollector> collector;
-    AllocCounterIds alloc_ids;
-    if (!options.metricsFile.empty()) {
-        collector = std::make_unique<trace::MetricsCollector>(
-            system.machine(0));
-        alloc_ids = registerAllocCounters(*collector);
-    }
-
-    MultiCoreSimulation::RunOptions run_options;
-    run_options.fastForward = options.fastForward;
-    run_options.trace = tracing ? &sink : nullptr;
-    run_options.stepThreads = options.stepThreads;
-    const MultiRunResult multi = sim.run(run_options);
-    const RunResult result = multi.toRunResult();
-
-    if (tracing) {
-        std::ofstream out(options.traceFile, std::ios::trunc);
-        if (!out) {
-            std::cerr << "cannot write trace file '"
-                      << options.traceFile << "'\n";
-            return 1;
-        }
-        sink.writeChromeTrace(out);
-    }
-    if (collector) {
-        setAllocCounters(*collector, alloc_ids, multi.epochs,
-                         multi.migrations, multi.steals);
-        collector->collect(sim.now());
-        std::ofstream out(options.metricsFile, std::ios::trunc);
-        if (!out) {
-            std::cerr << "cannot write metrics file '"
-                      << options.metricsFile << "'\n";
-            return 1;
-        }
-        collector->writeJson(out);
-    }
-
-    std::cout << "machine: " << options.cores
-              << " cores (shared L2), HT "
-              << (options.hyperThreading ? "on" : "off")
-              << (options.dynamicPartition
-                      ? ", dynamic partitioning"
-                      : ", static partitioning (P4)")
-              << ", alloc " << allocPolicyName(options.alloc)
-              << " (epoch " << chip.epochCycles << " cycles)"
-              << ", seed " << options.seed;
-    if (tracing) {
-        std::cout << ", tracing on -> " << options.traceFile << " ("
-                  << sink.size() << " events";
-        if (sink.dropped() > 0)
-            std::cout << ", " << sink.dropped() << " dropped";
-        std::cout << ')';
-    } else {
-        std::cout << ", tracing off";
-    }
-    if (collector)
-        std::cout << ", metrics -> " << options.metricsFile;
-    std::cout << "\n"
-              << "run: " << multi.cycles << " cycles, "
-              << multi.total(EventId::kUopsRetired)
-              << " uops retired, IPC "
-              << TextTable::fmt(multi.ipc(), 3) << ", throughput "
-              << TextTable::fmt(multi.uopThroughput(), 3)
-              << " uops/cycle"
-              << (multi.allComplete ? "" : "  [INCOMPLETE]")
-              << "\n"
-              << "alloc: " << multi.epochs << " epoch(s), "
-              << multi.migrations << " migration(s), "
-              << multi.steals << " steal(s)\n\n";
-
-    TextTable processes({"pid", "benchmark", "cores", "migrations",
-                         "complete", "duration (cycles)"});
-    for (const auto& pr : multi.processes) {
-        const std::string cores_cell =
-            pr.initialCore == pr.finalCore
-                ? std::to_string(pr.initialCore)
-                : std::to_string(pr.initialCore) + "->" +
-                      std::to_string(pr.finalCore);
-        processes.addRow({std::to_string(pr.pid), pr.benchmark,
-                          cores_cell, TextTable::fmt(pr.migrations),
-                          pr.complete ? "yes" : "no",
-                          TextTable::fmt(pr.durationCycles)});
-    }
-    processes.print(std::cout);
-
-    std::cout << "\ncounters (summed across cores):\n";
-    TextTable counters({"event", "lcpu0", "lcpu1", "total",
-                        "/1K instr"});
-    const auto instr =
-        static_cast<double>(result.total(EventId::kInstrRetired));
-    for (const EventId event : events) {
-        counters.addRow(
-            {std::string(eventName(event)),
-             TextTable::fmt(result.event(event, 0)),
-             TextTable::fmt(result.event(event, 1)),
-             TextTable::fmt(result.total(event)),
-             TextTable::fmt(
-                 instr > 0
-                     ? 1000.0 *
-                           static_cast<double>(
-                               result.total(event)) /
-                           instr
-                     : 0.0,
-                 3)});
-    }
-    counters.print(std::cout);
-    return multi.allComplete ? 0 : 1;
 }
 
 /**
@@ -879,6 +744,324 @@ plainRunSeconds(const SystemConfig& config, const Options& options)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
+}
+
+/**
+ * Print the --profile stage breakdown of a single-core run that
+ * took @p run_wall seconds to stderr — wall time is host noise, so
+ * stdout stays a pure function of the measurements — followed by
+ * the probe's overhead against an unprofiled re-run.
+ */
+void
+printProfile(const StageProfiler& profiler, double run_wall,
+             Cycle cycles, std::uint64_t ff_cycles,
+             double plain_wall)
+{
+    // fetchAllocSeconds includes the memory walks performed
+    // from inside the stage; report them exclusively. The
+    // fast_forward bucket (horizon probes + clock jumps +
+    // skipped-window accounting) is accumulated by the driver
+    // loop, so it is disjoint from the core stages.
+    const double memory = profiler.memorySeconds;
+    const double fetch_alloc = profiler.fetchAllocSeconds - memory;
+    const double staged = profiler.retireSeconds +
+                          profiler.fetchAllocSeconds +
+                          profiler.accountSeconds +
+                          profiler.fastForwardSeconds;
+    // Signed: a negative residue is the probe's over-count
+    // (sampled stages summing past the wall time), not zero.
+    const double driver = run_wall - staged;
+    const auto pct = [&](double s) {
+        return run_wall > 0.0 ? s / run_wall * 100.0 : 0.0;
+    };
+    const double skip_pct =
+        cycles > 0 ? 100.0 * static_cast<double>(ff_cycles) /
+                         static_cast<double>(cycles)
+                   : 0.0;
+    std::fprintf(
+        stderr,
+        "profile: %llu cycles simulated in %.3f s wall "
+        "(%llu total incl. fast-forwarded)\n"
+        "  retire           %8.3f s  %5.1f%%\n"
+        "  fetch+alloc      %8.3f s  %5.1f%%  (excl. memory)\n"
+        "  memory walk      %8.3f s  %5.1f%%\n"
+        "  accounting       %8.3f s  %5.1f%%\n"
+        "  fast_forward     %8.3f s  %5.1f%%\n"
+        "  driver/other     %+8.3f s  %+5.1f%%\n"
+        "horizon skip: %llu of %llu cycles fast-forwarded "
+        "(horizon_skip_pct %.2f)\n",
+        static_cast<unsigned long long>(profiler.cycles), run_wall,
+        static_cast<unsigned long long>(cycles),
+        profiler.retireSeconds, pct(profiler.retireSeconds),
+        fetch_alloc, pct(fetch_alloc), memory, pct(memory),
+        profiler.accountSeconds, pct(profiler.accountSeconds),
+        profiler.fastForwardSeconds,
+        pct(profiler.fastForwardSeconds), driver, pct(driver),
+        static_cast<unsigned long long>(ff_cycles),
+        static_cast<unsigned long long>(cycles), skip_pct);
+    if (driver < 0.0) {
+        std::fprintf(stderr,
+                     "note: sampled stages over-count wall time "
+                     "by %.1f%%; driver/other is negative\n",
+                     -pct(driver));
+    }
+    std::fprintf(
+        stderr,
+        "probe overhead: %+.1f%% (profiled %.3f s vs unprofiled "
+        "re-run %.3f s; %llu of %llu cycles timed)\n",
+        plain_wall > 0.0 ? (run_wall - plain_wall) / plain_wall * 100.0
+                         : 0.0,
+        run_wall, plain_wall,
+        static_cast<unsigned long long>(profiler.sampledCycles),
+        static_cast<unsigned long long>(profiler.cycles));
+}
+
+/**
+ * --benchmark mode: the requested workloads run together on one
+ * core (Simulation) or on an N-core chip under the selected policy
+ * (MultiCoreSimulation). Both report from one folded RunResult; a
+ * chip adds its summary: the alloc line, each process's cores and
+ * migrations, and counters summed across cores. Only single-core
+ * runs sample, profile or replay from the JSMT_RUN_CACHE memo.
+ */
+int
+runBenchmarks(const Options& options,
+              const std::vector<EventId>& events)
+{
+    const MultiCoreConfig chip_config = multiCoreConfig(options);
+    const SystemConfig& config = chip_config.system;
+    const bool on_chip = options.cores > 1;
+    const bool tracing = !options.traceFile.empty();
+    const bool metrics = !options.metricsFile.empty();
+
+    // One core is a plain Machine; more are the slices of one chip.
+    // The tracer must be attached before addProcess so the launch
+    // instants land in the timeline.
+    trace::TraceSink sink;
+    if (tracing)
+        sink.setEnabled(true);
+    std::optional<Machine> machine;
+    std::optional<Simulation> sim;
+    std::optional<MultiCoreSystem> system;
+    std::optional<MultiCoreSimulation> chip_sim;
+    if (on_chip) {
+        system.emplace(chip_config);
+        if (tracing)
+            system->setTraceSink(&sink);
+        chip_sim.emplace(*system);
+        for (const auto& spec : options.workloads)
+            chip_sim->addProcess(spec);
+    } else {
+        machine.emplace(config);
+        if (tracing)
+            machine->setTraceSink(&sink);
+        sim.emplace(*machine);
+        for (const auto& spec : options.workloads)
+            sim->addProcess(spec);
+    }
+
+    // The collector, profiler and sampler read one machine: on a
+    // chip that is slice 0, and the chip-wide PMU picture comes
+    // from the folded RunResult.
+    Machine& probed = on_chip ? system->machine(0) : *machine;
+    std::unique_ptr<trace::MetricsCollector> collector;
+    if (metrics)
+        collector = std::make_unique<trace::MetricsCollector>(probed);
+    StageProfiler profiler;
+    if (options.profile)
+        probed.core().setProfiler(&profiler);
+    AbyssSampler sampler(probed.pmu(), events);
+
+    RunResult result;
+    std::optional<MultiRunResult> chip;
+    Cycle end = 0;
+    const auto run_start = std::chrono::steady_clock::now();
+    if (on_chip) {
+        MultiCoreSimulation::RunOptions run_options;
+        run_options.fastForward = options.fastForward;
+        run_options.trace = tracing ? &sink : nullptr;
+        run_options.stepThreads = options.stepThreads;
+        chip = chip_sim->run(run_options);
+        result = chip->toRunResult();
+        end = chip_sim->now();
+    } else {
+        Simulation::RunOptions run_options;
+        run_options.fastForward = options.fastForward;
+        // Metrics snapshots ride the same sample edge as the counter
+        // time series; without an explicit interval a metrics run
+        // still gets a coarse series.
+        Cycle interval = options.sampleInterval;
+        if (metrics && interval == 0)
+            interval = 1'000'000;
+        if (interval > 0) {
+            run_options.sampleIntervalCycles = interval;
+            run_options.onSample = [&](Simulation&, Cycle now) {
+                if (options.sampleInterval > 0)
+                    sampler.sample(now);
+                if (collector)
+                    collector->collect(now);
+            };
+        }
+        if (options.sampleInterval == 0 && !tracing && !metrics &&
+            !options.profile) {
+            // Non-sampled runs are fully described by their
+            // RunResult, so they can replay from the memo (spilled
+            // to $JSMT_RUN_CACHE across invocations). Traced and
+            // metered runs must actually simulate.
+            std::ostringstream key;
+            key << "runcli|" << exec::describeSystemConfig(config);
+            for (const auto& spec : options.workloads)
+                key << '|' << spec.benchmark << ':' << spec.threads;
+            key << "|scale=" << options.scale
+                << "|ff=" << (options.fastForward ? 1 : 0);
+            result = exec::ResultStore::global().getOrCompute(
+                key.str(), [&] { return sim->run(run_options); });
+        } else {
+            result = sim->run(run_options);
+        }
+        end = sim->now();
+    }
+    const double run_wall =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - run_start)
+            .count();
+    if (options.profile) {
+        printProfile(profiler, run_wall, result.cycles,
+                     probed.core().fastForwardedCycles(),
+                     plainRunSeconds(config, options));
+    }
+
+    if (tracing) {
+        std::ofstream out(options.traceFile, std::ios::trunc);
+        if (!out) {
+            std::cerr << "cannot write trace file '"
+                      << options.traceFile << "'\n";
+            return 1;
+        }
+        sink.writeChromeTrace(out);
+    }
+    if (collector) {
+        AllocTotals alloc;
+        if (chip)
+            alloc.add(*chip);
+        if (!writeMetrics(options.metricsFile, *collector, end,
+                          chip ? &alloc : nullptr))
+            return 1;
+    }
+
+    std::cout << "machine: ";
+    if (chip)
+        std::cout << options.cores << " cores (shared L2), ";
+    std::cout << "HT " << (options.hyperThreading ? "on" : "off")
+              << (options.dynamicPartition
+                      ? ", dynamic partitioning"
+                      : ", static partitioning (P4)");
+    if (chip) {
+        std::cout << ", alloc " << allocPolicyName(options.alloc)
+                  << " (epoch " << chip_config.epochCycles
+                  << " cycles)";
+    }
+    std::cout << ", seed " << options.seed;
+    if (tracing) {
+        std::cout << ", tracing on -> " << options.traceFile << " ("
+                  << sink.size() << " events";
+        if (sink.dropped() > 0)
+            std::cout << ", " << sink.dropped() << " dropped";
+        std::cout << ')';
+    } else {
+        std::cout << ", tracing off";
+    }
+    if (metrics)
+        std::cout << ", metrics -> " << options.metricsFile;
+    // A chip's IPC is per lockstep cycle, not per summed PMU cycle.
+    std::cout << "\n"
+              << "run: " << result.cycles << " cycles, "
+              << result.total(EventId::kUopsRetired)
+              << " uops retired, IPC "
+              << TextTable::fmt(chip ? chip->ipc() : result.ipc(), 3);
+    if (chip) {
+        std::cout << ", throughput "
+                  << TextTable::fmt(chip->uopThroughput(), 3)
+                  << " uops/cycle";
+    }
+    std::cout << (result.allComplete ? "" : "  [INCOMPLETE]") << '\n';
+    if (chip) {
+        std::cout << "alloc: " << chip->epochs << " epoch(s), "
+                  << chip->migrations << " migration(s), "
+                  << chip->steals << " steal(s)\n";
+    }
+    std::cout << '\n';
+
+    std::vector<std::string> headers = {"pid", "benchmark"};
+    if (chip)
+        headers.insert(headers.end(), {"cores", "migrations"});
+    headers.insert(headers.end(), {"complete", "duration (cycles)"});
+    if (!chip)
+        headers.push_back("GC runs");
+    TextTable processes(headers);
+    for (std::size_t i = 0; i < result.processes.size(); ++i) {
+        const ProcessResult& pr = result.processes[i];
+        std::vector<std::string> row = {std::to_string(pr.pid),
+                                        pr.benchmark};
+        if (chip) {
+            const MultiProcessRecord& placed = chip->processes[i];
+            row.push_back(
+                placed.initialCore == placed.finalCore
+                    ? std::to_string(placed.initialCore)
+                    : std::to_string(placed.initialCore) + "->" +
+                          std::to_string(placed.finalCore));
+            row.push_back(TextTable::fmt(placed.migrations));
+        }
+        row.push_back(pr.complete ? "yes" : "no");
+        row.push_back(TextTable::fmt(pr.durationCycles));
+        if (!chip)
+            row.push_back(TextTable::fmt(pr.gcRuns));
+        processes.addRow(row);
+    }
+    processes.print(std::cout);
+
+    std::cout << (chip ? "\ncounters (summed across cores):\n"
+                       : "\ncounters:\n");
+    TextTable counters({"event", "lcpu0", "lcpu1", "total",
+                        "/1K instr"});
+    const auto instr =
+        static_cast<double>(result.total(EventId::kInstrRetired));
+    for (const EventId event : events) {
+        counters.addRow(
+            {std::string(eventName(event)),
+             TextTable::fmt(result.event(event, 0)),
+             TextTable::fmt(result.event(event, 1)),
+             TextTable::fmt(result.total(event)),
+             TextTable::fmt(
+                 instr > 0
+                     ? 1000.0 *
+                           static_cast<double>(
+                               result.total(event)) /
+                           instr
+                     : 0.0,
+                 3)});
+    }
+    counters.print(std::cout);
+
+    if (options.sampleInterval > 0) {
+        std::cout << "\ntime series (interval "
+                  << options.sampleInterval << " cycles):\n";
+        std::vector<std::string> series_headers = {"cycle"};
+        for (const EventId event : events)
+            series_headers.push_back(std::string(eventName(event)));
+        TextTable series(series_headers);
+        for (const auto& point : sampler.samples()) {
+            std::vector<std::string> row = {
+                TextTable::fmt(point.cycle)};
+            for (const std::uint64_t delta : point.deltas)
+                row.push_back(TextTable::fmt(delta));
+            series.addRow(row);
+        }
+        series.print(std::cout);
+    }
+    // A chip run that did not complete fails; a single-core run
+    // reports [INCOMPLETE] and exits 0.
+    return chip && !result.allComplete ? 1 : 0;
 }
 
 } // namespace
@@ -916,255 +1099,5 @@ main(int argc, char** argv)
             unknownBenchmark(spec.benchmark);
         spec.lengthScale = options.scale;
     }
-
-    if (options.cores > 1)
-        return runMulti(options, events);
-
-    SystemConfig config;
-    config.hyperThreading = options.hyperThreading;
-    config.seed = options.seed;
-    if (options.dynamicPartition) {
-        config.core.partitionPolicy = PartitionPolicy::kDynamic;
-    }
-    Machine machine(config);
-
-    const bool tracing = !options.traceFile.empty();
-    const bool metrics = !options.metricsFile.empty();
-
-    // The tracer must be attached before addProcess so the launch
-    // instants land in the timeline.
-    trace::TraceSink sink;
-    if (tracing) {
-        sink.setEnabled(true);
-        machine.setTraceSink(&sink);
-    }
-
-    Simulation sim(machine);
-    for (const auto& spec : options.workloads)
-        sim.addProcess(spec);
-
-    std::unique_ptr<trace::MetricsCollector> collector;
-    if (metrics)
-        collector = std::make_unique<trace::MetricsCollector>(
-            machine);
-
-    // Per-stage hot-path profile (--profile): wall time is host
-    // noise, so it goes to stderr, keeping stdout a pure function
-    // of the measurements.
-    StageProfiler profiler;
-    if (options.profile)
-        machine.core().setProfiler(&profiler);
-
-    AbyssSampler sampler(machine.pmu(), events);
-    Simulation::RunOptions run_options;
-    run_options.fastForward = options.fastForward;
-    // Metrics snapshots ride the same sample edge as the counter
-    // time series; without an explicit interval a metrics run still
-    // gets a coarse series.
-    Cycle interval = options.sampleInterval;
-    if (metrics && interval == 0)
-        interval = 1'000'000;
-    if (interval > 0) {
-        run_options.sampleIntervalCycles = interval;
-        run_options.onSample = [&](Simulation&, Cycle now) {
-            if (options.sampleInterval > 0)
-                sampler.sample(now);
-            if (collector)
-                collector->collect(now);
-        };
-    }
-
-    RunResult result;
-    const auto run_start = std::chrono::steady_clock::now();
-    if (options.sampleInterval == 0 && !tracing && !metrics &&
-        !options.profile) {
-        // Non-sampled runs are fully described by their RunResult,
-        // so they can replay from the memo (spilled to
-        // $JSMT_RUN_CACHE across invocations). Traced and metered
-        // runs must actually simulate.
-        std::string key =
-            "runcli|" + exec::describeSystemConfig(config);
-        for (const auto& spec : options.workloads) {
-            key += '|' + spec.benchmark + ':' +
-                   std::to_string(spec.threads);
-        }
-        {
-            std::ostringstream tail;
-            tail << "|scale=" << options.scale
-                 << "|ff=" << (options.fastForward ? 1 : 0);
-            key += tail.str();
-        }
-        result = exec::ResultStore::global().getOrCompute(
-            key, [&] { return sim.run(run_options); });
-    } else {
-        result = sim.run(run_options);
-    }
-    const double run_wall =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - run_start)
-            .count();
-
-    if (options.profile) {
-        // fetchAllocSeconds includes the memory walks performed
-        // from inside the stage; report them exclusively. The
-        // fast_forward bucket (horizon probes + clock jumps +
-        // skipped-window accounting) is accumulated by the driver
-        // loop, so it is disjoint from the core stages.
-        const double memory = profiler.memorySeconds;
-        const double fetch_alloc =
-            profiler.fetchAllocSeconds - memory;
-        const double staged = profiler.retireSeconds +
-                              profiler.fetchAllocSeconds +
-                              profiler.accountSeconds +
-                              profiler.fastForwardSeconds;
-        // Signed: a negative residue is the probe's over-count
-        // (sampled stages summing past the wall time), not zero.
-        const double driver = run_wall - staged;
-        const auto pct = [&](double s) {
-            return run_wall > 0.0 ? s / run_wall * 100.0 : 0.0;
-        };
-        const std::uint64_t ff_cycles =
-            machine.core().fastForwardedCycles();
-        const double skip_pct =
-            result.cycles > 0
-                ? 100.0 * static_cast<double>(ff_cycles) /
-                      static_cast<double>(result.cycles)
-                : 0.0;
-        std::fprintf(
-            stderr,
-            "profile: %llu cycles simulated in %.3f s wall "
-            "(%llu total incl. fast-forwarded)\n"
-            "  retire           %8.3f s  %5.1f%%\n"
-            "  fetch+alloc      %8.3f s  %5.1f%%  (excl. memory)\n"
-            "  memory walk      %8.3f s  %5.1f%%\n"
-            "  accounting       %8.3f s  %5.1f%%\n"
-            "  fast_forward     %8.3f s  %5.1f%%\n"
-            "  driver/other     %+8.3f s  %+5.1f%%\n"
-            "horizon skip: %llu of %llu cycles fast-forwarded "
-            "(horizon_skip_pct %.2f)\n",
-            static_cast<unsigned long long>(profiler.cycles),
-            run_wall,
-            static_cast<unsigned long long>(result.cycles),
-            profiler.retireSeconds, pct(profiler.retireSeconds),
-            fetch_alloc, pct(fetch_alloc), memory, pct(memory),
-            profiler.accountSeconds, pct(profiler.accountSeconds),
-            profiler.fastForwardSeconds,
-            pct(profiler.fastForwardSeconds), driver, pct(driver),
-            static_cast<unsigned long long>(ff_cycles),
-            static_cast<unsigned long long>(result.cycles),
-            skip_pct);
-        if (driver < 0.0) {
-            std::fprintf(stderr,
-                         "note: sampled stages over-count wall time "
-                         "by %.1f%%; driver/other is negative\n",
-                         -pct(driver));
-        }
-        const double plain_wall = plainRunSeconds(config, options);
-        std::fprintf(
-            stderr,
-            "probe overhead: %+.1f%% (profiled %.3f s vs unprofiled "
-            "re-run %.3f s; %llu of %llu cycles timed)\n",
-            plain_wall > 0.0
-                ? (run_wall - plain_wall) / plain_wall * 100.0
-                : 0.0,
-            run_wall, plain_wall,
-            static_cast<unsigned long long>(profiler.sampledCycles),
-            static_cast<unsigned long long>(profiler.cycles));
-    }
-
-    if (tracing) {
-        std::ofstream out(options.traceFile, std::ios::trunc);
-        if (!out) {
-            std::cerr << "cannot write trace file '"
-                      << options.traceFile << "'\n";
-            return 1;
-        }
-        sink.writeChromeTrace(out);
-    }
-    if (collector) {
-        collector->collect(sim.now());
-        std::ofstream out(options.metricsFile, std::ios::trunc);
-        if (!out) {
-            std::cerr << "cannot write metrics file '"
-                      << options.metricsFile << "'\n";
-            return 1;
-        }
-        collector->writeJson(out);
-    }
-
-    std::cout << "machine: HT "
-              << (options.hyperThreading ? "on" : "off")
-              << (options.dynamicPartition
-                      ? ", dynamic partitioning"
-                      : ", static partitioning (P4)")
-              << ", seed " << options.seed;
-    if (tracing) {
-        std::cout << ", tracing on -> " << options.traceFile << " ("
-                  << sink.size() << " events";
-        if (sink.dropped() > 0)
-            std::cout << ", " << sink.dropped() << " dropped";
-        std::cout << ')';
-    } else {
-        std::cout << ", tracing off";
-    }
-    if (metrics)
-        std::cout << ", metrics -> " << options.metricsFile;
-    std::cout << "\n"
-              << "run: " << result.cycles << " cycles, "
-              << result.total(EventId::kUopsRetired)
-              << " uops retired, IPC "
-              << TextTable::fmt(result.ipc(), 3)
-              << (result.allComplete ? "" : "  [INCOMPLETE]")
-              << "\n\n";
-
-    TextTable processes(
-        {"pid", "benchmark", "complete", "duration (cycles)",
-         "GC runs"});
-    for (const auto& pr : result.processes) {
-        processes.addRow({std::to_string(pr.pid), pr.benchmark,
-                          pr.complete ? "yes" : "no",
-                          TextTable::fmt(pr.durationCycles),
-                          TextTable::fmt(pr.gcRuns)});
-    }
-    processes.print(std::cout);
-
-    std::cout << "\ncounters:\n";
-    TextTable counters({"event", "lcpu0", "lcpu1", "total",
-                        "/1K instr"});
-    const auto instr =
-        static_cast<double>(result.total(EventId::kInstrRetired));
-    for (const EventId event : events) {
-        counters.addRow(
-            {std::string(eventName(event)),
-             TextTable::fmt(result.event(event, 0)),
-             TextTable::fmt(result.event(event, 1)),
-             TextTable::fmt(result.total(event)),
-             TextTable::fmt(
-                 instr > 0
-                     ? 1000.0 *
-                           static_cast<double>(
-                               result.total(event)) /
-                           instr
-                     : 0.0,
-                 3)});
-    }
-    counters.print(std::cout);
-
-    if (options.sampleInterval > 0) {
-        std::cout << "\ntime series (interval "
-                  << options.sampleInterval << " cycles):\n";
-        std::vector<std::string> headers = {"cycle"};
-        for (const EventId event : events)
-            headers.push_back(std::string(eventName(event)));
-        TextTable series(headers);
-        for (const auto& point : sampler.samples()) {
-            std::vector<std::string> row = {
-                TextTable::fmt(point.cycle)};
-            for (const std::uint64_t delta : point.deltas)
-                row.push_back(TextTable::fmt(delta));
-            series.addRow(row);
-        }
-        series.print(std::cout);
-    }
-    return 0;
+    return runBenchmarks(options, events);
 }
