@@ -140,6 +140,8 @@ Simulation::Stepper::Stepper(Simulation& sim,
     _sink = machine.traceSink();
     _tracing = _sink != nullptr && _sink->enabled();
     _profiler = machine.core().profiler();
+    if (machine.mem().sharesL2())
+        _l2View = &machine.mem();
 
     // Snapshot PMU raw counts to report deltas for this run. Any
     // accounting still batched in the core (e.g. from direct
@@ -181,12 +183,9 @@ Simulation::Stepper::advance(Cycle bound)
 
     while (sim._cycle < limit && !_stopRequested &&
            !sim.allProcessesComplete()) {
-        // Publish the clock as this core's commit horizon: every
-        // shared-L2 access it makes from here on is keyed at
-        // (_cycle, core) or later. Release-ordered, so a core the
-        // publish unblocks observes all earlier L2 mutations.
-        if (_gate != nullptr)
-            _gate->publish(_gateCore, sim._cycle);
+        // Key this cycle's shared-L2 accesses for the barrier.
+        if (_l2View != nullptr)
+            _l2View->stampL2Clock(sim._cycle);
 
         SmtCore::CycleOutcome outcome;
         if (sim._cycle < _retireOnlyUntil) {
@@ -309,11 +308,6 @@ Simulation::Stepper::advance(Cycle bound)
         }
     }
 
-    // Everything below the clock is now committed; republish so
-    // cores waiting on this one never stall on a stale horizon
-    // between advance() calls.
-    if (_gate != nullptr)
-        _gate->publish(_gateCore, sim._cycle);
     return sim._cycle;
 }
 

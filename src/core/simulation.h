@@ -22,7 +22,7 @@
 
 namespace jsmt {
 
-class L2AccessGate;
+class MemorySystem;
 class StageProfiler;
 
 /** Description of one workload to launch. */
@@ -194,17 +194,16 @@ class Simulation
  * are bit-identical by construction.
  *
  * The multi-core stepping engine is the reason this exists: it
- * interleaves N cores' cycle loops in bounded slices between epoch
- * edges (serially or on worker threads) without paying the
- * prologue/epilogue per slice, and attachGate() lets the loop
- * publish its clock as the commit horizon conservative shared-L2
- * synchronization needs (see L2AccessGate).
+ * steps N cores' cycle loops quantum by quantum between epoch edges
+ * (serially or on worker threads) without paying the
+ * prologue/epilogue per quantum. On a chip slice the loop stamps
+ * its clock into the shared-L2 view, keying every logged access
+ * for the barrier merge (see MultiCoreSystem::l2Barrier).
  *
  * advance(bound) steps the loop while the clock is below @p bound
  * and the run is not done. A fast-forward jump may legitimately
  * overshoot the bound: a jumped window provably performs no memory
- * accesses, so it cannot violate the cross-core ordering contract
- * the bound exists to uphold.
+ * accesses, so no access is ever logged at or past the bound.
  */
 class Simulation::Stepper
 {
@@ -213,17 +212,6 @@ class Simulation::Stepper
 
     Stepper(const Stepper&) = delete;
     Stepper& operator=(const Stepper&) = delete;
-
-    /**
-     * Publish this core's clock to @p gate as chip core @p core
-     * while stepping. Attach before the first advance().
-     */
-    void
-    attachGate(L2AccessGate* gate, std::uint32_t core)
-    {
-        _gate = gate;
-        _gateCore = core;
-    }
 
     /**
      * Step until the clock reaches @p bound (or the run completes,
@@ -266,8 +254,8 @@ class Simulation::Stepper
     bool _stopRequested = false;
     bool _cancelled = false;
     Cycle _retireOnlyUntil = 0;
-    L2AccessGate* _gate = nullptr;
-    std::uint32_t _gateCore = 0;
+    /** The slice's shared-L2 view; null off a chip. */
+    MemorySystem* _l2View = nullptr;
     std::vector<JavaProcess*> _justCompleted;
     std::array<std::array<std::uint64_t, kNumEventIds>,
                kNumContexts>

@@ -137,12 +137,17 @@ std::string
 ResultStore::describeTopology(std::uint32_t cores,
                               const std::string& alloc)
 {
+    // A chip names its shared-L2 contract: entries measured under
+    // another one (the per-access ordering gate before the quantum
+    // barrier) are different measurements and must not resume. One
+    // core has no shared L2, so its stamp stays kDefaultTopology's.
+    //
     // The step-threads field is schema documentation, not identity:
     // the stepping engine is bit-identical for every worker count,
     // so entries measured at any --step-threads are valid for any
     // other. "any" records that invariance explicitly in the file.
     return "cores=" + std::to_string(cores) + ";alloc=" + alloc +
-           ";step-threads=any";
+           (cores > 1 ? ";l2=quantum" : "") + ";step-threads=any";
 }
 
 ResultStore::ResultStore(std::string path, std::size_t flush_every,

@@ -46,9 +46,11 @@ class ResultStore
         "cores=1;alloc=static-pin";
 
     /**
-     * @return "cores=N;alloc=P;step-threads=any". Entries do not
-     * depend on the stepping worker count, so identity comparison
-     * ignores the last field.
+     * @return "cores=N;alloc=P;step-threads=any", with ";l2=quantum"
+     * before the last field when N > 1 (the chip's shared-L2
+     * contract, DESIGN.md §11). Entries do not depend on the
+     * stepping worker count, so identity comparison ignores the
+     * last field.
      */
     static std::string describeTopology(std::uint32_t cores,
                                         const std::string& alloc);

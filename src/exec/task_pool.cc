@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -22,6 +23,17 @@ std::atomic<std::uint64_t> g_failures{0};
 
 std::mutex g_hookMutex;
 TaskPool::BeforeTaskHook g_beforeTask;
+
+/** Yield while @p pending() holds, for at most @p micros. */
+template <typename Pending>
+void
+spinWhile(int micros, Pending pending)
+{
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds(micros);
+    while (pending() && std::chrono::steady_clock::now() < until)
+        std::this_thread::yield();
+}
 
 } // namespace
 
@@ -133,8 +145,11 @@ void
 TaskPool::workerLoop()
 {
     std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(_mutex);
     for (;;) {
+        spinWhile(kSpinMicros, [&] {
+            return _generation.load(std::memory_order_relaxed) == seen;
+        });
+        std::unique_lock<std::mutex> lock(_mutex);
         _wake.wait(lock, [&] {
             return _shutdown || _generation != seen;
         });
@@ -143,7 +158,6 @@ TaskPool::workerLoop()
         seen = _generation;
         lock.unlock();
         drainBatch(seen);
-        lock.lock();
     }
 }
 
@@ -197,6 +211,9 @@ TaskPool::dispatch(std::size_t count,
 
     drainBatch(generation);
 
+    spinWhile(kSpinMicros, [&] {
+        return _finished.load(std::memory_order_relaxed) != count;
+    });
     std::unique_lock<std::mutex> lock(_mutex);
     _batchDone.wait(lock, [&] { return _finished == _count; });
     _task = nullptr;

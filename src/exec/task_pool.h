@@ -28,6 +28,7 @@
 #ifndef JSMT_EXEC_TASK_POOL_H
 #define JSMT_EXEC_TASK_POOL_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -118,7 +119,9 @@ class BatchError : public std::runtime_error
  * One batch runs at a time; run() blocks until the batch is done
  * (the calling thread works on the batch too, so a pool of J jobs
  * uses J threads total, not J+1). Nested batches on the same pool
- * are not supported.
+ * are not supported. Idle threads poll for kSpinMicros before they
+ * block, so a caller that issues short batches back to back (the
+ * multi-core engine's quanta) finds its workers awake.
  */
 class TaskPool
 {
@@ -223,21 +226,25 @@ class TaskPool
     void dispatch(std::size_t count,
                   const std::function<void(std::size_t)>& task);
 
+    /** How long an idle thread polls before it blocks. */
+    static constexpr int kSpinMicros = 200;
+
     std::size_t _jobs;
     std::vector<std::thread> _workers;
 
     std::mutex _mutex;
     std::condition_variable _wake;
     std::condition_variable _batchDone;
-    std::uint64_t _generation = 0;
+    // Written under _mutex; atomic so idle threads can poll them.
+    std::atomic<std::uint64_t> _generation{0};
     bool _shutdown = false;
 
     // State of the in-flight batch (valid while _task != nullptr;
-    // all fields guarded by _mutex).
+    // all fields written under _mutex).
     const std::function<void(std::size_t)>* _task = nullptr;
     std::size_t _count = 0;
     std::size_t _nextIndex = 0;
-    std::size_t _finished = 0;
+    std::atomic<std::size_t> _finished{0};
 };
 
 } // namespace jsmt::exec

@@ -1,5 +1,6 @@
 #include "mem/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.h"
@@ -127,6 +128,34 @@ Cache::lookup(Asid asid, Addr addr, ContextId ctx) const
             return true;
     }
     return false;
+}
+
+void
+Cache::beginOverlay(const Cache& base)
+{
+    if (base._numSets != _numSets || base.ways() != ways() ||
+        base._lineShift != _lineShift ||
+        base._partitioned != _partitioned)
+        fatal("cache " + _config.name +
+              ": overlay geometry differs from its base");
+    _overlayStamp.resize(_numSets);
+    ++_overlayQuantum;
+    _useClock = base._useClock;
+}
+
+bool
+Cache::accessOverlay(const Cache& base, Asid asid, Addr addr,
+                     ContextId ctx)
+{
+    const std::uint32_t set = setIndex(addr, ctx);
+    if (_overlayStamp[set] != _overlayQuantum) {
+        _overlayStamp[set] = _overlayQuantum;
+        const std::size_t first =
+            static_cast<std::size_t>(set) * _config.ways;
+        std::copy_n(base._lines.begin() + first, _config.ways,
+                    _lines.begin() + first);
+    }
+    return access(asid, addr, ctx);
 }
 
 void

@@ -139,6 +139,29 @@ class Cache
     /** @return configuration this cache was built with. */
     const CacheConfig& config() const { return _config; }
 
+    /**
+     * @name Quantum overlay
+     * A chip slice reads the shared L2 through its private L2 used
+     * as an overlay (DESIGN.md §11): for one quantum it holds the
+     * sets the slice touched, each copied from @p base on first
+     * touch and then updated by the slice's own fills and LRU
+     * hits, while @p base stays read-only. Both caches must share
+     * one geometry. Overlay statistics count the slice's view and
+     * mean nothing chip-wide.
+     */
+    ///@{
+    /**
+     * Start a quantum over @p base: forget every copied set and
+     * take @p base's LRU clock, so stamps made during the quantum
+     * order after every stamp copied from it.
+     */
+    void beginOverlay(const Cache& base);
+
+    /** access() through the overlay of @p base. */
+    bool accessOverlay(const Cache& base, Asid asid, Addr addr,
+                       ContextId ctx);
+    ///@}
+
   private:
     /**
      * One line's bookkeeping. An invalid line has key 0 and
@@ -165,6 +188,9 @@ class Cache
     std::uint64_t _evictions = 0;
     std::uint64_t _crossAsidEvictions = 0;
     std::uint64_t _validLines = 0;
+    /** Per set: the overlay quantum its lines were copied in. */
+    std::vector<std::uint64_t> _overlayStamp;
+    std::uint64_t _overlayQuantum = 0;
 };
 
 } // namespace jsmt

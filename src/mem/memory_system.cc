@@ -110,6 +110,8 @@ MemorySystem::MemorySystem(const MemConfig& config, Pmu& pmu,
         fatal("memory system: pageBytes must be a power of two");
     _pageShift = static_cast<std::uint32_t>(std::countr_zero(
         static_cast<std::uint64_t>(config.pageBytes)));
+    if (sharesL2())
+        beginL2Quantum();
 }
 
 void
@@ -183,14 +185,17 @@ std::uint32_t
 MemorySystem::accessL2Line(Asid asid, Addr paddr, ContextId ctx,
                            Cycle now, bool& l2_hit)
 {
-    // Shared-L2 chips serialize cross-core accesses in (cycle,
-    // coreId) order; the await is this core's turn coming up. The
-    // PMU/occupancy bookkeeping around it is all per-core state.
-    if (_l2Gate != nullptr)
-        _l2Gate->await(_l2GateCore);
     _pmu.record(EventId::kL2Access, ctx);
     const std::uint32_t port_wait = l2Occupy(now);
-    l2_hit = _l2use->access(asid, paddr, ctx);
+    if (sharesL2()) {
+        // Chip slice: the shared L2 is read-only between barriers,
+        // so read it through this quantum's overlay and log the
+        // access for the barrier to apply (DESIGN.md §11).
+        l2_hit = _l2.accessOverlay(*_l2use, asid, paddr, ctx);
+        _l2Log.push_back({_l2Clock, paddr, asid, ctx});
+    } else {
+        l2_hit = _l2.access(asid, paddr, ctx);
+    }
     if (l2_hit)
         return _config.l2HitCycles + port_wait;
     _pmu.record(EventId::kL2Miss, ctx);

@@ -14,10 +14,10 @@
 #define JSMT_MEM_MEMORY_SYSTEM_H
 
 #include <cstdint>
+#include <vector>
 
 #include "common/types.h"
 #include "mem/cache.h"
-#include "mem/l2_gate.h"
 #include "mem/tlb.h"
 #include "pmu/pmu.h"
 #include "trace/trace_sink.h"
@@ -82,6 +82,15 @@ struct DataAccessResult
     bool l2Hit = true;
 };
 
+/** One shared-L2 access a chip slice made in the current quantum. */
+struct L2LogEntry
+{
+    Cycle cycle = 0; ///< The slice's stepping cycle at the access.
+    Addr paddr = 0;
+    Asid asid = 0;
+    ContextId ctx = 0;
+};
+
 /**
  * Memory hierarchy facade used by the SMT core.
  *
@@ -99,8 +108,11 @@ class MemorySystem
      *        system so all cores compete for the same capacity
      *        (ASID-tagged lines make the sharing correct across
      *        address spaces). FSB/L2-port occupancy cursors stay
-     *        per-core (private bus ports). Null (the default) keeps
-     *        the single-core behaviour bit-identical.
+     *        per-core (private bus ports). The hierarchy then reads
+     *        the shared L2 through its private one, used as a
+     *        quantum overlay, and logs every access for the barrier
+     *        merge (see MultiCoreSystem::l2Barrier). Null (the
+     *        default) keeps the single-core behaviour bit-identical.
      */
     MemorySystem(const MemConfig& config, Pmu& pmu,
                  Cache* shared_l2 = nullptr);
@@ -171,22 +183,29 @@ class MemorySystem
         _trace = sink;
     }
 
+    /** @name Shared-L2 quantum view (chip slices only) */
+    ///@{
+    /** @return whether this hierarchy reads a shared L2. */
+    bool sharesL2() const { return _l2use != &_l2; }
+
     /**
-     * Attach (or detach, with nullptr) the cross-core ordering gate
-     * of the shared L2, identifying this hierarchy as core
-     * @p core of the chip. While attached, every access that reaches
-     * the L2 first awaits its turn in the deterministic global
-     * access order (see L2AccessGate); the multi-core stepping
-     * engine attaches the gate for the duration of a run. Only
-     * meaningful with a shared L2 — a private L2 has no cross-core
-     * accesses to order.
+     * Record the stepping cycle that keys the accesses that follow
+     * in the log; the Stepper stamps it every cycle.
      */
-    void
-    setL2Gate(L2AccessGate* gate, std::uint32_t core = 0)
-    {
-        _l2Gate = gate;
-        _l2GateCore = core;
-    }
+    void stampL2Clock(Cycle cycle) { _l2Clock = cycle; }
+
+    /**
+     * @return the shared-L2 accesses of the current quantum, in
+     * program order. The barrier merges and clears it.
+     */
+    std::vector<L2LogEntry>& l2Log() { return _l2Log; }
+
+    /**
+     * Start a quantum: the overlay drops its copies and reads the
+     * shared L2 as it stands now. Call with an empty log.
+     */
+    void beginL2Quantum() { _l2.beginOverlay(*_l2use); }
+    ///@}
 
   private:
     /** Charge one line transfer on the FSB; @return queueing delay. */
@@ -209,15 +228,15 @@ class MemorySystem
     MemConfig _config;
     Pmu& _pmu;
     trace::TraceSink* _trace = nullptr;
-    /** Cross-core ordering gate of the shared L2 (engine-attached). */
-    L2AccessGate* _l2Gate = nullptr;
-    std::uint32_t _l2GateCore = 0;
     bool _hyperThreading = false;
     Cache _traceCache;
     Cache _l1d;
+    /** The private L2, or a chip slice's overlay of the shared one. */
     Cache _l2;
     /** Points at _l2 or at an external shared L2 (multi-core). */
     Cache* _l2use;
+    Cycle _l2Clock = 0;
+    std::vector<L2LogEntry> _l2Log;
     Tlb _itlb;
     Tlb _dtlb;
     Cycle _fsbNextFree = 0;

@@ -1,13 +1,11 @@
 #include "os/allocation/multi_core.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <thread>
 
 #include "common/log.h"
 #include "exec/task_pool.h"
-#include "mem/l2_gate.h"
 
 namespace jsmt {
 
@@ -18,115 +16,23 @@ struct EpochCore
 {
     std::unique_ptr<Simulation::Stepper> stepper;
     CoreId core = 0;
-    bool done = false;
 };
 
 /**
- * Exit guard for stepGroup: if the group's thread leaves early — by
- * exception (TaskPool catches per-task errors and waits for the
- * whole batch) or on a cancel — the unfinished slices' commit
- * horizons would stay stale and every peer group, including the
- * parallelFor caller, would spin in the gate forever. Parking the
- * remainder unblocks them, and raising the cancel flag stops the
- * surviving groups at their next check instead of letting them
- * finish a doomed epoch.
- */
-struct GroupParkGuard
-{
-    EpochCore* begin;
-    EpochCore* end;
-    L2AccessGate* gate;
-    std::atomic<bool>* cancel;
-    bool armed = true;
-
-    ~GroupParkGuard()
-    {
-        if (!armed)
-            return;
-        cancel->store(true, std::memory_order_relaxed);
-        if (gate != nullptr) {
-            for (EpochCore* ec = begin; ec != end; ++ec) {
-                if (!ec->done)
-                    gate->park(ec->core);
-            }
-        }
-    }
-};
-
-/**
- * Step the slices in [@p begin, @p end) to the end of the epoch.
- *
- * The group is stepped serially in deterministic order: repeatedly
- * pick the lexicographically smallest (cycle, coreId) slice and
- * advance it until it would overtake an in-group peer — core i may
- * execute cycle c only while (c, i) precedes every other in-group
- * slice's (cycle, coreId), i.e. up to min over peers j of
- * (j < i ? cycle_j : cycle_j + 1). The pick is the global in-group
- * minimum, so that bound is always above its clock and every
- * iteration makes progress. Ordering against slices in *other*
- * groups is enforced at the actual shared-L2 access points by
- * @p gate (each advance() publishes its clock as it goes); in-group
- * peers never block on the gate because the interleave already
- * satisfies its condition. With one group covering every active
- * slice this IS the serial reference order; with several groups on
- * worker threads the L2 sees the same global access order, so
- * results are invariant to both thread count and grouping. The
- * shared L2 is the only cross-core coupling inside an epoch:
- * migrations drain the moving process out of its old core at the
- * edge (MultiCoreSimulation::moveProcess), so no slice ever touches
- * thread state another slice hosts.
- *
- * A slice that finishes the epoch early (all processes complete)
- * is parked in the gate: it will make no further L2 accesses, and
- * leaving its commit horizon at its final clock would deadlock
- * peers waiting to pass it.
+ * Step the slices in [@p begin, @p end) to the quantum end
+ * @p bound, in core order. Between barriers the shared L2 is
+ * read-only and each slice reads and logs through its own overlay,
+ * and migrations drain a moving process out of its old core at the
+ * edge (MultiCoreSimulation::moveProcess), so nothing couples two
+ * slices: the order and the grouping never affect results. A slice
+ * that is done, or whose fast-forward jump already passed @p bound,
+ * returns at once.
  */
 void
-stepGroup(EpochCore* group_begin, EpochCore* group_end,
-          L2AccessGate* gate, std::atomic<bool>& cancel)
+stepQuantum(EpochCore* begin, EpochCore* end, Cycle bound)
 {
-    GroupParkGuard guard{group_begin, group_end, gate, &cancel};
-    for (;;) {
-        // A cancel observed by any slice (on its deterministic
-        // check lattice) stops the whole chip: the armed guard
-        // parks what is left so no other group spins on our commit
-        // horizons. A cancelled run is wall-clock-driven and makes
-        // no bit-identity promises.
-        if (cancel.load(std::memory_order_relaxed))
-            return;
-        EpochCore* pick = nullptr;
-        for (EpochCore* ec = group_begin; ec != group_end; ++ec) {
-            if (ec->done)
-                continue;
-            if (pick == nullptr ||
-                ec->stepper->cycle() < pick->stepper->cycle() ||
-                (ec->stepper->cycle() == pick->stepper->cycle() &&
-                 ec->core < pick->core))
-                pick = ec;
-        }
-        if (pick == nullptr) {
-            // Every slice done (and already parked at done-time):
-            // a normal exit must not raise the batch cancel flag.
-            guard.armed = false;
-            return;
-        }
-        Cycle bound = kNoCycle;
-        for (EpochCore* ec = group_begin; ec != group_end; ++ec) {
-            if (ec->done || ec == pick)
-                continue;
-            const Cycle at = ec->stepper->cycle();
-            bound = std::min(bound,
-                             ec->core < pick->core ? at : at + 1);
-        }
-        pick->stepper->advance(bound);
-        if (pick->stepper->cancelled())
-            cancel.store(true, std::memory_order_relaxed);
-        if (pick->stepper->done()) {
-            pick->done = true;
-            if (gate != nullptr)
-                gate->park(pick->core);
-        }
-    }
+    for (EpochCore* ec = begin; ec != end; ++ec)
+        ec->stepper->advance(bound);
 }
 
 } // namespace
@@ -151,6 +57,43 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig& config)
             config.system, _sharedL2.get()));
         _sims.push_back(
             std::make_unique<Simulation>(*_machines.back()));
+    }
+}
+
+void
+MultiCoreSystem::l2Barrier()
+{
+    if (_sharedL2 == nullptr)
+        return;
+    // Each log is in program order with non-decreasing cycles, so a
+    // k-way merge that takes the smallest head cycle, ties to the
+    // lower core, is the (cycle, coreId, program) order.
+    struct Head
+    {
+        const L2LogEntry* at;
+        const L2LogEntry* end;
+    };
+    std::vector<Head> heads;
+    heads.reserve(_machines.size());
+    for (auto& machine : _machines) {
+        const std::vector<L2LogEntry>& log = machine->mem().l2Log();
+        heads.push_back({log.data(), log.data() + log.size()});
+    }
+    for (;;) {
+        Head* pick = nullptr;
+        for (Head& head : heads) {
+            if (head.at != head.end &&
+                (pick == nullptr || head.at->cycle < pick->at->cycle))
+                pick = &head;
+        }
+        if (pick == nullptr)
+            break;
+        const L2LogEntry& entry = *pick->at++;
+        _sharedL2->access(entry.asid, entry.paddr, entry.ctx);
+    }
+    for (auto& machine : _machines) {
+        machine->mem().l2Log().clear();
+        machine->mem().beginL2Quantum();
     }
 }
 
@@ -474,25 +417,13 @@ MultiCoreSimulation::run(const RunOptions& options)
                 : std::max(1u, std::thread::hardware_concurrency());
         workers = std::min(want, cores);
     }
-    // The pool persists across epochs (TaskPool's workers sleep on
-    // a condition variable between batches), so the per-epoch cost
-    // of parallel stepping is one wake/notify round, not a thread
-    // spawn.
+    // The pool persists across quanta (TaskPool's workers sleep on
+    // a condition variable between batches), so the per-quantum
+    // cost of parallel stepping is one wake/notify round, not a
+    // thread spawn.
     std::unique_ptr<exec::TaskPool> pool;
     if (workers > 1)
         pool = std::make_unique<exec::TaskPool>(workers);
-
-    // The gate serializes cross-core shared-L2 accesses into
-    // (cycle, coreId) order; it is only needed when groups step
-    // concurrently — a single group enforces the same order by
-    // construction, and skipping the gate keeps the serial
-    // reference free of atomics.
-    std::unique_ptr<L2AccessGate> gate;
-    if (workers > 1) {
-        gate = std::make_unique<L2AccessGate>(cores);
-        for (CoreId core = 0; core < cores; ++core)
-            _system.machine(core).mem().setL2Gate(gate.get(), core);
-    }
 
     // With several slices capturing concurrently, each core traces
     // into a private shard for the duration of the run; the shards
@@ -543,26 +474,6 @@ MultiCoreSimulation::run(const RunOptions& options)
             active.push_back(std::move(ec));
         }
 
-        if (gate != nullptr) {
-            // Fresh epoch: zero every cached safe floor (commit
-            // horizons may move backwards across the barrier when
-            // a parked core becomes active again), then publish the
-            // actual starting clocks and park the idle slices so
-            // nobody waits on a core that will not step.
-            gate->reset(0);
-            std::size_t next = 0;
-            for (CoreId core = 0; core < cores; ++core) {
-                if (next < active.size() &&
-                    active[next].core == core) {
-                    gate->publish(core,
-                                  _system.simulation(core).now());
-                    ++next;
-                } else {
-                    gate->park(core);
-                }
-            }
-        }
-
         for (EpochCore& ec : active) {
             Simulation& sim = _system.simulation(ec.core);
             Simulation::RunOptions slice;
@@ -575,29 +486,44 @@ MultiCoreSimulation::run(const RunOptions& options)
             // the right sink (the user's, or this core's shard).
             ec.stepper = std::make_unique<Simulation::Stepper>(
                 sim, slice);
-            if (gate != nullptr)
-                ec.stepper->attachGate(gate.get(), ec.core);
         }
 
         if (!active.empty()) {
-            std::atomic<bool> cancel_flag{false};
-            // One contiguous run of active slices per worker. The
-            // split never affects results, only which thread steps
-            // which slice: the gate orders shared-L2 accesses
-            // between groups, and nothing else couples the slices.
+            // Quanta from the epoch start, the last one clipped at
+            // the edge; one core has no shared L2 and steps the
+            // epoch as a single quantum. Each quantum steps every
+            // slice to its end, in one contiguous group of slices
+            // per worker, then the barrier merges the L2 logs.
+            const Cycle quantum =
+                cores > 1 ? kL2QuantumCycles : epoch_cycles;
             const std::size_t n = active.size();
             const std::size_t groups =
                 std::min<std::size_t>(workers, n);
             EpochCore* const slices = active.data();
-            if (groups == 1) {
-                stepGroup(slices, slices + n, gate.get(),
-                          cancel_flag);
-            } else {
-                pool->parallelFor(groups, [&](std::size_t g) {
-                    stepGroup(slices + g * n / groups,
-                              slices + (g + 1) * n / groups,
-                              gate.get(), cancel_flag);
-                });
+            for (Cycle edge = _clock; edge < target;) {
+                edge = std::min(target, edge + quantum);
+                if (groups == 1) {
+                    stepQuantum(slices, slices + n, edge);
+                } else {
+                    pool->parallelFor(groups, [&](std::size_t g) {
+                        stepQuantum(slices + g * n / groups,
+                                    slices + (g + 1) * n / groups,
+                                    edge);
+                    });
+                }
+                _system.l2Barrier();
+                // A cancel observed by any slice (on its
+                // deterministic check lattice) stops the whole
+                // chip; a cancelled run makes no bit-identity
+                // promises.
+                bool stepping = false;
+                bool stop = false;
+                for (const EpochCore& ec : active) {
+                    stepping = stepping || !ec.stepper->done();
+                    stop = stop || ec.stepper->cancelled();
+                }
+                if (stop || !stepping)
+                    break;
             }
             // Epilogues in core order: each finish() lands the
             // slice's batched accounting deterministically.
@@ -626,10 +552,6 @@ MultiCoreSimulation::run(const RunOptions& options)
             rebalance(window, sink);
     }
 
-    if (gate != nullptr) {
-        for (CoreId core = 0; core < cores; ++core)
-            _system.machine(core).mem().setL2Gate(nullptr, 0);
-    }
     if (shard_tracing)
         _system.setTraceSink(sink);
 

@@ -18,13 +18,13 @@
  * placements, and performs the migrations (draining the process's
  * in-flight µops out of the old core, thread rebinding and
  * process-ownership transfer) at the edge. Inside an epoch the
- * slices are stepped so that cross-core accesses to the shared L2
- * land in global (cycle, coreId) order — serially by interleaving
- * the slices in that order, or on worker threads where each core
- * runs ahead until its next potential L2 access would overtake a
- * peer's published commit horizon (RunOptions::stepThreads, see
- * L2AccessGate and DESIGN.md §11). Everything is a function of the
- * configuration — never of the thread count — so runs are
+ * slices step in quanta of kL2QuantumCycles: during a quantum every
+ * slice runs freely, reading the shared L2 as it stood at the
+ * quantum start plus its own accesses, and at the barrier the
+ * slices' logged accesses are applied to the shared L2 in
+ * (cycle, coreId) order (serially, or on worker threads with
+ * RunOptions::stepThreads; DESIGN.md §11). Everything is a function
+ * of the configuration — never of the thread count — so runs are
  * bit-reproducible; with one core and the static-pin policy the
  * driver degenerates to the plain single-machine Simulation and is
  * bit-identical to it.
@@ -84,6 +84,14 @@ class MultiCoreSystem
 
     /** @return the shared L2 (nullptr when cores == 1). */
     Cache* sharedL2() { return _sharedL2.get(); }
+
+    /**
+     * The quantum barrier: apply every slice's logged shared-L2
+     * accesses to the shared L2 in (cycle, coreId, program) order,
+     * then start the next quantum on every slice. Call with no
+     * slice stepping. No-op with one core.
+     */
+    void l2Barrier();
 
     /** Attach @p sink to every slice (nullptr detaches). */
     void setTraceSink(trace::TraceSink* sink);
@@ -173,6 +181,12 @@ struct MultiRunResult
 class MultiCoreSimulation
 {
   public:
+    /**
+     * Length of the shared-L2 quantum: a core sees a peer's L2 fill
+     * at most this many cycles late (DESIGN.md §11).
+     */
+    static constexpr Cycle kL2QuantumCycles = 2'000;
+
     /** Options controlling one run() call. */
     struct RunOptions
     {
@@ -187,18 +201,15 @@ class MultiCoreSimulation
         /** Simulated-cycle spacing of cancellation checks. */
         Cycle cancelCheckIntervalCycles = 65536;
         /**
-         * Worker threads stepping core slices inside each epoch.
+         * Worker threads stepping core slices inside each quantum.
          * 1 (the default) is the serial reference: one thread
-         * interleaves the slices in deterministic (cycle, coreId)
-         * order. 0 (auto) uses one worker per host hardware thread
-         * and N > 1 uses N; both are clamped to the core count.
-         * Callers that already fan cells out over a TaskPool pass
-         * 1 (see runPairMatrix). Every setting
-         * produces bit-identical results — parallel stepping
-         * serializes shared-L2 accesses into the same
-         * (cycle, coreId) order the serial reference uses (see
-         * L2AccessGate) — so the choice is purely a wall-clock
-         * knob.
+         * steps the slices to each barrier in core order. 0 (auto)
+         * uses one worker per host hardware thread and N > 1 uses
+         * N; both are clamped to the core count. Callers that
+         * already fan cells out over a TaskPool pass 1 (see
+         * runPairMatrix). Every setting produces bit-identical
+         * results — nothing couples two slices between barriers —
+         * so the choice is purely a wall-clock knob.
          */
         std::uint32_t stepThreads = 1;
     };

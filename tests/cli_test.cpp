@@ -551,6 +551,36 @@ TEST(CliSweep, MultiCoreSweepCheckpointsItsTopology)
     std::remove(manifest.c_str());
 }
 
+TEST(CliSweep, ResumeRefusesAManifestFromAnotherL2Contract)
+{
+    // A chip manifest records its shared-L2 contract. One written
+    // before the quantum barrier carries no l2 field; resuming it
+    // would mix two models in one table, so it must be refused.
+    const std::string manifest =
+        testing::TempDir() + "jsmt_cli_l2_contract_manifest.json";
+    std::remove(manifest.c_str());
+    const std::string sweep =
+        binary() + " --sweep jess --scale 0.02 --cores 2 "
+                   "--alloc round-robin --resume \"" +
+        manifest + "\"";
+    const CommandResult cold = runCommand(sweep + " 2>/dev/null");
+    ASSERT_EQ(cold.status, 0) << cold.output;
+    std::ifstream in(manifest);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_TRUE(contains(text, "cores=2;alloc=round-robin;l2=quantum"))
+        << text;
+
+    runCommand("sed -i 's/;l2=quantum//' \"" + manifest + "\"");
+    const CommandResult mismatch = runCommand(sweep + " 2>&1");
+    EXPECT_EQ(mismatch.status, kUsageError) << mismatch.output;
+    EXPECT_TRUE(contains(mismatch.output, "topology"))
+        << mismatch.output;
+    EXPECT_TRUE(contains(mismatch.output, "l2=quantum"))
+        << mismatch.output;
+    std::remove(manifest.c_str());
+}
+
 TEST(CliSweep, SigkilledSweepResumesBitIdentically)
 {
     const std::string manifest =

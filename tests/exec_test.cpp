@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the parallel experiment engine: TaskPool scheduling and
- * exception semantics, the result store (memo, spill and manifest
- * roles, and its fault handling), and the
+ * exception semantics, the shared-L2 quantum view the parallel
+ * stepping engine relies on, the result store (memo, spill and
+ * manifest roles, and its fault handling), and the
  * determinism gate — the same measurements must be bit-identical
  * whether they run serially, across many jobs, or replay from the
  * cache.
@@ -15,7 +16,6 @@
 #include <fstream>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/fileio.h"
@@ -25,7 +25,8 @@
 #include "expect_identical.h"
 #include "harness/solo.h"
 #include "jvm/benchmarks.h"
-#include "mem/l2_gate.h"
+#include "mem/memory_system.h"
+#include "os/allocation/multi_core.h"
 
 namespace jsmt {
 namespace {
@@ -100,43 +101,101 @@ TEST(TaskPool, JobResolutionHonorsEnvironment)
     EXPECT_GE(TaskPool::resolveJobs(0), 1u);
 }
 
-TEST(L2Gate, ColdStartSerializesSharedAccessesInKeyOrder)
+// ---------------------------------------------------------------
+// The shared-L2 quantum view: between barriers each chip slice reads
+// the shared L2 as it stood at the quantum start plus its own
+// accesses; the barrier applies the logs in (cycle, coreId) order.
+// ---------------------------------------------------------------
+
+/** A chip whose one-line L1d sends every line switch to the L2. */
+MultiCoreConfig
+oneLineL1Chip(std::uint32_t cores)
 {
-    // Every core starts the epoch at cycle 0 with nothing committed
-    // (reset(0)). The contract says cycle 0's accesses still happen
-    // in ascending core id — the regression here was a fresh gate
-    // treating "no peer has committed anything" as a passable floor
-    // and letting all cores through at once. The appends below are
-    // deliberately unsynchronized: the gate's happens-before chain
-    // is the only thing ordering them, so a hole shows up both as
-    // an out-of-order key sequence and as a tsan data race.
-    constexpr std::uint32_t kCores = 4;
-    constexpr Cycle kCycles = 64;
-    L2AccessGate gate(kCores);
-    gate.reset(0);
+    MultiCoreConfig config;
+    config.cores = cores;
+    config.system.mem.l1dBytes = 64;
+    config.system.mem.l1dWays = 1;
+    return config;
+}
 
-    std::vector<std::pair<Cycle, std::uint32_t>> keys;
-    keys.reserve(kCores * kCycles);
-    std::vector<std::thread> threads;
-    threads.reserve(kCores);
-    for (std::uint32_t core = 0; core < kCores; ++core) {
-        threads.emplace_back([&gate, &keys, core] {
-            for (Cycle cycle = 0; cycle < kCycles; ++cycle) {
-                gate.publish(core, cycle);
-                gate.await(core);
-                keys.emplace_back(cycle, core);
-            }
-            gate.park(core);
-        });
-    }
-    for (std::thread& thread : threads)
-        thread.join();
+constexpr Asid kAsid = 1;
+constexpr Addr kLineA = 0x10000;
+constexpr Addr kLineB = kLineA + 64;
 
-    ASSERT_EQ(keys.size(), kCores * kCycles);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        EXPECT_EQ(keys[i].first, i / kCores) << "append " << i;
-        EXPECT_EQ(keys[i].second, i % kCores) << "append " << i;
-    }
+/** @return whether a load of @p vaddr hit in the L2 (it misses L1). */
+bool
+loadHitsL2(MemorySystem& mem, Addr vaddr)
+{
+    const DataAccessResult result =
+        mem.dataAccess(kAsid, vaddr, 0, false, 0);
+    EXPECT_FALSE(result.l1Hit);
+    return result.l2Hit;
+}
+
+TEST(L2Quantum, OwnFillHitsLaterInTheSameQuantum)
+{
+    MultiCoreSystem chip(oneLineL1Chip(2));
+    MemorySystem& mem = chip.machine(0).mem();
+    EXPECT_FALSE(loadHitsL2(mem, kLineA));
+    EXPECT_FALSE(loadHitsL2(mem, kLineB));
+    EXPECT_TRUE(loadHitsL2(mem, kLineA));
+    // The fill lives in the slice's overlay; the shared L2 is
+    // untouched until the barrier applies the log.
+    const Addr paddr = mem.translate(kAsid, kLineA);
+    EXPECT_FALSE(chip.sharedL2()->lookup(kAsid, paddr, 0));
+    chip.l2Barrier();
+    EXPECT_TRUE(chip.sharedL2()->lookup(kAsid, paddr, 0));
+    EXPECT_TRUE(mem.l2Log().empty());
+}
+
+TEST(L2Quantum, PeerFillIsInvisibleUntilTheBarrier)
+{
+    MultiCoreSystem chip(oneLineL1Chip(2));
+    MemorySystem& core0 = chip.machine(0).mem();
+    MemorySystem& core1 = chip.machine(1).mem();
+    EXPECT_FALSE(loadHitsL2(core0, kLineA));
+    EXPECT_FALSE(loadHitsL2(core0, kLineB));
+    EXPECT_FALSE(loadHitsL2(core1, kLineA));
+    chip.l2Barrier();
+    // Line B was filled by core 0 alone.
+    EXPECT_TRUE(loadHitsL2(core1, kLineB));
+}
+
+TEST(L2Quantum, BarrierMergesInCycleThenCoreOrder)
+{
+    // One set of two ways: the LRU victim of the third fill names
+    // the order the barrier applied the logs in.
+    MultiCoreConfig config;
+    config.cores = 2;
+    config.system.mem.l2Bytes = 128;
+    config.system.mem.l2Ways = 2;
+    MultiCoreSystem chip(config);
+    std::vector<L2LogEntry>& log0 = chip.machine(0).mem().l2Log();
+    std::vector<L2LogEntry>& log1 = chip.machine(1).mem().l2Log();
+    const Cache& shared = *chip.sharedL2();
+    const auto line = [](Addr n) { return n * 64; };
+    const auto resident = [&](Addr n) {
+        return shared.lookup(kAsid, line(n), 0);
+    };
+
+    // Cycle order: B (3, core 1), A (5, core 0), C (5, core 1), so
+    // C evicts B. Core order would apply A, B, C and evict A.
+    log0 = {{5, line(0), kAsid, 0}};
+    log1 = {{3, line(1), kAsid, 0}, {5, line(2), kAsid, 0}};
+    chip.l2Barrier();
+    EXPECT_TRUE(resident(0));
+    EXPECT_FALSE(resident(1));
+    EXPECT_TRUE(resident(2));
+
+    // A cycle tie goes to the lower core: D (9, core 0) evicts A,
+    // E (9, core 1) evicts C, F (10, core 0) evicts D. The reverse
+    // tie order would evict E instead.
+    log0 = {{9, line(3), kAsid, 0}, {10, line(5), kAsid, 0}};
+    log1 = {{9, line(4), kAsid, 0}};
+    chip.l2Barrier();
+    EXPECT_FALSE(resident(3));
+    EXPECT_TRUE(resident(4));
+    EXPECT_TRUE(resident(5));
 }
 
 TEST(RunCache, MissComputesAndHitReplays)

@@ -388,12 +388,13 @@ TEST(MigrationInvariants,
      HoldAtSupervisorCancellationPointsUnderParallelStepping)
 {
     // The parallel-stepping variant of the cancellation test: the
-    // deadline passes while worker threads are mid-epoch behind the
-    // L2AccessGate. Cancellation parks every in-flight slice, so
-    // the chip must come to rest consistent — and a chip cancelled
-    // under 4 step threads must resume cleanly under the serial
-    // reference engine (thread count is a wall-clock knob, never
-    // state).
+    // deadline passes while worker threads are mid-quantum. Each
+    // slice stops at its own check edge, the quantum's barrier
+    // still merges every logged shared-L2 access, and the chip
+    // stops there, so it must come to rest consistent — and a chip
+    // cancelled under 4 step threads must resume cleanly under the
+    // serial reference engine (thread count is a wall-clock knob,
+    // never state).
     exec::TaskPool pool(2);
     pool.run(
         2,
