@@ -147,7 +147,8 @@ TaskPool::workerLoop()
     std::uint64_t seen = 0;
     for (;;) {
         spinWhile(kSpinMicros, [&] {
-            return _generation.load(std::memory_order_relaxed) == seen;
+            return _generation.load(std::memory_order_relaxed) == seen &&
+                   !_shutdown.load(std::memory_order_relaxed);
         });
         std::unique_lock<std::mutex> lock(_mutex);
         _wake.wait(lock, [&] {

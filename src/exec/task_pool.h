@@ -120,7 +120,7 @@ class BatchError : public std::runtime_error
  * (the calling thread works on the batch too, so a pool of J jobs
  * uses J threads total, not J+1). Nested batches on the same pool
  * are not supported. Idle threads poll for kSpinMicros before they
- * block, so a caller that issues short batches back to back (the
+ * block, so a caller that submits short batches back to back (the
  * multi-core engine's quanta) finds its workers awake.
  */
 class TaskPool
@@ -237,7 +237,7 @@ class TaskPool
     std::condition_variable _batchDone;
     // Written under _mutex; atomic so idle threads can poll them.
     std::atomic<std::uint64_t> _generation{0};
-    bool _shutdown = false;
+    std::atomic<bool> _shutdown{false};
 
     // State of the in-flight batch (valid while _task != nullptr;
     // all fields written under _mutex).

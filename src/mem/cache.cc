@@ -133,21 +133,15 @@ Cache::lookup(Asid asid, Addr addr, ContextId ctx) const
 void
 Cache::beginOverlay(const Cache& base)
 {
-    if (base._numSets != _numSets || base.ways() != ways() ||
-        base._lineShift != _lineShift ||
-        base._partitioned != _partitioned)
-        fatal("cache " + _config.name +
-              ": overlay geometry differs from its base");
     _overlayStamp.resize(_numSets);
     ++_overlayQuantum;
     _useClock = base._useClock;
 }
 
 bool
-Cache::accessOverlay(const Cache& base, Asid asid, Addr addr,
-                     ContextId ctx)
+Cache::accessOverlay(const Cache& base, Asid asid, Addr addr)
 {
-    const std::uint32_t set = setIndex(addr, ctx);
+    const std::uint32_t set = setIndex(addr, 0);
     if (_overlayStamp[set] != _overlayQuantum) {
         _overlayStamp[set] = _overlayQuantum;
         const std::size_t first =
@@ -155,7 +149,7 @@ Cache::accessOverlay(const Cache& base, Asid asid, Addr addr,
         std::copy_n(base._lines.begin() + first, _config.ways,
                     _lines.begin() + first);
     }
-    return access(asid, addr, ctx);
+    return access(asid, addr, 0);
 }
 
 void

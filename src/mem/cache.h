@@ -146,8 +146,8 @@ class Cache
      * sets the slice touched, each copied from @p base on first
      * touch and then updated by the slice's own fills and LRU
      * hits, while @p base stays read-only. Both caches must share
-     * one geometry. Overlay statistics count the slice's view and
-     * mean nothing chip-wide.
+     * one geometry and neither may be set-partitioned. Overlay
+     * statistics count the slice's view and mean nothing chip-wide.
      */
     ///@{
     /**
@@ -158,8 +158,7 @@ class Cache
     void beginOverlay(const Cache& base);
 
     /** access() through the overlay of @p base. */
-    bool accessOverlay(const Cache& base, Asid asid, Addr addr,
-                       ContextId ctx);
+    bool accessOverlay(const Cache& base, Asid asid, Addr addr);
     ///@}
 
   private:

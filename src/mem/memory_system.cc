@@ -191,8 +191,8 @@ MemorySystem::accessL2Line(Asid asid, Addr paddr, ContextId ctx,
         // Chip slice: the shared L2 is read-only between barriers,
         // so read it through this quantum's overlay and log the
         // access for the barrier to apply (DESIGN.md §11).
-        l2_hit = _l2.accessOverlay(*_l2use, asid, paddr, ctx);
-        _l2Log.push_back({_l2Clock, paddr, asid, ctx});
+        l2_hit = _l2.accessOverlay(*_l2use, asid, paddr);
+        _l2Log.push_back({_l2Clock, paddr, asid});
     } else {
         l2_hit = _l2.access(asid, paddr, ctx);
     }

@@ -82,13 +82,15 @@ struct DataAccessResult
     bool l2Hit = true;
 };
 
-/** One shared-L2 access a chip slice made in the current quantum. */
+/**
+ * One shared-L2 access a chip slice made in the current quantum. The
+ * L2 is never set-partitioned, so the context plays no part.
+ */
 struct L2LogEntry
 {
     Cycle cycle = 0; ///< The slice's stepping cycle at the access.
     Addr paddr = 0;
     Asid asid = 0;
-    ContextId ctx = 0;
 };
 
 /**

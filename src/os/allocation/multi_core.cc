@@ -89,7 +89,7 @@ MultiCoreSystem::l2Barrier()
         if (pick == nullptr)
             break;
         const L2LogEntry& entry = *pick->at++;
-        _sharedL2->access(entry.asid, entry.paddr, entry.ctx);
+        _sharedL2->access(entry.asid, entry.paddr, 0);
     }
     for (auto& machine : _machines) {
         machine->mem().l2Log().clear();
@@ -417,10 +417,9 @@ MultiCoreSimulation::run(const RunOptions& options)
                 : std::max(1u, std::thread::hardware_concurrency());
         workers = std::min(want, cores);
     }
-    // The pool persists across quanta (TaskPool's workers sleep on
-    // a condition variable between batches), so the per-quantum
-    // cost of parallel stepping is one wake/notify round, not a
-    // thread spawn.
+    // The pool persists across quanta (TaskPool's workers wait
+    // between batches), so the per-quantum cost of parallel
+    // stepping is one batch hand-off, not a thread spawn.
     std::unique_ptr<exec::TaskPool> pool;
     if (workers > 1)
         pool = std::make_unique<exec::TaskPool>(workers);

@@ -180,8 +180,8 @@ TEST(L2Quantum, BarrierMergesInCycleThenCoreOrder)
 
     // Cycle order: B (3, core 1), A (5, core 0), C (5, core 1), so
     // C evicts B. Core order would apply A, B, C and evict A.
-    log0 = {{5, line(0), kAsid, 0}};
-    log1 = {{3, line(1), kAsid, 0}, {5, line(2), kAsid, 0}};
+    log0 = {{5, line(0), kAsid}};
+    log1 = {{3, line(1), kAsid}, {5, line(2), kAsid}};
     chip.l2Barrier();
     EXPECT_TRUE(resident(0));
     EXPECT_FALSE(resident(1));
@@ -190,8 +190,8 @@ TEST(L2Quantum, BarrierMergesInCycleThenCoreOrder)
     // A cycle tie goes to the lower core: D (9, core 0) evicts A,
     // E (9, core 1) evicts C, F (10, core 0) evicts D. The reverse
     // tie order would evict E instead.
-    log0 = {{9, line(3), kAsid, 0}, {10, line(5), kAsid, 0}};
-    log1 = {{9, line(4), kAsid, 0}};
+    log0 = {{9, line(3), kAsid}, {10, line(5), kAsid}};
+    log1 = {{9, line(4), kAsid}};
     chip.l2Barrier();
     EXPECT_FALSE(resident(3));
     EXPECT_TRUE(resident(4));
