@@ -8,8 +8,8 @@ Three classes of check, with very different tolerances:
   tolerance. These are properties of the simulator, not the host —
   any drift means the workload or the cycle-accurate model changed,
   which is a correctness regression masquerading as a perf delta
-  (fast-forward and the retire-only slim path are required to be
-  bit-identical to the cycle-by-cycle loop).
+  (fast-forward and parallel stepping are required to be
+  bit-identical to the cycle-by-cycle serial loop).
 
 * Host-relative throughput (serial_mcycles_per_sec): wide tolerance,
   default 50%. The committed baseline was measured on one machine;

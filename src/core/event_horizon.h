@@ -4,8 +4,8 @@
  *
  * Aggregates the next-event cycles of every simulator clock — the OS
  * scheduler (pending dispatches, quantum expiries), the SMT core
- * (ROB-head completions, fetch gates, window-resource frees, all via
- * the fused CoreBounds) and the driver's own sampling/cancellation
+ * (ROB-head completions, fetch gates and flushes, all via
+ * SmtCore::stallBound) and the driver's own sampling/cancellation
  * lattices — and decides how far the clock may jump in one step.
  * See DESIGN.md §9 for the contract: components may only *shrink* a
  * published horizon by bumping the scheduler state epoch (directly

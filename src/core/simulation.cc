@@ -168,18 +168,10 @@ Simulation::Stepper::advance(Cycle bound)
     Machine& machine = sim._machine;
     SmtCore& core = machine.core();
 
-    // _retireOnlyUntil: cycles below it provably perform no
-    // allocation and need no scheduler tick (see the probe below);
-    // they take the slim retire-only path. Tracing disables it: the
-    // slim path elides the per-cycle stall spans a traced run would
-    // emit. The bound carries across advance() calls — it is a
-    // property of the machine state, not of the stepping grain.
-    //
     // Loop invariants are read once here; the stop flag and the live
     // set change only at the edge checks and the completion scan.
     const Cycle limit = std::min(bound, _horizon.end());
     const bool fast_forward = _options.fastForward;
-    const Cycle slim_cap = _tracing ? 0 : kNoCycle;
 
     while (sim._cycle < limit && !_stopRequested &&
            !sim.allProcessesComplete()) {
@@ -187,16 +179,11 @@ Simulation::Stepper::advance(Cycle bound)
         if (_l2View != nullptr)
             _l2View->stampL2Clock(sim._cycle);
 
-        SmtCore::CycleOutcome outcome;
-        if (sim._cycle < _retireOnlyUntil) {
-            outcome = core.retireOnlyCycle(sim._cycle);
-        } else {
-            if (_horizon.schedulerDue(sim._cycle)) {
-                machine.scheduler().tick(sim._cycle);
-                _horizon.noteTicked();
-            }
-            outcome = core.cycle(sim._cycle);
+        if (_horizon.schedulerDue(sim._cycle)) {
+            machine.scheduler().tick(sim._cycle);
+            _horizon.noteTicked();
         }
+        const SmtCore::CycleOutcome outcome = core.cycle(sim._cycle);
         ++sim._cycle;
 
         // One compare covers both lattices on ordinary cycles.
@@ -274,36 +261,18 @@ Simulation::Stepper::advance(Cycle bound)
                     : nullptr);
             // When every context is provably stalled until a known
             // future cycle, jump the clock there and bulk-account
-            // the skipped cycles instead of simulating them.
-            const Cycle sched_bound =
-                _horizon.schedulerBound(sim._cycle);
-            const SmtCore::CoreBounds core_bounds =
-                core.bounds(sim._cycle);
-            const Cycle jump_bound =
-                std::min(core_bounds.stall, sched_bound);
-            Cycle alloc_bound = core_bounds.alloc;
-            if (jump_bound > sim._cycle) {
-                // Capped one cycle short of the next sample and
-                // cancellation edges so both fire on the exact
-                // clock edge the cycle-by-cycle path would produce.
-                const Cycle target =
-                    std::min(jump_bound, _horizon.jumpCap());
-                if (target > sim._cycle) {
-                    core.fastForwardAccount(sim._cycle, target);
-                    sim._cycle = target;
-                    // The clock moved: slot parity and fetch gates
-                    // are relative to the new cycle.
-                    alloc_bound = core.allocBound(sim._cycle);
-                }
+            // the skipped cycles instead of simulating them. The
+            // jump is capped one cycle short of the next sample and
+            // cancellation edges so both fire on the exact clock
+            // edge the cycle-by-cycle path would produce.
+            const Cycle target =
+                std::min({core.stallBound(sim._cycle),
+                          _horizon.schedulerBound(sim._cycle),
+                          _horizon.jumpCap()});
+            if (target > sim._cycle) {
+                core.fastForwardAccount(sim._cycle, target);
+                sim._cycle = target;
             }
-            // Windows that retire but provably cannot allocate take
-            // the slim path. Re-derived after every slim cycle, so
-            // any state change a retirement causes (a woken thread,
-            // a freed window slot) invalidates the bound before the
-            // next iteration uses it; a scheduler event inside the
-            // window is impossible (sched_bound caps it).
-            _retireOnlyUntil =
-                std::min({alloc_bound, sched_bound, slim_cap});
             clock.lap(&StageProfiler::fastForwardSeconds);
         }
     }

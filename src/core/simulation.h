@@ -253,7 +253,6 @@ class Simulation::Stepper
     StageProfiler* _profiler = nullptr;
     bool _stopRequested = false;
     bool _cancelled = false;
-    Cycle _retireOnlyUntil = 0;
     /** The slice's shared-L2 view; null off a chip. */
     MemorySystem* _l2View = nullptr;
     std::vector<JavaProcess*> _justCompleted;

@@ -303,7 +303,6 @@ SmtCore::retireEach(const RobRing& rob, std::uint32_t uops, Cycle now)
     }
 }
 
-template <bool kProfiled>
 std::uint32_t
 SmtCore::allocFromContext(ContextId ctx, Cycle now,
                           std::uint32_t budget)
@@ -367,7 +366,7 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
             const bool stale_trace =
                 fe.bundle.rebuildProb > 0.0f &&
                 _rng.chance(fe.bundle.rebuildProb);
-            StageClock<kProfiled> clock(_memoryProbe);
+            StageStopwatch clock(_memoryProbe);
             const FetchLineResult fetch = _mem.fetchLine(
                 fe.bundle.asid, fe.bundle.lineVaddr,
                 fe.bundle.traceAddr, ctx, now, stale_trace);
@@ -428,7 +427,7 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
             if (is_load | is_store) {
                 // Stores are buffered: they affect the caches, not
                 // the critical path.
-                StageClock<kProfiled> clock(_memoryProbe);
+                StageStopwatch clock(_memoryProbe);
                 const DataAccessResult access =
                     _mem.dataAccess(fe.bundle.asid, uop.dataVaddr,
                                     ctx, is_store, ready);
@@ -489,7 +488,6 @@ SmtCore::allocFromContext(ContextId ctx, Cycle now,
     return used;
 }
 
-template <bool kProfiled>
 std::uint32_t
 SmtCore::fetchAllocStage(Cycle now)
 {
@@ -505,7 +503,7 @@ SmtCore::fetchAllocStage(Cycle now)
     ContextId ctx = first;
     if (contexts > 1 && _scheduler.active(first) == nullptr)
         ctx = static_cast<ContextId>((first + 1) & 1);
-    return allocFromContext<kProfiled>(ctx, now, budget);
+    return allocFromContext(ctx, now, budget);
 }
 
 void
@@ -559,16 +557,15 @@ SmtCore::flushAccounting()
         _pmu.recordBulk(EventId::kSingleThreadCycles, 0, n);
 }
 
-template <bool kProfiled>
 SmtCore::CycleOutcome
-SmtCore::cycleStages(Cycle now)
+SmtCore::cycle(Cycle now)
 {
     CycleOutcome outcome;
     _threadEvent = false;
-    StageClock<kProfiled> clock(sampleProbes<kProfiled>());
+    StageStopwatch clock(sampleProbes());
     retireStage(now);
     clock.lap(&StageProfiler::retireSeconds);
-    outcome.allocated = fetchAllocStage<kProfiled>(now);
+    outcome.allocated = fetchAllocStage(now);
     clock.lap(&StageProfiler::fetchAllocSeconds);
     accountWindow(1);
     clock.lap(&StageProfiler::accountSeconds);
@@ -576,31 +573,10 @@ SmtCore::cycleStages(Cycle now)
     return outcome;
 }
 
-SmtCore::CycleOutcome
-SmtCore::cycle(Cycle now)
-{
-    // The one profiler check of the cycle: the unprofiled variant
-    // carries no timer code at all.
-    return _profiler != nullptr ? cycleStages<true>(now)
-                                : cycleStages<false>(now);
-}
-
 Cycle
 SmtCore::stallBound(Cycle now) const
 {
-    return bounds(now).stall;
-}
-
-Cycle
-SmtCore::allocBound(Cycle now) const
-{
-    return bounds(now).alloc;
-}
-
-SmtCore::CoreBounds
-SmtCore::bounds(Cycle now) const
-{
-    CoreBounds b;
+    Cycle bound = kNoCycle;
     const std::uint32_t contexts = activeContexts();
     // With both contexts occupied, the P4-style alternation gives a
     // context the allocation slot only on cycles of its parity (a
@@ -616,20 +592,16 @@ SmtCore::bounds(Cycle now) const
     for (ContextId ctx = 0; ctx < contexts; ++ctx) {
         const ContextState& cs = _ctx[ctx];
         // Incrementally maintained ROB-head completion (kNoCycle
-        // when the ROB is empty) — no ring access here. Retirements
-        // cut the stall bound only; the alloc bound ignores them
-        // unless allocation is resource-blocked (below).
+        // when the ROB is empty) — no ring access here.
         const Cycle head = cs.headCompletion;
         if (head != kNoCycle)
-            b.stall = std::min(b.stall, head > now ? head : now);
+            bound = std::min(bound, head > now ? head : now);
         const SoftwareThread* thread = _scheduler.active(ctx);
         if (!thread)
             continue;
         if (thread != cs.lastThread) {
-            // Context-switch flush not yet taken: both bounds cut.
-            b.stall = now;
-            b.alloc = now;
-            return b;
+            // Context-switch flush not yet taken.
+            return now;
         }
         const ThreadFrontEnd& fe =
             const_cast<SoftwareThread*>(thread)->frontEnd();
@@ -644,69 +616,21 @@ SmtCore::bounds(Cycle now) const
         if (gate > now || !fe.valid) {
             // Fetch-gated, or a new trace line could be fetched at
             // the next owned slot.
-            b.stall = std::min(b.stall, at);
-            b.alloc = std::min(b.alloc, at);
+            bound = std::min(bound, at);
             continue;
         }
-        // Line ready but the window may have no room. For the stall
-        // bound the retirement that frees a slot is already covered
-        // by a ROB-head bound (a full queue implies a non-empty
-        // ROB). For the alloc bound the earliest possibly-unblocking
-        // event is the first retirement — the ROB head (either
-        // context's under the shared dynamic partition). The head
-        // may not free the right resource; the bound only needs to
-        // be conservative (no later than the true alloc cycle).
+        // Line ready. When the window has no room, the retirement
+        // that frees a slot is already covered by a ROB-head bound
+        // (a full queue implies a non-empty ROB).
         const Uop& uop = fe.bundle.uops[fe.pos];
         const bool blocked =
             robFull(ctx) ||
             (uop.type == UopType::kLoad && ldqFull(ctx)) ||
             (uop.type == UopType::kStore && stqFull(ctx));
-        if (!blocked) {
-            b.stall = std::min(b.stall, at);
-            b.alloc = std::min(b.alloc, at);
-        } else {
-            Cycle h = cs.headCompletion;
-            if (_dynamicShared)
-                h = std::min(h, _ctx[ctx ^ 1].headCompletion);
-            Cycle aat = h > now ? h : now;
-            if (alternating && (aat & 1) != ctx)
-                ++aat;
-            b.alloc = std::min(b.alloc, aat);
-        }
+        if (!blocked)
+            bound = std::min(bound, at);
     }
-    return b;
-}
-
-template <bool kProfiled>
-SmtCore::CycleOutcome
-SmtCore::retireOnlyStages(Cycle now)
-{
-    CycleOutcome outcome;
-    _threadEvent = false;
-    StageClock<kProfiled> clock(sampleProbes<kProfiled>());
-    retireStage(now);
-    clock.lap(&StageProfiler::retireSeconds);
-    // Replicate the one stall event the slot-owning context would
-    // have recorded in fetchAllocStage (the window precondition
-    // guarantees it cannot allocate or call nextBundle this cycle).
-    const std::uint32_t contexts = activeContexts();
-    ContextId ctx =
-        contexts > 1 ? static_cast<ContextId>(now & 1) : 0;
-    if (contexts > 1 && _scheduler.active(ctx) == nullptr)
-        ctx = static_cast<ContextId>((ctx + 1) & 1);
-    if (_scheduler.active(ctx) != nullptr)
-        _pmu.record(stallEventFor(ctx, now), ctx);
-    accountWindow(1);
-    clock.lap(&StageProfiler::accountSeconds);
-    outcome.threadEvent = _threadEvent;
-    return outcome;
-}
-
-SmtCore::CycleOutcome
-SmtCore::retireOnlyCycle(Cycle now)
-{
-    return _profiler != nullptr ? retireOnlyStages<true>(now)
-                                : retireOnlyStages<false>(now);
+    return bound;
 }
 
 EventId

@@ -115,50 +115,6 @@ class SmtCore
     Cycle stallBound(Cycle now) const;
 
     /**
-     * Earliest future cycle at which any context could allocate a
-     * µop or take a front-end action (context-switch flush, trace
-     * fetch, nextBundle call), assuming the scheduler takes no
-     * action in between. Unlike stallBound(), retirements due in
-     * the window do not cut it short: a window [now, allocBound)
-     * may retire µops but provably performs no allocation, so the
-     * driver can run it through retireOnlyCycle() instead of the
-     * full per-cycle path. Returns @p now when an allocation or
-     * front-end action may happen this cycle. O(1), like
-     * stallBound().
-     */
-    Cycle allocBound(Cycle now) const;
-
-    /** Both driver bounds from one pass over the context state. */
-    struct CoreBounds
-    {
-        /** stallBound(): earliest possible progress of any kind. */
-        Cycle stall = kNoCycle;
-        /** allocBound(): earliest possible allocation/front-end
-         * action (retirements do not cut it). */
-        Cycle alloc = kNoCycle;
-    };
-
-    /**
-     * Compute stallBound() and allocBound() together. The
-     * simulation driver probes both after every executed cycle, and
-     * the two bounds read the same per-context state, so the fused
-     * form halves the hot probe cost.
-     */
-    CoreBounds bounds(Cycle now) const;
-
-    /**
-     * Advance one cycle of a provably allocation-free window (see
-     * allocBound): runs the retire stage, records the stall event
-     * the slot-owning context would have recorded, and accounts the
-     * cycle — exactly what cycle() would do on such a cycle, minus
-     * the front-end walk. Only valid when allocBound(now) > now and
-     * the scheduler provably takes no action at @p now; the caller
-     * must re-derive both bounds after any cycle that retires (a
-     * retirement can wake threads and free window resources).
-     */
-    CycleOutcome retireOnlyCycle(Cycle now);
-
-    /**
      * Account a fast-forwarded window of cycles [@p from, @p to):
      * bulk-record exactly the PMU events the per-cycle path would
      * have recorded for stalled cycles (kCycles, the retire-0
@@ -417,15 +373,7 @@ class SmtCore
         std::uint32_t stq = 0;
     };
 
-    // The cycle path is compiled twice: the unprofiled variant
-    // carries no profiling code at all; in a profiled run every
-    // cycle takes the profiled one, so sampled cycles run the same
-    // code (branch-predictor and cache state) as unsampled ones and
-    // only the clock reads depend on the sample.
-    template <bool kProfiled> CycleOutcome cycleStages(Cycle now);
-    template <bool kProfiled> CycleOutcome retireOnlyStages(Cycle now);
-    template <bool kProfiled> std::uint32_t fetchAllocStage(Cycle now);
-    template <bool kProfiled>
+    std::uint32_t fetchAllocStage(Cycle now);
     std::uint32_t allocFromContext(ContextId ctx, Cycle now,
                                    std::uint32_t budget);
 
@@ -433,20 +381,17 @@ class SmtCore
      * Start a cycle's profiling: counts the cycle, points
      * _memoryProbe at the profiler when this cycle samples the
      * memory walks, and @return the profiler when it samples the
-     * stages (null otherwise, and always when !kProfiled).
+     * stages (null otherwise, and always when detached).
      */
-    template <bool kProfiled>
     StageProfiler*
     sampleProbes()
     {
-        if constexpr (!kProfiled) {
+        if (_profiler == nullptr)
             return nullptr;
-        } else {
-            const StageProbe probe = _profiler->nextCycle();
-            _memoryProbe =
-                probe == StageProbe::kMemory ? _profiler : nullptr;
-            return probe == StageProbe::kStages ? _profiler : nullptr;
-        }
+        const StageProbe probe = _profiler->nextCycle();
+        _memoryProbe =
+            probe == StageProbe::kMemory ? _profiler : nullptr;
+        return probe == StageProbe::kStages ? _profiler : nullptr;
     }
 
     void

@@ -4,8 +4,8 @@
  * surfaced by `jsmt_run --profile`.
  *
  * A StageProfiler is attached to the core with
- * SmtCore::setProfiler(); when detached (the default) the core runs
- * a cycle path compiled without any timer code. When attached, one
+ * SmtCore::setProfiler(); when detached (the default) the core's
+ * stopwatches are null and read no clock. When attached, one
  * executed cycle in kSamplePeriod is timed, alternately stage by
  * stage or walk by walk through the memory system, and each measured
  * interval is scaled to the whole run, so the fields estimate the
@@ -153,26 +153,6 @@ class StageStopwatch
     StageProfiler* _profiler;
     ClockType::time_point _start{};
     double _readSeconds = 0.0;
-};
-
-/**
- * Compile-time form of StageStopwatch for the core's cycle path,
- * which is compiled twice: kProfiled = false yields an empty object
- * (no checks, no clock reads), kProfiled = true is a StageStopwatch.
- */
-template <bool kProfiled>
-class StageClock
-{
-  public:
-    explicit StageClock(StageProfiler*) {}
-    void lap(double StageProfiler::*) {}
-};
-
-template <>
-class StageClock<true> : public StageStopwatch
-{
-  public:
-    using StageStopwatch::StageStopwatch;
 };
 
 } // namespace jsmt

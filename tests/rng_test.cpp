@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -112,6 +113,42 @@ TEST(Rng, GeometricRespectsCap)
         EXPECT_LE(rng.geometric(0.001, 10), 10u);
     EXPECT_EQ(rng.geometric(0.0, 42), 42u);
     EXPECT_EQ(rng.geometric(1.0), 0u);
+}
+
+TEST(Rng, GeometricMatchesReferenceDraw)
+{
+    // Every (p, cap) the profiles pass to geometric() — dependence
+    // distances (java_thread.cc) and code runs (code_walker.cc) —
+    // plus edge probabilities at the default cap.
+    constexpr std::uint64_t kMaxDepDist = 120;
+    constexpr std::uint64_t kMaxCodeRun = 64;
+    std::vector<std::pair<double, std::uint64_t>> cases = {
+        {0.001, 1u << 20}, {0.5, 1u << 20}, {0.999, 1u << 20}};
+    std::vector<WorkloadProfile> profiles = {kernelProfile()};
+    for (const std::string& name : benchmarkNames())
+        profiles.push_back(benchmarkProfile(name));
+    for (const WorkloadProfile& profile : profiles) {
+        cases.emplace_back(1.0 / profile.meanDepDist, kMaxDepDist);
+        cases.emplace_back(1.0 / profile.codeMeanRun, kMaxCodeRun);
+    }
+    for (const auto& [p, cap] : cases) {
+        // The twin sees the same raw draws and computes the closed
+        // form the interval table must reproduce bit for bit.
+        Rng table(43);
+        Rng twin(43);
+        for (int i = 0; i < 1 << 20; ++i) {
+            const double u =
+                static_cast<double>(twin.next() >> 11) * 0x1.0p-53;
+            const double n =
+                std::floor(std::log1p(-u) / std::log1p(-p));
+            const std::uint64_t want =
+                n > static_cast<double>(cap)
+                    ? cap
+                    : static_cast<std::uint64_t>(n);
+            ASSERT_EQ(table.geometric(p, cap), want)
+                << "p=" << p << " cap=" << cap << " u=" << u;
+        }
+    }
 }
 
 /** Probabilities the threshold form must decide exactly. */

@@ -6,8 +6,8 @@
  * with deliberately tiny window geometries (constant wrapping, every
  * full/empty edge), check the partition-cap invariants under both
  * Hyper-Threading modes and both partition policies, verify that
- * fast-forward plus the retire-only slim path stay bit-identical to
- * the cycle-by-cycle loop at every geometry, and assert that the
+ * fast-forward stays bit-identical to the cycle-by-cycle loop at
+ * every geometry, and assert that the
  * steady-state cycle loop performs no heap allocation.
  */
 
@@ -132,8 +132,8 @@ describe(const Geometry& g, bool ht)
 // Tiny windows force the ring to wrap every few cycles and keep the
 // ROB/LDQ/STQ pinned against their caps; large ones exercise the
 // uncontended path. Every geometry must complete, respect the caps
-// and produce bit-identical results with fast-forward (and its
-// retire-only slim path) on and off, HT on and off.
+// and produce bit-identical results with fast-forward on and off,
+// HT on and off.
 TEST(RobRingStress, RandomizedGeometryBitIdentity)
 {
     std::mt19937 rng(20050314); // Fixed seed: reproducible sweep.
