@@ -1,143 +1,178 @@
 #!/usr/bin/env python3
-"""Compare a fresh micro_simulator_throughput run against the
-committed baseline (BENCH_throughput.json) and fail on regressions.
+"""Perf-smoke gate: measure the simulator's throughput and check it
+against the last line of the committed baseline, BENCH_throughput.json.
 
-Three classes of check, with very different tolerances:
+    python3 bench/check_throughput.py              # measure and gate
+    python3 bench/check_throughput.py --record ID  # append a baseline
 
-* Simulated-work identity (cycles, serial_cycles, pairs): zero
-  tolerance. These are properties of the simulator, not the host —
-  any drift means the workload or the cycle-accurate model changed,
-  which is a correctness regression masquerading as a perf delta
-  (fast-forward and parallel stepping are required to be
-  bit-identical to the cycle-by-cycle serial loop).
+Run it from anywhere after `cmake --preset release && cmake --build
+--preset release`. It runs two harnesses:
 
-* Host-relative throughput (serial_mcycles_per_sec): wide tolerance,
-  default 50%. The committed baseline was measured on one machine;
-  CI runners differ in clock, cache and contention, so a tight band
-  would only measure the runner. The band is chosen to catch
-  structural regressions — accidentally disabling fast-forward or
-  LTO costs well over 2x — while staying deaf to runner variance.
+* jsmtbench (jsmtbench/run.py, which builds itself Release+LTO):
+  solo-sweep and pair-matrix untraced, chip4-pinned traced. Each gives
+  its sim_digest and median sim_mcps; the traced chip pass adds
+  alloc.step_scaling (4-worker over serial wall time) and the
+  substrate micros, which are recorded but not gated.
+* the disabled-sink probe (build-release/bench/sink_overhead): the
+  median overhead of a disabled TraceSink over interleaved pairs (600
+  on the solo path, 300 on the 4-core round-robin chip), the cycles
+  of its runs, and the chip's Mcycles/s.
 
-* Tracing overhead (trace_overhead_pct, multicore_trace_overhead_pct):
-  absolute budget, default 2%. Each is the median of the per-pair
-  ratios over 7 interleaved plain/disabled-sink pairs measured
-  within the same process on the same host, so it is
-  machine-independent; negative values (noise) pass.
+Checks, each against the baseline line:
 
-* Step-thread scaling (step_scaling_4t): wall-clock speedup of the
-  4-core stepping engine at 4 workers over the serial reference. The
-  floor is the committed baseline's own value less a noise band
-  (default 35%), so the gate only asks for what the code has already
-  measured. It is enforced only when both the baseline and the
-  *current* host report >= 4 CPUs — a 1- or 2-CPU runner cannot
-  physically scale, and its honest number would only measure the
-  runner. The bench chip uses round-robin allocation. Its
-  migrations drain at each epoch edge, so its four cores step in
-  four groups, yet its runs on the 4-CPU reference host spread from
-  0.8x to 1.4x.
+* identity, zero tolerance: every sim_digest and the probe's cycle
+  counts. These are properties of the simulator, not the host.
+* throughput: each sim_mcps and multicore_mcycles_per_sec may drop by
+  at most THROUGHPUT_BAND. Runners differ in clock and contention; the
+  band catches structural regressions (losing fast-forward or LTO).
+* sink overhead: each median at most SINK_BUDGET_PCT, whatever the
+  baseline says.
+* step scaling: alloc.step_scaling at least the baseline less
+  SCALING_BAND, armed only when both sides have SCALING_MIN_CPUS CPUs;
+  a smaller host cannot physically scale.
 
-Multicore fields were added after the first baselines were
-committed; when the baseline lacks them, those checks are skipped so
-old baselines keep validating new builds.
-
-Usage: check_throughput.py BASELINE CURRENT [--tolerance FRAC]
-                                            [--trace-budget PCT]
-                                            [--scaling-band FRAC]
+A gated field missing from the run or from the baseline fails.
+Record mode appends the run as a new baseline line tagged with ID.
 """
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BASELINE = os.path.join(ROOT, "BENCH_throughput.json")
+PROBE = os.path.join(ROOT, "build-release", "bench", "sink_overhead")
 
-def load_summary(path):
-    """Last JSON line of the file (the bench prints one per run)."""
-    with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    if not lines:
-        raise SystemExit(f"{path}: empty")
-    return json.loads(lines[-1])
+# (workload, traced) jsmtbench passes, and each pass's time window.
+PASSES = (("solo-sweep", 0), ("pair-matrix", 0), ("chip4-pinned", 1))
+SECONDS = 10
+SEED = 1
+
+THROUGHPUT_BAND = 0.50
+SINK_BUDGET_PCT = 2.0
+SCALING_BAND = 0.35
+SCALING_MIN_CPUS = 4
+
+WORKLOADS = [w for w, _ in PASSES]
+IDENTITY = ([w + ".correct" for w in WORKLOADS]
+            + [w + ".sim_digest" for w in WORKLOADS]
+            + ["solo_cycles", "multicore_cycles"])
+THROUGHPUT = ([w + ".sim_mcps" for w in WORKLOADS]
+              + ["multicore_mcycles_per_sec"])
+SINK = ["trace_overhead_pct", "multicore_trace_overhead_pct"]
+SCALING = "alloc.step_scaling"
+GATED = IDENTITY + THROUGHPUT + SINK + [SCALING, "host_cpus"]
+MICROS = ["mem.cache_access_ns", "jvm.code_walker_ns",
+          "jvm.data_model_ns"]
+
+
+def verdict(base, cur):
+    """Failure messages for run `cur` against baseline `base`."""
+    failures = []
+    for key in GATED:
+        for side, record in (("run", cur), ("baseline", base)):
+            if key not in record:
+                failures.append(f"{key}: missing from the {side}")
+    present = [k for k in GATED if k in cur and k in base]
+
+    for key in IDENTITY:
+        if key in present and cur[key] != base[key]:
+            failures.append(f"{key}: {cur[key]} != baseline {base[key]} "
+                            "(simulated work must be bit-identical)")
+    for key in THROUGHPUT:
+        if key in present:
+            floor = base[key] * (1.0 - THROUGHPUT_BAND)
+            if cur[key] < floor:
+                failures.append(
+                    f"{key}: {cur[key]:.2f} below floor {floor:.2f} "
+                    f"(baseline {base[key]:.2f}, band "
+                    f"{THROUGHPUT_BAND:.0%})")
+    for key in SINK:
+        if key in present and cur[key] > SINK_BUDGET_PCT:
+            failures.append(f"{key}: {cur[key]:.2f} exceeds the "
+                            f"{SINK_BUDGET_PCT:.1f}% budget")
+    if SCALING in present and "host_cpus" in present:
+        if min(cur["host_cpus"], base["host_cpus"]) >= SCALING_MIN_CPUS:
+            floor = base[SCALING] * (1.0 - SCALING_BAND)
+            if cur[SCALING] < floor:
+                failures.append(
+                    f"{SCALING}: {cur[SCALING]:.2f} below floor "
+                    f"{floor:.2f} (baseline {base[SCALING]:.2f}, band "
+                    f"{SCALING_BAND:.0%}) on a {cur['host_cpus']}-CPU "
+                    "host")
+        else:
+            print(f"note: host has {cur['host_cpus']} CPUs, baseline "
+                  f"{base['host_cpus']}; {SCALING} floor not armed")
+    return failures
+
+
+def jsmtbench(workload, traced):
+    """One run.py pass: sim_digest, median sim_mcps, correctness and,
+    traced, the recorded per-layer metrics."""
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "jsmtbench", "run.py"),
+         "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", str(traced)],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout
+    lines = out.strip().splitlines()
+    print("\n".join(lines[:-1]))
+    result = json.loads(lines[-1])
+    fields = {workload + ".correct": result["correct"]}
+    for line in lines:
+        words = line.split()
+        if words[:1] == ["sim_digest"]:
+            fields[workload + ".sim_digest"] = words[1]
+        elif words[:2] == ["sim_mcps", "median"]:
+            fields[workload + ".sim_mcps"] = round(float(words[2]), 2)
+    if traced:
+        for key in [SCALING] + MICROS:
+            fields[key] = round(result["metrics"][key]["value"], 3)
+    return fields
+
+
+def measure():
+    """Every field of one baseline line, measured now."""
+    if not os.path.exists(PROBE):
+        raise SystemExit(f"{PROBE} not built: run `cmake --preset "
+                         "release && cmake --build --preset release`")
+    record = {"host_cpus": os.cpu_count()}
+    for workload, traced in PASSES:
+        record.update(jsmtbench(workload, traced))
+    probe = subprocess.run([PROBE], stdout=subprocess.PIPE, text=True,
+                           check=True).stdout
+    sys.stdout.write(probe)
+    record.update(json.loads(probe))
+    return record
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("current")
-    parser.add_argument("--tolerance", type=float, default=0.50,
-                        help="max fractional serial-throughput drop "
-                             "vs baseline (default 0.50)")
-    parser.add_argument("--trace-budget", type=float, default=2.0,
-                        help="max disabled-tracer overhead in "
-                             "percent (default 2.0)")
-    parser.add_argument("--scaling-band", type=float, default=0.35,
-                        help="max fractional step_scaling_4t drop vs "
-                             "a baseline measured on >= 4 CPUs "
-                             "(default 0.35)")
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n")[0])
+    parser.add_argument("--record", metavar="ID",
+                        help="append this run to the baseline file, "
+                             "tagged with ID, instead of gating it")
     args = parser.parse_args()
 
-    base = load_summary(args.baseline)
-    cur = load_summary(args.current)
-    failures = []
+    cur = measure()
+    if args.record:
+        if not all(cur[w + ".correct"] for w in WORKLOADS):
+            raise SystemExit("refusing to record an incorrect run")
+        line = json.dumps({"pr": args.record, **cur})
+        with open(BASELINE, "a") as f:
+            f.write(line + "\n")
+        print(f"recorded: {line}")
+        return 0
 
-    exact_keys = ["pairs", "scale", "cycles", "serial_cycles"]
-    if "multicore_cycles" in base and "multicore_cycles" in cur:
-        exact_keys.append("multicore_cycles")
-    for key in exact_keys:
-        if base[key] != cur[key]:
-            failures.append(
-                f"{key}: {cur[key]} != baseline {base[key]} "
-                "(simulated work must be bit-identical)")
-
-    throughput_keys = ["serial_mcycles_per_sec"]
-    if ("multicore_mcycles_per_sec" in base
-            and "multicore_mcycles_per_sec" in cur):
-        throughput_keys.append("multicore_mcycles_per_sec")
-    for key in throughput_keys:
-        floor = base[key] * (1.0 - args.tolerance)
-        if cur[key] < floor:
-            failures.append(
-                f"{key}: {cur[key]:.2f} below floor {floor:.2f} "
-                f"(baseline {base[key]:.2f}, tolerance "
-                f"{args.tolerance:.0%})")
-
-    trace_keys = ["trace_overhead_pct"]
-    if "multicore_trace_overhead_pct" in cur:
-        trace_keys.append("multicore_trace_overhead_pct")
-    for key in trace_keys:
-        if cur[key] > args.trace_budget:
-            failures.append(
-                f"{key}: {cur[key]:.2f} exceeds the "
-                f"{args.trace_budget:.1f}% budget")
-
-    # The scaling gate is conditioned on both hosts: the measurement
-    # is honest everywhere, but only a baseline taken with real
-    # parallelism sets a floor, and only a host with it can be held
-    # to that floor.
-    if "step_scaling_4t" in base and "step_scaling_4t" in cur:
-        host_cpus = int(cur.get("host_cpus", 0))
-        base_cpus = int(base.get("host_cpus", 0))
-        if host_cpus >= 4 and base_cpus >= 4:
-            floor = base["step_scaling_4t"] * (1.0 - args.scaling_band)
-            if cur["step_scaling_4t"] < floor:
-                failures.append(
-                    f"step_scaling_4t: {cur['step_scaling_4t']:.2f}"
-                    f" below floor {floor:.2f} (baseline "
-                    f"{base['step_scaling_4t']:.2f}, band "
-                    f"{args.scaling_band:.0%}) on a {host_cpus}-CPU "
-                    "host")
-        else:
-            print(f"note: host has {host_cpus} CPUs, baseline "
-                  f"{base_cpus}; step_scaling_4t floor not enforced")
-
-    print(f"{'metric':<28}{'baseline':>14}{'current':>14}")
-    for key in ("cycles", "serial_cycles", "mcycles_per_sec",
-                "serial_mcycles_per_sec", "trace_overhead_pct",
-                "multicore_cycles", "multicore_mcycles_per_sec",
-                "step_scaling_4t", "multicore_trace_overhead_pct",
-                "host_cpus"):
-        print(f"{key:<28}{base.get(key, '-'):>14}"
-              f"{cur.get(key, '-'):>14}")
-
+    with open(BASELINE) as f:
+        base = json.loads(f.read().strip().splitlines()[-1])
+    print(f"\n{'field':<34}{'baseline':>20}{'current':>20}")
+    for key in GATED + MICROS:
+        print(f"{key:<34}{str(base.get(key, '-')):>20}"
+              f"{str(cur.get(key, '-')):>20}")
+    print("current:", json.dumps(cur))
+    failures = verdict(base, cur)
     if failures:
         print("\nFAIL", file=sys.stderr)
         for failure in failures:
