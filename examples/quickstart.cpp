@@ -2,7 +2,7 @@
  * @file
  * Quickstart: build the modelled Pentium 4 machine, run one Java
  * benchmark with Hyper-Threading off and on, and read the paper's
- * headline counters through the Abyss harness.
+ * headline counters from the run's RunResult.
  *
  * Usage: quickstart [benchmark] [threads] [scale]
  */
@@ -16,7 +16,6 @@
 #include "harness/solo.h"
 #include "harness/table.h"
 #include "jvm/benchmarks.h"
-#include "pmu/abyss.h"
 
 int
 main(int argc, char** argv)
@@ -48,29 +47,27 @@ main(int argc, char** argv)
     SystemConfig config;
     Machine machine(config);
 
-    // 2. Program the PMU through Abyss, exactly like the paper.
-    Abyss abyss(machine.pmu());
-    abyss.select({"cycles", "instr_retired", "l1d_miss",
-                  "trace_cache_miss", "l2_miss", "btb_miss"});
-
-    // 3. Run the workload.
+    // 2. Run the workload.
     Simulation sim(machine);
     WorkloadSpec spec;
     spec.benchmark = benchmark;
     spec.threads = threads;
     spec.lengthScale = scale;
     sim.addProcess(spec);
-    abyss.begin();
-    sim.run();
-    const auto report = abyss.end();
+    const RunResult result = sim.run();
 
-    std::cout << "Abyss counter report (HT on):\n";
+    // 3. Read the counters: every PMU event over the run, per
+    //    logical CPU.
+    std::cout << "counter report (HT on):\n";
     TextTable counters({"event", "lcpu0", "lcpu1", "total"});
-    for (const auto& reading : report) {
-        counters.addRow({reading.name,
-                         TextTable::fmt(reading.perContext[0]),
-                         TextTable::fmt(reading.perContext[1]),
-                         TextTable::fmt(reading.total)});
+    for (const EventId event :
+         {EventId::kCycles, EventId::kInstrRetired, EventId::kL1dMiss,
+          EventId::kTraceCacheMiss, EventId::kL2Miss,
+          EventId::kBtbMiss}) {
+        counters.addRow({std::string(eventName(event)),
+                         TextTable::fmt(result.event(event, 0)),
+                         TextTable::fmt(result.event(event, 1)),
+                         TextTable::fmt(result.total(event))});
     }
     counters.print(std::cout);
 

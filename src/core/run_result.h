@@ -7,13 +7,12 @@
 #ifndef JSMT_CORE_RUN_RESULT_H
 #define JSMT_CORE_RUN_RESULT_H
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
-#include "pmu/events.h"
+#include "pmu/pmu.h"
 
 namespace jsmt {
 
@@ -50,8 +49,7 @@ struct RunResult
     std::vector<ProcessResult> processes;
 
     /** Event deltas per logical CPU over the run. */
-    std::array<std::array<std::uint64_t, kNumEventIds>, kNumContexts>
-        events{};
+    EventCounts events{};
 
     /** @return event count on one logical CPU. */
     std::uint64_t

@@ -147,12 +147,7 @@ Simulation::Stepper::Stepper(Simulation& sim,
     // accounting still batched in the core (e.g. from direct
     // core().cycle() driving outside run()) must land first.
     machine.core().flushAccounting();
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            _baseline[ctx][e] =
-                machine.pmu().raw(static_cast<EventId>(e), ctx);
-        }
-    }
+    _baseline = machine.pmu().counts();
 
     if (_options.cancellation != nullptr &&
         _options.cancellation->cancelled()) {
@@ -298,13 +293,7 @@ Simulation::Stepper::finish()
     result.cycles = sim._cycle - _start;
     result.allComplete = sim.allProcessesComplete();
     result.cancelled = _cancelled;
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            result.events[ctx][e] =
-                machine.pmu().raw(static_cast<EventId>(e), ctx) -
-                _baseline[ctx][e];
-        }
-    }
+    result.events = countsDelta(machine.pmu().counts(), _baseline);
     for (const auto& process : sim._processes) {
         ProcessResult pr;
         pr.pid = process->pid();

@@ -7,7 +7,6 @@
 #ifndef JSMT_CORE_SIMULATION_H
 #define JSMT_CORE_SIMULATION_H
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -75,7 +74,8 @@ class Simulation
         std::function<bool(Simulation&, JavaProcess&)> onProcessExit;
         /**
          * When positive, onSample is invoked every this many cycles
-         * (time-series measurement, e.g. AbyssSampler::sample).
+         * (time-series measurement, e.g. jsmt_run's
+         * --sample-interval table).
          */
         Cycle sampleIntervalCycles = 0;
         /** Periodic callback; see sampleIntervalCycles. */
@@ -256,9 +256,7 @@ class Simulation::Stepper
     /** The slice's shared-L2 view; null off a chip. */
     MemorySystem* _l2View = nullptr;
     std::vector<JavaProcess*> _justCompleted;
-    std::array<std::array<std::uint64_t, kNumEventIds>,
-               kNumContexts>
-        _baseline{};
+    EventCounts _baseline{};
 };
 
 } // namespace jsmt

@@ -390,19 +390,10 @@ MultiCoreSimulation::run(const RunOptions& options)
     trace::TraceSink* const sink = _system.machine(0).traceSink();
 
     // Snapshot PMU raw counts per slice to report chip deltas.
-    std::vector<
-        std::array<std::array<std::uint64_t, kNumEventIds>,
-                   kNumContexts>>
-        baseline(cores);
+    std::vector<EventCounts> baseline(cores);
     for (CoreId core = 0; core < cores; ++core) {
         _system.machine(core).core().flushAccounting();
-        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-            for (std::size_t e = 0; e < kNumEventIds; ++e) {
-                baseline[core][ctx][e] =
-                    _system.machine(core).pmu().raw(
-                        static_cast<EventId>(e), ctx);
-            }
-        }
+        baseline[core] = _system.machine(core).pmu().counts();
     }
 
     // Worker count for in-epoch stepping. 1 (the default) is the
@@ -564,14 +555,8 @@ MultiCoreSimulation::run(const RunOptions& options)
     result.coreEvents.resize(cores);
     for (CoreId core = 0; core < cores; ++core) {
         _system.machine(core).core().flushAccounting();
-        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-            for (std::size_t e = 0; e < kNumEventIds; ++e) {
-                result.coreEvents[core][ctx][e] =
-                    _system.machine(core).pmu().raw(
-                        static_cast<EventId>(e), ctx) -
-                    baseline[core][ctx][e];
-            }
-        }
+        result.coreEvents[core] = countsDelta(
+            _system.machine(core).pmu().counts(), baseline[core]);
     }
     for (const Tracked& tracked : _tracked) {
         MultiProcessRecord record;

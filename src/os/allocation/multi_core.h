@@ -33,7 +33,6 @@
 #ifndef JSMT_OS_ALLOCATION_MULTI_CORE_H
 #define JSMT_OS_ALLOCATION_MULTI_CORE_H
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -145,10 +144,7 @@ struct MultiRunResult
     std::uint64_t migrations = 0;
     std::uint64_t steals = 0;
     /** Event deltas per core, per logical CPU of that core. */
-    std::vector<
-        std::array<std::array<std::uint64_t, kNumEventIds>,
-                   kNumContexts>>
-        coreEvents;
+    std::vector<EventCounts> coreEvents;
     std::vector<MultiProcessRecord> processes;
     std::vector<MigrationRecord> migrationLog;
 

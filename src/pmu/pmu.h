@@ -3,11 +3,12 @@
  * Performance-monitoring unit modelled on the Pentium 4 PMU.
  *
  * The simulated machine drives one "event line" per EventId and
- * logical CPU; the PMU always accumulates raw event counts (the event
- * detectors), and exposes 18 programmable counters on top, matching
- * the counter budget of the Pentium 4. A programmable counter binds an
- * event to a logical-CPU qualifier (count this context, the other one,
- * or both) the way the P4's CCCR thread qualification bits do.
+ * logical CPU, and the PMU accumulates every line, always (the
+ * event detectors). Every counter reading is a delta of two
+ * snapshots of those lines: a run's RunResult, each --sample-interval
+ * row of jsmt_run. This replaces the Pentium 4's 18 programmable
+ * counters and their logical-CPU qualification, which on a simulator
+ * select nothing the raw lines do not already hold.
  */
 
 #ifndef JSMT_PMU_PMU_H
@@ -15,46 +16,32 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.h"
 #include "pmu/events.h"
 
 namespace jsmt {
 
-/** Logical-CPU qualification of a programmable counter. */
-enum class CpuQualifier {
-    kSingle, ///< Count only the configured context.
-    kAny,    ///< Count events from both contexts.
-};
+/** Count of every event line, per logical CPU. */
+using EventCounts =
+    std::array<std::array<std::uint64_t, kNumEventIds>, kNumContexts>;
 
-/** Configuration of one programmable counter (CCCR/ESCR analogue). */
-struct CounterConfig
+/** @return @p later minus @p earlier, line by line. */
+inline EventCounts
+countsDelta(const EventCounts& later, const EventCounts& earlier)
 {
-    EventId event = EventId::kCycles;
-    CpuQualifier qualifier = CpuQualifier::kAny;
-    ContextId context = 0; ///< Used when qualifier == kSingle.
-};
+    EventCounts delta;
+    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+        for (std::size_t e = 0; e < kNumEventIds; ++e)
+            delta[ctx][e] = later[ctx][e] - earlier[ctx][e];
+    }
+    return delta;
+}
 
-/**
- * The performance-monitoring unit.
- *
- * Raw per-context event accumulation is always on (it is how the rest
- * of the simulator publishes events); the 18 programmable counters are
- * implemented as snapshot deltas over the raw accumulators, which is
- * behaviourally equivalent to gated counting.
- */
+/** The performance-monitoring unit: one accumulator per event line. */
 class Pmu
 {
   public:
-    /** Number of programmable counters (as on the Pentium 4). */
-    static constexpr std::size_t kNumCounters = 18;
-
-    Pmu();
-
-    /** Zero all raw accumulators and disable all counters. */
-    void reset();
-
     /**
      * Publish @p n occurrences of @p event on logical CPU @p ctx.
      * Hot path: kept inline and branch-free.
@@ -96,43 +83,11 @@ class Pmu
         return sum;
     }
 
-    /**
-     * Program counter @p index and start it counting from now.
-     * Out-of-range indices or events are a user error (fatal).
-     */
-    void configure(std::size_t index, const CounterConfig& config);
-
-    /** Stop counter @p index; its value freezes. */
-    void stop(std::size_t index);
-
-    /** Restart a programmed counter from its current value. */
-    void start(std::size_t index);
-
-    /** @return current value of programmable counter @p index. */
-    std::uint64_t read(std::size_t index) const;
-
-    /** @return config of programmable counter @p index. */
-    const CounterConfig& config(std::size_t index) const;
-
-    /** @return whether counter @p index has been programmed. */
-    bool programmed(std::size_t index) const;
+    /** @return a snapshot of every event line; see countsDelta(). */
+    EventCounts counts() const { return _raw; }
 
   private:
-    /** One programmable counter's state. */
-    struct Counter
-    {
-        CounterConfig config;
-        bool programmed = false;
-        bool running = false;
-        std::uint64_t accumulated = 0; ///< Value while stopped.
-        std::uint64_t baseline = 0;    ///< Raw snapshot at start().
-    };
-
-    std::uint64_t rawForConfig(const CounterConfig& config) const;
-
-    std::array<std::array<std::uint64_t, kNumEventIds>, kNumContexts>
-        _raw{};
-    std::array<Counter, kNumCounters> _counters{};
+    EventCounts _raw{};
 };
 
 } // namespace jsmt

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -92,6 +93,16 @@ TEST(CliUsage, UnknownEventExitsTwoAndListsEvents)
     EXPECT_EQ(r.status, kUsageError);
     EXPECT_TRUE(contains(r.output, "unknown event")) << r.output;
     EXPECT_TRUE(contains(r.output, "cycles")) << r.output;
+}
+
+TEST(CliUsage, EmptyEventListExitsTwoAndListsEvents)
+{
+    const CommandResult r = runCommand(
+        binary() + " --benchmark compress --scale 0.01 --events , 2>&1");
+    EXPECT_EQ(r.status, kUsageError) << r.output;
+    EXPECT_TRUE(contains(r.output, "--events needs at least one"))
+        << r.output;
+    EXPECT_TRUE(contains(r.output, "uops_retired")) << r.output;
 }
 
 TEST(CliUsage, MalformedNumericValueExitsTwo)
@@ -286,6 +297,16 @@ TEST(CliUsage, AllocationFlagsAreValidated)
                          " --cores 2 --sample-interval 1000 2>&1")
                   .status,
               kUsageError);
+    // ... and need a --benchmark run, which sweeps are not.
+    EXPECT_EQ(runCommand(binary() +
+                         " --sweep jess --scale 0.01"
+                         " --sample-interval 1000 --profile 2>&1")
+                  .status,
+              kUsageError);
+    EXPECT_EQ(runCommand(binary() +
+                         " --pair-matrix --scale 0.01 --profile 2>&1")
+                  .status,
+              kUsageError);
     // The pair matrix runs a fixed workload list.
     EXPECT_EQ(runCommand(binary() +
                          " --pair-matrix --benchmark jess 2>&1")
@@ -389,6 +410,64 @@ TEST(CliRun, MultiCoreTraceAndMetricsAreWritten)
     EXPECT_EQ(found, 3u);
     std::remove(trace_path.c_str());
     std::remove(metrics_path.c_str());
+}
+
+TEST(CliRun, SampleIntervalSeriesCoversTheRun)
+{
+    const CommandResult r = runCommand(
+        binary() + " --benchmark compress --scale 0.02"
+                   " --sample-interval 10000"
+                   " --events cycles,uops_retired,gc_uops 2>&1");
+    ASSERT_EQ(r.status, 0) << r.output;
+    unsigned long long run_cycles = 0;
+    const std::size_t run = r.output.find("run: ");
+    ASSERT_NE(run, std::string::npos) << r.output;
+    ASSERT_EQ(std::sscanf(r.output.c_str() + run, "run: %llu cycles",
+                          &run_cycles),
+              1);
+
+    // The counters table gives each event's total; every series row
+    // is "cycle cycles uops_retired gc_uops".
+    const std::vector<std::string> columns = {"cycles", "uops_retired",
+                                              "gc_uops"};
+    std::vector<unsigned long long> totals(columns.size(), 0);
+    std::vector<unsigned long long> sums(columns.size(), 0);
+    std::size_t rows = 0;
+    bool in_series = false;
+    std::istringstream lines(r.output);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind("time series", 0) == 0) {
+            in_series = true;
+            continue;
+        }
+        std::istringstream fields(line);
+        std::string first;
+        fields >> first;
+        if (!in_series) {
+            for (std::size_t c = 0; c < columns.size(); ++c) {
+                unsigned long long lcpu0 = 0;
+                unsigned long long lcpu1 = 0;
+                if (first == columns[c])
+                    fields >> lcpu0 >> lcpu1 >> totals[c];
+            }
+        } else if (!first.empty() && std::isdigit(first[0])) {
+            ++rows;
+            for (std::size_t c = 0; c < columns.size(); ++c) {
+                unsigned long long cell = 0;
+                ASSERT_TRUE(fields >> cell) << line;
+                if (c == 0) {
+                    EXPECT_EQ(cell, 10'000u) << line;
+                }
+                sums[c] += cell;
+            }
+        }
+    }
+    EXPECT_EQ(rows, run_cycles / 10'000) << r.output;
+    for (std::size_t c = 0; c < columns.size(); ++c)
+        EXPECT_LE(sums[c], totals[c]) << columns[c];
+    EXPECT_GT(totals[1], 0u) << r.output;
+    EXPECT_GE(sums[1], totals[1] * 9 / 10) << r.output;
 }
 
 TEST(CliSweep, ResumeAcrossStepThreadCountsIsBitIdentical)

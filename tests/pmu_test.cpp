@@ -51,82 +51,42 @@ TEST(Pmu, RawCountsPerContext)
     EXPECT_EQ(pmu.rawTotal(EventId::kL2Miss), 0u);
 }
 
-TEST(Pmu, CounterCountsFromConfiguration)
+TEST(Pmu, CountsDeltaSubtractsEveryLine)
 {
     Pmu pmu;
-    pmu.record(EventId::kCycles, 0, 100); // Before: not counted.
-    pmu.configure(0, {EventId::kCycles, CpuQualifier::kSingle, 0});
-    pmu.record(EventId::kCycles, 0, 50);
-    pmu.record(EventId::kCycles, 1, 7); // Other context: excluded.
-    EXPECT_EQ(pmu.read(0), 50u);
+    pmu.record(EventId::kCycles, 0, 100);
+    const EventCounts before = pmu.counts();
+    pmu.record(EventId::kCycles, 0, 40);
+    pmu.record(EventId::kL1dMiss, 1, 3);
+    const EventCounts delta = countsDelta(pmu.counts(), before);
+    const auto cycles = static_cast<std::size_t>(EventId::kCycles);
+    const auto l1d = static_cast<std::size_t>(EventId::kL1dMiss);
+    EXPECT_EQ(delta[0][cycles], 40u);
+    EXPECT_EQ(delta[1][cycles], 0u);
+    EXPECT_EQ(delta[1][l1d], 3u);
+    EXPECT_EQ(delta[0][l1d], 0u);
 }
 
-TEST(Pmu, AnyQualifierSumsContexts)
+TEST(Pmu, ConsecutiveSnapshotDeltasPartitionTheLines)
 {
     Pmu pmu;
-    pmu.configure(3, {EventId::kUopsRetired, CpuQualifier::kAny, 0});
-    pmu.record(EventId::kUopsRetired, 0, 5);
-    pmu.record(EventId::kUopsRetired, 1, 9);
-    EXPECT_EQ(pmu.read(3), 14u);
-}
+    pmu.record(EventId::kCycles, 0, 100); // Before the first snapshot.
+    EventCounts previous = pmu.counts();
+    pmu.record(EventId::kCycles, 0, 40);
+    pmu.record(EventId::kL1dMiss, 1, 3);
+    const EventCounts first = countsDelta(pmu.counts(), previous);
+    previous = pmu.counts();
+    pmu.record(EventId::kCycles, 0, 60);
+    const EventCounts second = countsDelta(pmu.counts(), previous);
 
-TEST(Pmu, StopFreezesValue)
-{
-    Pmu pmu;
-    pmu.configure(1, {EventId::kSyscalls, CpuQualifier::kAny, 0});
-    pmu.record(EventId::kSyscalls, 0, 4);
-    pmu.stop(1);
-    pmu.record(EventId::kSyscalls, 0, 10);
-    EXPECT_EQ(pmu.read(1), 4u);
-    pmu.start(1);
-    pmu.record(EventId::kSyscalls, 0, 2);
-    EXPECT_EQ(pmu.read(1), 6u);
-}
-
-TEST(Pmu, ReconfigureResets)
-{
-    Pmu pmu;
-    pmu.configure(0, {EventId::kCycles, CpuQualifier::kAny, 0});
-    pmu.record(EventId::kCycles, 0, 10);
-    EXPECT_EQ(pmu.read(0), 10u);
-    pmu.configure(0, {EventId::kCycles, CpuQualifier::kAny, 0});
-    EXPECT_EQ(pmu.read(0), 0u);
-}
-
-TEST(Pmu, ResetClearsEverything)
-{
-    Pmu pmu;
-    pmu.configure(0, {EventId::kCycles, CpuQualifier::kAny, 0});
-    pmu.record(EventId::kCycles, 0, 10);
-    pmu.reset();
-    EXPECT_EQ(pmu.rawTotal(EventId::kCycles), 0u);
-    EXPECT_FALSE(pmu.programmed(0));
-    EXPECT_EQ(pmu.read(0), 0u);
-}
-
-TEST(Pmu, UnprogrammedReadsZero)
-{
-    Pmu pmu;
-    EXPECT_EQ(pmu.read(5), 0u);
-    EXPECT_FALSE(pmu.programmed(5));
-}
-
-TEST(PmuDeath, CounterIndexOutOfRange)
-{
-    Pmu pmu;
-    EXPECT_EXIT(
-        pmu.configure(Pmu::kNumCounters,
-                      {EventId::kCycles, CpuQualifier::kAny, 0}),
-        testing::ExitedWithCode(1), "out of range");
-}
-
-TEST(PmuDeath, BadQualifierContext)
-{
-    Pmu pmu;
-    EXPECT_EXIT(
-        pmu.configure(0, {EventId::kCycles, CpuQualifier::kSingle,
-                          kNumContexts}),
-        testing::ExitedWithCode(1), "qualifier");
+    const auto cycles = static_cast<std::size_t>(EventId::kCycles);
+    const auto l1d = static_cast<std::size_t>(EventId::kL1dMiss);
+    EXPECT_EQ(first[0][cycles], 40u);
+    EXPECT_EQ(first[1][l1d], 3u);
+    EXPECT_EQ(second[0][cycles], 60u);
+    EXPECT_EQ(second[1][l1d], 0u);
+    EXPECT_EQ(first[0][cycles] + second[0][cycles] + 100u,
+              pmu.raw(EventId::kCycles, 0));
 }
 
 } // namespace

@@ -59,6 +59,55 @@ TEST(Simulation, ClockContinuesAcrossRuns)
     EXPECT_GT(sim.now(), after_first);
 }
 
+TEST(Simulation, SecondRunReportsOnlyItsOwnEvents)
+{
+    SystemConfig config;
+    Machine machine(config);
+    Simulation sim(machine);
+    WorkloadSpec spec;
+    spec.benchmark = "compress";
+    spec.lengthScale = kTinyScale;
+    sim.addProcess(spec);
+    const RunResult first = sim.run();
+    sim.addProcess(spec);
+    const RunResult second = sim.run();
+    ASSERT_GT(first.total(EventId::kUopsRetired), 0u);
+    ASSERT_GT(second.total(EventId::kUopsRetired), 0u);
+
+    // Each run is a delta of the PMU's event lines, so the two runs
+    // partition everything the machine ever counted.
+    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+        for (std::size_t e = 0; e < kNumEventIds; ++e) {
+            const auto event = static_cast<EventId>(e);
+            EXPECT_EQ(first.event(event, ctx) +
+                          second.event(event, ctx),
+                      machine.pmu().raw(event, ctx))
+                << eventName(event) << " on lcpu" << ctx;
+        }
+    }
+}
+
+TEST(Simulation, RunExcludesEventsCountedBeforeIt)
+{
+    SystemConfig config;
+    Machine machine(config);
+    machine.pmu().record(EventId::kCycles, 0, 1000); // Before the run.
+    Simulation sim(machine);
+    WorkloadSpec spec;
+    spec.benchmark = "compress";
+    spec.lengthScale = kTinyScale;
+    sim.addProcess(spec);
+    const RunResult result = sim.run();
+
+    EXPECT_EQ(result.event(EventId::kCycles, 0),
+              machine.pmu().raw(EventId::kCycles, 0) - 1000);
+    EXPECT_EQ(result.event(EventId::kCycles, 1),
+              machine.pmu().raw(EventId::kCycles, 1));
+    EXPECT_EQ(result.total(EventId::kCycles),
+              machine.pmu().rawTotal(EventId::kCycles) - 1000);
+    EXPECT_GT(result.total(EventId::kCycles), 0u);
+}
+
 TEST(Simulation, ExitCallbackFiresOncePerProcess)
 {
     SystemConfig config;

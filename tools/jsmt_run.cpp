@@ -56,7 +56,9 @@
  *     --events a,b,c               PMU events to report (default:
  *                                  headline set)
  *     --sample-interval N          also print a time series sampled
- *                                  every N cycles
+ *                                  every N cycles (this flag and
+ *                                  --profile need a single-core
+ *                                  --benchmark run)
  *     --no-fast-forward            simulate every stalled cycle
  *                                  (cross-check for the fast-forward
  *                                  optimisation; results must be
@@ -134,8 +136,6 @@
 #include "os/allocation/allocation.h"
 #include "os/allocation/multi_core.h"
 #include "os/allocation/pair_matrix.h"
-#include "pmu/abyss.h"
-#include "pmu/sampler.h"
 #include "trace/metrics.h"
 #include "trace/trace_sink.h"
 #include "uarch/stage_profiler.h"
@@ -232,9 +232,9 @@ unknownPolicy(const std::string& name)
 }
 
 [[noreturn]] void
-unknownEvent(const std::string& name)
+badEvents(const std::string& problem)
 {
-    std::cerr << "unknown event '" << name << "'; valid events:";
+    std::cerr << problem << "; valid events:";
     for (std::size_t e = 0; e < kNumEventIds; ++e)
         std::cerr << ' ' << eventName(static_cast<EventId>(e));
     std::cerr << '\n';
@@ -352,6 +352,8 @@ parseArgs(int argc, char** argv)
             options.pairMatrixFull = true;
         } else if (arg == "--events") {
             options.eventNames = splitCommas(next());
+            if (options.eventNames.empty())
+                badEvents("--events needs at least one event");
         } else if (arg == "--sample-interval") {
             options.sampleInterval =
                 static_cast<Cycle>(uintArg(arg, next()));
@@ -418,10 +420,13 @@ parseArgs(int argc, char** argv)
             std::exit(kUsageError);
         }
     }
-    if (options.cores > 1 &&
+    // Only a single-core --benchmark run samples or profiles.
+    const bool batch = options.pairMatrix || !options.sweep.empty();
+    if ((batch || options.cores > 1) &&
         (options.sampleInterval > 0 || options.profile)) {
         std::cerr << "--sample-interval and --profile require "
-                     "--cores 1\n";
+                  << (batch ? "a --benchmark run" : "--cores 1")
+                  << '\n';
         std::exit(kUsageError);
     }
     if (options.workloads.empty()) {
@@ -860,9 +865,9 @@ runBenchmarks(const Options& options,
             sim->addProcess(spec);
     }
 
-    // The collector, profiler and sampler read one machine: on a
-    // chip that is slice 0, and the chip-wide PMU picture comes
-    // from the folded RunResult.
+    // The collector and profiler read one machine: on a chip that
+    // is slice 0, and the chip-wide PMU picture comes from the
+    // folded RunResult.
     Machine& probed = on_chip ? system->machine(0) : *machine;
     std::unique_ptr<trace::MetricsCollector> collector;
     if (metrics)
@@ -870,7 +875,15 @@ runBenchmarks(const Options& options,
     StageProfiler profiler;
     if (options.profile)
         probed.core().setProfiler(&profiler);
-    AbyssSampler sampler(probed.pmu(), events);
+
+    // --sample-interval: each row is the difference between the PMU
+    // snapshots at two consecutive sample edges, summed over both
+    // logical CPUs.
+    std::vector<std::string> series_headers = {"cycle"};
+    for (const EventId event : events)
+        series_headers.push_back(std::string(eventName(event)));
+    TextTable series(series_headers);
+    EventCounts last_sample = probed.pmu().counts();
 
     RunResult result;
     std::optional<MultiRunResult> chip;
@@ -896,8 +909,20 @@ runBenchmarks(const Options& options,
         if (interval > 0) {
             run_options.sampleIntervalCycles = interval;
             run_options.onSample = [&](Simulation&, Cycle now) {
-                if (options.sampleInterval > 0)
-                    sampler.sample(now);
+                if (options.sampleInterval > 0) {
+                    const EventCounts counts = probed.pmu().counts();
+                    const EventCounts delta =
+                        countsDelta(counts, last_sample);
+                    last_sample = counts;
+                    std::vector<std::string> row = {
+                        TextTable::fmt(now)};
+                    for (const EventId event : events) {
+                        const auto e = static_cast<std::size_t>(event);
+                        row.push_back(
+                            TextTable::fmt(delta[0][e] + delta[1][e]));
+                    }
+                    series.addRow(row);
+                }
                 if (collector)
                     collector->collect(now);
             };
@@ -1046,17 +1071,6 @@ runBenchmarks(const Options& options,
     if (options.sampleInterval > 0) {
         std::cout << "\ntime series (interval "
                   << options.sampleInterval << " cycles):\n";
-        std::vector<std::string> series_headers = {"cycle"};
-        for (const EventId event : events)
-            series_headers.push_back(std::string(eventName(event)));
-        TextTable series(series_headers);
-        for (const auto& point : sampler.samples()) {
-            std::vector<std::string> row = {
-                TextTable::fmt(point.cycle)};
-            for (const std::uint64_t delta : point.deltas)
-                row.push_back(TextTable::fmt(delta));
-            series.addRow(row);
-        }
         series.print(std::cout);
     }
     // A chip run that did not complete fails; a single-core run
@@ -1072,14 +1086,14 @@ main(int argc, char** argv)
     setVerbose(false);
     Options options = parseArgs(argc, argv);
 
-    // Live counters through the Abyss session (as the paper did);
-    // fall back to raw totals when more events than counters were
-    // requested.
+    // Every counter table reads the requested events from a
+    // RunResult, and the --sample-interval series from PMU snapshot
+    // deltas.
     std::vector<EventId> events;
     for (const auto& name : options.eventNames) {
         const auto id = eventByName(name);
         if (!id)
-            unknownEvent(name);
+            badEvents("unknown event '" + name + "'");
         events.push_back(*id);
     }
 
