@@ -5,17 +5,40 @@
  * headline counters from the run's RunResult.
  *
  * Usage: quickstart [benchmark] [threads] [scale]
+ *
+ * threads is an integer in [0, 64] (0, the default, is the
+ * benchmark's own thread count) and scale a positive length
+ * multiplier (default 0.25). A malformed or out-of-range argument
+ * prints the usage and exits with status 2.
  */
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/env.h"
 #include "common/log.h"
 #include "core/simulation.h"
 #include "harness/solo.h"
 #include "harness/table.h"
 #include "jvm/benchmarks.h"
+
+namespace {
+
+constexpr int kUsageError = 2;
+constexpr std::uint64_t kMaxThreads = 64;
+
+[[noreturn]] void
+usage(const std::string& problem)
+{
+    std::cerr << problem << "\nusage: quickstart [benchmark] "
+              << "[threads 0-" << kMaxThreads << "] [scale > 0]\n";
+    std::exit(kUsageError);
+}
+
+} // namespace
 
 int
 main(int argc, char** argv)
@@ -23,11 +46,19 @@ main(int argc, char** argv)
     using namespace jsmt;
     setVerbose(false);
 
+    if (argc > 4)
+        usage("too many arguments");
     const std::string benchmark = argc > 1 ? argv[1] : "MolDyn";
-    const std::uint32_t threads =
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2]))
-                 : 0;
-    const double scale = argc > 3 ? std::atof(argv[3]) : 0.25;
+    std::uint64_t threads = 0;
+    if (argc > 2 && (!parseUint(argv[2], &threads) ||
+                     threads > kMaxThreads)) {
+        usage(std::string("invalid thread count '") + argv[2] + "'");
+    }
+    double scale = 0.25;
+    if (argc > 3 && (!parseDouble(argv[3], &scale) ||
+                     !std::isfinite(scale) || scale <= 0.0)) {
+        usage(std::string("invalid scale '") + argv[3] + "'");
+    }
 
     if (!isBenchmark(benchmark)) {
         std::cerr << "unknown benchmark '" << benchmark
@@ -51,7 +82,7 @@ main(int argc, char** argv)
     Simulation sim(machine);
     WorkloadSpec spec;
     spec.benchmark = benchmark;
-    spec.threads = threads;
+    spec.threads = static_cast<std::uint32_t>(threads);
     spec.lengthScale = scale;
     sim.addProcess(spec);
     const RunResult result = sim.run();
@@ -73,7 +104,7 @@ main(int argc, char** argv)
 
     // --- HT-off vs HT-on comparison (the paper's experiment) ------
     SoloOptions options;
-    options.threads = threads;
+    options.threads = static_cast<std::uint32_t>(threads);
     options.lengthScale = scale;
     const RunResult off = measureSolo(config, benchmark, false,
                                       options);

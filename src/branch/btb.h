@@ -66,9 +66,6 @@ class Btb
         return _cache.crossAsidEvictions();
     }
 
-    /** Zero local statistics. */
-    void clearStats() { _cache.clearStats(); }
-
   private:
     Asid effectiveAsid(Asid asid, ContextId ctx) const;
 

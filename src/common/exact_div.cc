@@ -1,6 +1,8 @@
 #include "common/exact_div.h"
 
 #include <bit>
+#include <mutex>
+#include <set>
 
 #include "common/log.h"
 
@@ -39,6 +41,16 @@ ExactDiv::ExactDiv(std::uint64_t d) : _d(d)
     _shift = fl;
     _magic = proposed + 1;
 
+    // The magic depends on d alone, so the self-check runs once per
+    // distinct divisor per process. The registry of checked divisors
+    // is deliberately leaked, as Rng::geoDistFor's tables are, so it
+    // outlives every static that might construct an ExactDiv.
+    static std::mutex mutex;
+    static auto* const checked = new std::set<std::uint64_t>();
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (checked->count(d) != 0)
+        return;
+
     // Cold-path self-check against the hardware divide: divisor
     // edges, numerator extremes and a deterministic LCG sweep. A
     // wrong magic must abort, never silently skew address streams.
@@ -56,6 +68,7 @@ ExactDiv::ExactDiv(std::uint64_t d) : _d(d)
         if (quotient(x) != x / d)
             fatal("ExactDiv: magic self-check failed");
     }
+    checked->insert(d);
 }
 
 } // namespace jsmt

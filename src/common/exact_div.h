@@ -12,9 +12,10 @@
  * the EXACT hardware quotient and remainder for every numerator —
  * results are bit-identical to `%`, only cheaper.
  *
- * Construction self-checks the magic against the hardware divide on
- * a battery of adversarial numerators (cold path only), so a faulty
- * table aborts loudly instead of silently perturbing a run.
+ * The first construction for each divisor self-checks the magic
+ * against the hardware divide on a battery of adversarial numerators
+ * (once per process), so a faulty table aborts loudly instead of
+ * silently perturbing a run.
  */
 
 #ifndef JSMT_COMMON_EXACT_DIV_H

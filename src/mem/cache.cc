@@ -1,6 +1,5 @@
 #include "mem/cache.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/log.h"
@@ -56,10 +55,11 @@ Cache::setIndex(Addr addr, ContextId ctx) const
     return within + (ctx % kNumContexts) * half;
 }
 
-Addr
-Cache::tagOf(Addr addr) const
+void
+Cache::keyTooWide() const
 {
-    return addr >> _lineShift;
+    fatal("cache " + _config.name +
+          ": address/asid exceeds packed-key width");
 }
 
 bool
@@ -68,31 +68,12 @@ Cache::access(Asid asid, Addr addr, ContextId ctx)
     ++_accesses;
     ++_useClock;
     const std::uint32_t set = setIndex(addr, ctx);
-    const Addr tag = tagOf(addr);
-    if ((tag >> kAsidShift) != 0 || asid >= kMaxAsid)
-        fatal("cache " + _config.name +
-              ": address/asid exceeds packed-key width");
-    const LineKey key = makeKey(asid, tag);
+    const LineKey key = keyOf(asid, addr);
     Line* const base =
         &_lines[static_cast<std::size_t>(set) * _config.ways];
     const std::uint32_t ways = _config.ways;
-
-    // One walk over every way, selects instead of branches and no
-    // early exit: it finds the hit way, if any, and the victim —
-    // the last invalid way if there is one, else the least recently
-    // used. Invalid lines stamp 0 and valid stamps are distinct and
-    // positive, so the victim is the last way whose stamp is <=
-    // every earlier one.
-    std::uint32_t hit = ways;
     std::uint32_t victim = 0;
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        const Line& line = base[w];
-        hit = line.key == key ? w : hit;
-        const bool older = line.lastUse <= oldest;
-        victim = older ? w : victim;
-        oldest = older ? line.lastUse : oldest;
-    }
+    const std::uint32_t hit = walkSet(base, ways, key, victim);
     if (hit != ways) {
         base[hit].lastUse = _useClock;
         return true;
@@ -117,39 +98,16 @@ bool
 Cache::lookup(Asid asid, Addr addr, ContextId ctx) const
 {
     const std::uint32_t set = setIndex(addr, ctx);
-    const Addr tag = tagOf(addr);
+    const Addr tag = addr >> _lineShift;
     if ((tag >> kAsidShift) != 0 || asid >= kMaxAsid)
         return false; // Could never have been installed.
     const LineKey key = makeKey(asid, tag);
-    const Line* base =
-        &_lines[static_cast<std::size_t>(set) * _config.ways];
+    const Line* base = setLines(set);
     for (std::uint32_t w = 0; w < _config.ways; ++w) {
         if (base[w].key == key)
             return true;
     }
     return false;
-}
-
-void
-Cache::beginOverlay(const Cache& base)
-{
-    _overlayStamp.resize(_numSets);
-    ++_overlayQuantum;
-    _useClock = base._useClock;
-}
-
-bool
-Cache::accessOverlay(const Cache& base, Asid asid, Addr addr)
-{
-    const std::uint32_t set = setIndex(addr, 0);
-    if (_overlayStamp[set] != _overlayQuantum) {
-        _overlayStamp[set] = _overlayQuantum;
-        const std::size_t first =
-            static_cast<std::size_t>(set) * _config.ways;
-        std::copy_n(base._lines.begin() + first, _config.ways,
-                    _lines.begin() + first);
-    }
-    return access(asid, addr, 0);
 }
 
 void
@@ -161,18 +119,6 @@ Cache::flush()
 }
 
 void
-Cache::flushAsid(Asid asid)
-{
-    const LineKey owner = static_cast<LineKey>(asid) + 1;
-    for (Line& line : _lines) {
-        if (line.key != 0 && (line.key >> kAsidShift) == owner) {
-            line = Line{};
-            --_validLines;
-        }
-    }
-}
-
-void
 Cache::setPartitioned(bool partitioned_flag)
 {
     if (partitioned_flag == _partitioned)
@@ -181,15 +127,6 @@ Cache::setPartitioned(bool partitioned_flag)
     // Repartitioning changes the index function; invalidate so stale
     // placements cannot produce phantom hits.
     flush();
-}
-
-void
-Cache::clearStats()
-{
-    _accesses = 0;
-    _misses = 0;
-    _evictions = 0;
-    _crossAsidEvictions = 0;
 }
 
 } // namespace jsmt

@@ -91,9 +91,6 @@ class Cache
     /** Invalidate everything. */
     void flush();
 
-    /** Invalidate all lines belonging to @p asid. */
-    void flushAsid(Asid asid);
-
     /** Enable/disable set partitioning at run time (HT on/off). */
     void setPartitioned(bool partitioned);
 
@@ -109,10 +106,10 @@ class Cache
     /** @return line size in bytes. */
     std::uint32_t lineBytes() const { return _config.lineBytes; }
 
-    /** @return total accesses since construction/flush-stats. */
+    /** @return total accesses since construction. */
     std::uint64_t accesses() const { return _accesses; }
 
-    /** @return total misses since construction/flush-stats. */
+    /** @return total misses since construction. */
     std::uint64_t misses() const { return _misses; }
 
     /** @return fills that replaced a valid line. */
@@ -133,35 +130,13 @@ class Cache
     /** @return number of currently valid lines. */
     std::uint64_t validLines() const { return _validLines; }
 
-    /** Zero the local statistics. */
-    void clearStats();
-
     /** @return configuration this cache was built with. */
     const CacheConfig& config() const { return _config; }
 
-    /**
-     * @name Quantum overlay
-     * A chip slice reads the shared L2 through its private L2 used
-     * as an overlay (DESIGN.md §11): for one quantum it holds the
-     * sets the slice touched, each copied from @p base on first
-     * touch and then updated by the slice's own fills and LRU
-     * hits, while @p base stays read-only. Both caches must share
-     * one geometry and neither may be set-partitioned. Overlay
-     * statistics count the slice's view and mean nothing chip-wide.
-     */
-    ///@{
-    /**
-     * Start a quantum over @p base: forget every copied set and
-     * take @p base's LRU clock, so stamps made during the quantum
-     * order after every stamp copied from it.
-     */
-    void beginOverlay(const Cache& base);
-
-    /** access() through the overlay of @p base. */
-    bool accessOverlay(const Cache& base, Asid asid, Addr addr);
-    ///@}
-
   private:
+    /** A chip slice's overlay walks this cache's sets directly. */
+    friend class L2Overlay;
+
     /**
      * One line's bookkeeping. An invalid line has key 0 and
      * lastUse 0; a valid line's lastUse is a distinct positive
@@ -173,8 +148,59 @@ class Cache
         std::uint64_t lastUse = 0;
     };
 
+    /**
+     * The set walk behind access(), shared with L2Overlay. One
+     * pass over every way, selects instead of branches and no early
+     * exit: it finds the way holding @p key, if any, and the victim
+     * a miss fills — the last invalid way if there is one, else the
+     * least recently used. Invalid lines stamp 0 and valid stamps are distinct and
+     * positive, so the victim is the last way whose stamp is <=
+     * every earlier one.
+     *
+     * @return the way holding @p key, or @p ways on a miss.
+     */
+    static std::uint32_t
+    walkSet(const Line* set, std::uint32_t ways, LineKey key,
+            std::uint32_t& victim)
+    {
+        std::uint32_t hit = ways;
+        victim = 0;
+        std::uint64_t oldest = ~std::uint64_t{0};
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            const Line& line = set[w];
+            hit = line.key == key ? w : hit;
+            const bool older = line.lastUse <= oldest;
+            victim = older ? w : victim;
+            oldest = older ? line.lastUse : oldest;
+        }
+        return hit;
+    }
+
+    /** @return the set @p addr indexes from context @p ctx. */
     std::uint32_t setIndex(Addr addr, ContextId ctx) const;
-    Addr tagOf(Addr addr) const;
+
+    /**
+     * @return the key of the line holding @p addr in @p asid; a
+     * tag or asid too wide for its field is fatal.
+     */
+    LineKey
+    keyOf(Asid asid, Addr addr) const
+    {
+        const Addr tag = addr >> _lineShift;
+        if ((tag >> kAsidShift) != 0 || asid >= kMaxAsid)
+            keyTooWide();
+        return makeKey(asid, tag);
+    }
+
+    /** @return the ways() lines of set @p set, in way order. */
+    const Line*
+    setLines(std::uint32_t set) const
+    {
+        return &_lines[static_cast<std::size_t>(set) * _config.ways];
+    }
+
+    /** The fatal error of keyOf(), kept out of the inlined path. */
+    [[noreturn]] void keyTooWide() const;
 
     CacheConfig _config;
     std::uint32_t _numSets;
@@ -187,9 +213,6 @@ class Cache
     std::uint64_t _evictions = 0;
     std::uint64_t _crossAsidEvictions = 0;
     std::uint64_t _validLines = 0;
-    /** Per set: the overlay quantum its lines were copied in. */
-    std::vector<std::uint64_t> _overlayStamp;
-    std::uint64_t _overlayQuantum = 0;
 };
 
 } // namespace jsmt

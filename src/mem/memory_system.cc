@@ -89,14 +89,52 @@ MemorySystem::l2CacheConfig(const MemConfig& config)
     return l2Config(config);
 }
 
+L2Overlay::L2Overlay(const Cache& shared)
+    : _shared(shared), _slotOf(shared.numSets(), 0)
+{
+    begin();
+}
+
+void
+L2Overlay::begin()
+{
+    for (const std::uint32_t set : _sets)
+        _slotOf[set] = 0;
+    _sets.clear();
+    _lines.clear();
+    _useClock = _shared._useClock;
+}
+
+bool
+L2Overlay::access(Asid asid, Addr addr)
+{
+    ++_useClock;
+    const std::uint32_t set = _shared.setIndex(addr, 0);
+    const Cache::LineKey key = _shared.keyOf(asid, addr);
+    const std::uint32_t ways = _shared.ways();
+    if (_slotOf[set] == 0) {
+        _sets.push_back(set);
+        _slotOf[set] = static_cast<std::uint32_t>(_sets.size());
+        const Cache::Line* lines = _shared.setLines(set);
+        _lines.insert(_lines.end(), lines, lines + ways);
+    }
+    Cache::Line* const base =
+        &_lines[static_cast<std::size_t>(_slotOf[set] - 1) * ways];
+    std::uint32_t victim = 0;
+    const std::uint32_t hit = Cache::walkSet(base, ways, key, victim);
+    Cache::Line& line = base[hit != ways ? hit : victim];
+    line.key = key;
+    line.lastUse = _useClock;
+    return hit != ways;
+}
+
 MemorySystem::MemorySystem(const MemConfig& config, Pmu& pmu,
                            Cache* shared_l2)
     : _config(config),
       _pmu(pmu),
       _traceCache(traceCacheConfig(config)),
       _l1d(l1dConfig(config)),
-      _l2(l2Config(config)),
-      _l2use(shared_l2 != nullptr ? shared_l2 : &_l2),
+      _l2(shared_l2),
       _itlb(itlbConfig(config)),
       _dtlb(dtlbConfig(config))
 {
@@ -110,8 +148,10 @@ MemorySystem::MemorySystem(const MemConfig& config, Pmu& pmu,
         fatal("memory system: pageBytes must be a power of two");
     _pageShift = static_cast<std::uint32_t>(std::countr_zero(
         static_cast<std::uint64_t>(config.pageBytes)));
-    if (sharesL2())
-        beginL2Quantum();
+    if (shared_l2 != nullptr)
+        _overlay.emplace(*shared_l2);
+    else
+        _l2 = &_privateL2.emplace(l2Config(config));
 }
 
 void
@@ -187,14 +227,14 @@ MemorySystem::accessL2Line(Asid asid, Addr paddr, ContextId ctx,
 {
     _pmu.record(EventId::kL2Access, ctx);
     const std::uint32_t port_wait = l2Occupy(now);
-    if (sharesL2()) {
+    if (_overlay) {
         // Chip slice: the shared L2 is read-only between barriers,
         // so read it through this quantum's overlay and log the
         // access for the barrier to apply (DESIGN.md §11).
-        l2_hit = _l2.accessOverlay(*_l2use, asid, paddr);
+        l2_hit = _overlay->access(asid, paddr);
         _l2Log.push_back({_l2Clock, paddr, asid});
     } else {
-        l2_hit = _l2.access(asid, paddr, ctx);
+        l2_hit = _l2->access(asid, paddr, ctx);
     }
     if (l2_hit)
         return _config.l2HitCycles + port_wait;
@@ -289,7 +329,7 @@ MemorySystem::flushAll()
 {
     _traceCache.flush();
     _l1d.flush();
-    _l2use->flush();
+    _l2->flush();
     _itlb.flush();
     _dtlb.flush();
     _fsbNextFree = 0;

@@ -14,6 +14,7 @@
 #define JSMT_MEM_MEMORY_SYSTEM_H
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -94,6 +95,41 @@ struct L2LogEntry
 };
 
 /**
+ * A chip slice's view of the shared L2 for one quantum (DESIGN.md
+ * §11): the shared L2 as it stood at the quantum start, plus the
+ * slice's own fills and LRU updates since. It holds only the sets
+ * the slice touched this quantum, each copied from the shared L2 on
+ * first touch into a compact pool and then walked exactly as
+ * Cache::access() walks it; the shared L2 itself is only read.
+ */
+class L2Overlay
+{
+  public:
+    /** A view of @p shared, which must not be set-partitioned. */
+    explicit L2Overlay(const Cache& shared);
+
+    /**
+     * Start a quantum: drop every copied set and take the shared
+     * L2's LRU clock, so stamps made during the quantum order after
+     * every stamp copied from it.
+     */
+    void begin();
+
+    /** Cache::access() through the view. @return true on hit. */
+    bool access(Asid asid, Addr addr);
+
+  private:
+    const Cache& _shared;
+    std::uint64_t _useClock = 0;
+    /** Per shared-L2 set: 1 + its index in _sets, 0 if not copied. */
+    std::vector<std::uint32_t> _slotOf;
+    /** The sets copied this quantum, in first-touch order. */
+    std::vector<std::uint32_t> _sets;
+    /** Their lines: ways() per copied set, slot-major. */
+    std::vector<Cache::Line> _lines;
+};
+
+/**
  * Memory hierarchy facade used by the SMT core.
  *
  * All structures are presence-only models; accesses update replacement
@@ -110,11 +146,11 @@ class MemorySystem
      *        system so all cores compete for the same capacity
      *        (ASID-tagged lines make the sharing correct across
      *        address spaces). FSB/L2-port occupancy cursors stay
-     *        per-core (private bus ports). The hierarchy then reads
-     *        the shared L2 through its private one, used as a
-     *        quantum overlay, and logs every access for the barrier
-     *        merge (see MultiCoreSystem::l2Barrier). Null (the
-     *        default) keeps the single-core behaviour bit-identical.
+     *        per-core (private bus ports). The hierarchy then builds
+     *        no L2 of its own: it reads the shared one through an
+     *        L2Overlay and logs every access for the barrier merge
+     *        (see MultiCoreSystem::l2Barrier). Null (the default)
+     *        keeps the single-core behaviour bit-identical.
      */
     MemorySystem(const MemConfig& config, Pmu& pmu,
                  Cache* shared_l2 = nullptr);
@@ -122,7 +158,7 @@ class MemorySystem
     /**
      * @return the geometry the hierarchy uses for its unified L2.
      * The multi-core machine builds its shared L2 from this so the
-     * externally owned cache matches the private one exactly.
+     * externally owned cache has the geometry a private one would.
      */
     static CacheConfig l2CacheConfig(const MemConfig& config);
 
@@ -170,7 +206,7 @@ class MemorySystem
     /** @return L1 data cache structure. */
     const Cache& l1d() const { return _l1d; }
     /** @return unified L2 structure (shared one when attached). */
-    const Cache& l2() const { return *_l2use; }
+    const Cache& l2() const { return *_l2; }
     /** @return instruction TLB. */
     const Tlb& itlb() const { return _itlb; }
     /** @return data TLB. */
@@ -188,7 +224,7 @@ class MemorySystem
     /** @name Shared-L2 quantum view (chip slices only) */
     ///@{
     /** @return whether this hierarchy reads a shared L2. */
-    bool sharesL2() const { return _l2use != &_l2; }
+    bool sharesL2() const { return _overlay.has_value(); }
 
     /**
      * Record the stepping cycle that keys the accesses that follow
@@ -206,7 +242,7 @@ class MemorySystem
      * Start a quantum: the overlay drops its copies and reads the
      * shared L2 as it stands now. Call with an empty log.
      */
-    void beginL2Quantum() { _l2.beginOverlay(*_l2use); }
+    void beginL2Quantum() { _overlay->begin(); }
     ///@}
 
   private:
@@ -233,10 +269,12 @@ class MemorySystem
     bool _hyperThreading = false;
     Cache _traceCache;
     Cache _l1d;
-    /** The private L2, or a chip slice's overlay of the shared one. */
-    Cache _l2;
-    /** Points at _l2 or at an external shared L2 (multi-core). */
-    Cache* _l2use;
+    /** The private L2; empty on a chip slice. */
+    std::optional<Cache> _privateL2;
+    /** Points at _privateL2 or at the chip's shared L2. */
+    Cache* _l2;
+    /** A chip slice's view of the shared L2; empty otherwise. */
+    std::optional<L2Overlay> _overlay;
     Cycle _l2Clock = 0;
     std::vector<L2LogEntry> _l2Log;
     Tlb _itlb;

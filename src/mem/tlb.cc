@@ -41,12 +41,6 @@ Tlb::flush()
 }
 
 void
-Tlb::flushAsid(Asid asid)
-{
-    _cache.flushAsid(asid);
-}
-
-void
 Tlb::setPartitioned(bool partitioned_flag)
 {
     _cache.setPartitioned(partitioned_flag);

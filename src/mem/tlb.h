@@ -47,9 +47,6 @@ class Tlb
     /** Invalidate all translations (e.g. across partition change). */
     void flush();
 
-    /** Invalidate translations of one address space. */
-    void flushAsid(Asid asid);
-
     /** Enable/disable the static per-context partition. */
     void setPartitioned(bool partitioned);
 
@@ -64,9 +61,6 @@ class Tlb
 
     /** @return total misses. */
     std::uint64_t misses() const { return _cache.misses(); }
-
-    /** Zero local statistics. */
-    void clearStats() { _cache.clearStats(); }
 
   private:
     std::uint32_t _pageBytes;

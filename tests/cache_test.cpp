@@ -73,16 +73,6 @@ TEST(Cache, FlushInvalidatesEverything)
     EXPECT_FALSE(cache.lookup(1, 0x40, 0));
 }
 
-TEST(Cache, FlushAsidIsSelective)
-{
-    Cache cache(smallCache());
-    cache.access(1, 0x40, 0);
-    cache.access(2, 0x80, 0);
-    cache.flushAsid(1);
-    EXPECT_FALSE(cache.lookup(1, 0x40, 0));
-    EXPECT_TRUE(cache.lookup(2, 0x80, 0));
-}
-
 TEST(Cache, PartitionSeparatesContexts)
 {
     CacheConfig config = smallCache();
@@ -129,15 +119,6 @@ TEST(Cache, PartitionHalvesReach)
     part.access(1, 2 * 64, 0);
     EXPECT_FALSE(part.lookup(1, 0 * 64, 0));
     EXPECT_TRUE(part.lookup(1, 2 * 64, 0));
-}
-
-TEST(Cache, StatsClear)
-{
-    Cache cache(smallCache());
-    cache.access(1, 0, 0);
-    cache.clearStats();
-    EXPECT_EQ(cache.accesses(), 0u);
-    EXPECT_EQ(cache.misses(), 0u);
 }
 
 TEST(CacheDeath, RejectsBadGeometry)

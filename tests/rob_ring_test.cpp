@@ -8,7 +8,8 @@
  * Hyper-Threading modes and both partition policies, verify that
  * fast-forward stays bit-identical to the cycle-by-cycle loop at
  * every geometry, and assert that the
- * steady-state cycle loop performs no heap allocation.
+ * steady-state cycle loop performs no heap allocation and that a
+ * chip builds only the L2 state its slices use.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "core/simulation.h"
 #include "expect_identical.h"
 #include "jvm/benchmarks.h"
+#include "os/allocation/multi_core.h"
 
 // ---------------------------------------------------------------
 // Global allocation counter. Only this test binary links it; gtest
@@ -41,12 +43,14 @@
 
 namespace {
 std::atomic<std::uint64_t> g_newCalls{0};
+std::atomic<std::uint64_t> g_newBytes{0};
 }
 
 void*
 operator new(std::size_t size)
 {
     g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    g_newBytes.fetch_add(size, std::memory_order_relaxed);
     if (void* p = std::malloc(size))
         return p;
     throw std::bad_alloc{};
@@ -270,6 +274,30 @@ TEST(RobRingStress, SteadyStateCycleLoopDoesNotAllocate)
     EXPECT_LE(delta, 64u)
         << "cycle loop allocated " << delta << " times over "
         << result.cycles << " cycles";
+}
+
+// A chip slice reads the shared L2 through a per-quantum overlay of
+// the sets it touched, so it must not build a private L2 of the full
+// geometry: four of those would be 4 x 16,384 lines x 16 B = 1 MB.
+// The whole 4-core chip (shared L2, four machines, their caches,
+// TLBs and predictors) must cost less than that.
+TEST(ChipConstruction, SlicesBuildNoPrivateL2)
+{
+    MultiCoreConfig config;
+    config.cores = 4;
+    const std::uint64_t slice_l2_bytes =
+        config.system.mem.l2Bytes / config.system.mem.lineBytes *
+        16;
+    const std::uint64_t before =
+        g_newBytes.load(std::memory_order_relaxed);
+    {
+        MultiCoreSystem chip(config);
+        ASSERT_NE(chip.sharedL2(), nullptr);
+    }
+    const std::uint64_t bytes =
+        g_newBytes.load(std::memory_order_relaxed) - before;
+    EXPECT_LT(bytes, config.cores * slice_l2_bytes)
+        << "a 4-core chip allocated " << bytes << " bytes";
 }
 
 } // namespace
