@@ -11,14 +11,20 @@
  * combined speedup.
  *
  * Usage: pairing_advisor [scale] [min_runs]
+ *
+ * scale is a positive length multiplier (default 0.5) and min_runs
+ * an integer in [3, 1000] (default 6): the co-run keeps relaunching
+ * until each program completes that often, and drops the first and
+ * last completions. A malformed or out-of-range argument prints the
+ * usage and exits with status 2.
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "common/log.h"
+#include "example_args.h"
 #include "harness/multiprogram.h"
 #include "harness/solo.h"
 #include "harness/table.h"
@@ -29,9 +35,10 @@ main(int argc, char** argv)
 {
     using namespace jsmt;
     setVerbose(false);
-    const double scale = argc > 1 ? std::atof(argv[1]) : 0.5;
-    const std::size_t min_runs =
-        argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 6;
+    const ExampleArgs args(
+        argc, argv, "pairing_advisor [scale > 0] [min_runs 3-1000]", 2);
+    const double scale = args.scale(1, 0.5);
+    const std::size_t min_runs = args.count(2, 6, 3, 1000, "min_runs");
 
     SystemConfig config;
 

@@ -12,33 +12,16 @@
  * prints the usage and exits with status 2.
  */
 
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
-#include "common/env.h"
 #include "common/log.h"
 #include "core/simulation.h"
+#include "example_args.h"
 #include "harness/solo.h"
 #include "harness/table.h"
 #include "jvm/benchmarks.h"
-
-namespace {
-
-constexpr int kUsageError = 2;
-constexpr std::uint64_t kMaxThreads = 64;
-
-[[noreturn]] void
-usage(const std::string& problem)
-{
-    std::cerr << problem << "\nusage: quickstart [benchmark] "
-              << "[threads 0-" << kMaxThreads << "] [scale > 0]\n";
-    std::exit(kUsageError);
-}
-
-} // namespace
 
 int
 main(int argc, char** argv)
@@ -46,19 +29,11 @@ main(int argc, char** argv)
     using namespace jsmt;
     setVerbose(false);
 
-    if (argc > 4)
-        usage("too many arguments");
-    const std::string benchmark = argc > 1 ? argv[1] : "MolDyn";
-    std::uint64_t threads = 0;
-    if (argc > 2 && (!parseUint(argv[2], &threads) ||
-                     threads > kMaxThreads)) {
-        usage(std::string("invalid thread count '") + argv[2] + "'");
-    }
-    double scale = 0.25;
-    if (argc > 3 && (!parseDouble(argv[3], &scale) ||
-                     !std::isfinite(scale) || scale <= 0.0)) {
-        usage(std::string("invalid scale '") + argv[3] + "'");
-    }
+    const ExampleArgs args(
+        argc, argv, "quickstart [benchmark] [threads 0-64] [scale > 0]", 3);
+    const std::string benchmark = args.text(1, "MolDyn");
+    const std::uint64_t threads = args.count(2, 0, 0, 64, "thread count");
+    const double scale = args.scale(3, 0.25);
 
     if (!isBenchmark(benchmark)) {
         std::cerr << "unknown benchmark '" << benchmark

@@ -11,13 +11,16 @@
  * threads are usually optimal on two contexts.
  *
  * Usage: server_tuning [benchmark] [scale]
+ *
+ * scale is a positive length multiplier (default 0.4). A malformed
+ * or out-of-range argument prints the usage and exits with status 2.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "common/log.h"
+#include "example_args.h"
 #include "harness/solo.h"
 #include "harness/table.h"
 #include "jvm/benchmarks.h"
@@ -27,9 +30,10 @@ main(int argc, char** argv)
 {
     using namespace jsmt;
     setVerbose(false);
-    const std::string benchmark =
-        argc > 1 ? argv[1] : "PseudoJBB";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.4;
+    const ExampleArgs args(argc, argv,
+                           "server_tuning [benchmark] [scale > 0]", 2);
+    const std::string benchmark = args.text(1, "PseudoJBB");
+    const double scale = args.scale(2, 0.4);
     if (!isBenchmark(benchmark)) {
         std::cerr << "unknown benchmark '" << benchmark << "'\n";
         return 1;

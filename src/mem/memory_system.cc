@@ -324,16 +324,4 @@ MemorySystem::dataAccess(Asid asid, Addr vaddr, ContextId ctx,
     return result;
 }
 
-void
-MemorySystem::flushAll()
-{
-    _traceCache.flush();
-    _l1d.flush();
-    _l2->flush();
-    _itlb.flush();
-    _dtlb.flush();
-    _fsbNextFree = 0;
-    _l2NextFree = 0;
-}
-
 } // namespace jsmt

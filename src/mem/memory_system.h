@@ -198,9 +198,6 @@ class MemorySystem
      */
     Addr translate(Asid asid, Addr vaddr) const;
 
-    /** Drop all cached state (used between harness runs). */
-    void flushAll();
-
     /** @return trace cache structure (tests/inspection). */
     const Cache& traceCache() const { return _traceCache; }
     /** @return L1 data cache structure. */

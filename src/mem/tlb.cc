@@ -35,12 +35,6 @@ Tlb::access(Asid asid, Addr vaddr, ContextId ctx)
 }
 
 void
-Tlb::flush()
-{
-    _cache.flush();
-}
-
-void
 Tlb::setPartitioned(bool partitioned_flag)
 {
     _cache.setPartitioned(partitioned_flag);

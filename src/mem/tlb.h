@@ -44,9 +44,6 @@ class Tlb
      */
     bool access(Asid asid, Addr vaddr, ContextId ctx);
 
-    /** Invalidate all translations (e.g. across partition change). */
-    void flush();
-
     /** Enable/disable the static per-context partition. */
     void setPartitioned(bool partitioned);
 

@@ -1,18 +1,15 @@
 /**
  * @file
- * Tests for the core-allocation layer: policy determinism, the
- * static-pin single-core bit-identity contract, fast-forward and
- * step-thread bit-identity across random chip topologies, allocation
- * counters, the migration drain at epoch edges, and the pair-matrix
- * acceptance comparison against round-robin.
+ * Tests for the core-allocation layer: policy determinism,
+ * allocation counters, the migration drain at epoch edges, and the
+ * pair-matrix acceptance comparison against round-robin. The
+ * fast-forward, step-thread and 1-core static-pin bit-identity
+ * contracts are the equivalence harness's (equivalence_test.cpp).
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
-#include <new>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -22,7 +19,6 @@
 #include "os/allocation/allocation.h"
 #include "os/allocation/multi_core.h"
 #include "os/allocation/pair_matrix.h"
-#include "trace/trace_sink.h"
 
 namespace jsmt {
 namespace {
@@ -44,23 +40,17 @@ chipConfig(std::uint32_t cores, AllocPolicyKind policy,
 
 MultiRunResult
 runChip(const MultiCoreConfig& config,
-        const std::vector<std::string>& benchmarks,
-        bool fast_forward = true, std::uint32_t step_threads = 1,
-        trace::TraceSink* sink = nullptr, double scale = kScale)
+        const std::vector<std::string>& benchmarks)
 {
     MultiCoreSystem system(config);
     MultiCoreSimulation sim(system);
     for (const std::string& name : benchmarks) {
         WorkloadSpec spec;
         spec.benchmark = name;
-        spec.lengthScale = scale;
+        spec.lengthScale = kScale;
         sim.addProcess(spec);
     }
-    MultiCoreSimulation::RunOptions options;
-    options.fastForward = fast_forward;
-    options.stepThreads = step_threads;
-    options.trace = sink;
-    return sim.run(options);
+    return sim.run();
 }
 
 // ---------------------------------------------------------------
@@ -96,212 +86,6 @@ TEST(AllocationPolicy, EveryPolicyIsDeterministic)
         const MultiRunResult second = runChip(config, mix);
         ASSERT_TRUE(first.allComplete) << name;
         expectIdentical(first, second);
-    }
-}
-
-// ---------------------------------------------------------------
-// Static-pin on one core degenerates to the plain Simulation.
-// ---------------------------------------------------------------
-
-TEST(AllocationPolicy, StaticPinSingleCoreMatchesPlainSimulation)
-{
-    const std::vector<std::string> mix = {"javac", "jack"};
-    // Long enough for javac's heap to fill and collect.
-    constexpr double kGcScale = 0.3;
-
-    SystemConfig plain_config;
-    plain_config.seed = 42;
-    Machine machine(plain_config);
-    Simulation plain(machine);
-    for (const std::string& name : mix) {
-        WorkloadSpec spec;
-        spec.benchmark = name;
-        spec.lengthScale = kGcScale;
-        plain.addProcess(spec);
-    }
-    const RunResult expected = plain.run();
-    ASSERT_TRUE(expected.allComplete);
-    std::uint64_t gc_runs = 0;
-    for (const ProcessResult& process : expected.processes)
-        gc_runs += process.gcRuns;
-    // The heap counters compared below must not be trivially zero.
-    ASSERT_GT(gc_runs, 0u);
-
-    const MultiCoreConfig config =
-        chipConfig(1, AllocPolicyKind::kStaticPin);
-    const MultiRunResult multi =
-        runChip(config, mix, true, 1, nullptr, kGcScale);
-    ASSERT_TRUE(multi.allComplete);
-    EXPECT_EQ(multi.migrations, 0u);
-    EXPECT_EQ(multi.steals, 0u);
-
-    // The multi-core clock rounds the finish up to the next epoch
-    // edge, but that padding is pure idle-clock advance with no
-    // accounting: every measured event and completion must be bit
-    // for bit what the plain driver produced.
-    const RunResult folded = multi.toRunResult();
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        for (std::size_t e = 0; e < kNumEventIds; ++e) {
-            ASSERT_EQ(folded.events[ctx][e],
-                      expected.events[ctx][e])
-                << "ctx " << ctx << " event "
-                << eventName(static_cast<EventId>(e));
-        }
-    }
-    ASSERT_EQ(multi.processes.size(), expected.processes.size());
-    for (std::size_t i = 0; i < multi.processes.size(); ++i) {
-        EXPECT_EQ(multi.processes[i].completionCycle,
-                  expected.processes[i].completionCycle);
-        EXPECT_EQ(multi.processes[i].durationCycles,
-                  expected.processes[i].durationCycles);
-        EXPECT_EQ(folded.processes[i].gcRuns,
-                  expected.processes[i].gcRuns);
-        EXPECT_EQ(folded.processes[i].allocatedBytes,
-                  expected.processes[i].allocatedBytes);
-    }
-}
-
-// ---------------------------------------------------------------
-// Randomized topology fuzz: fast-forward never changes results.
-// ---------------------------------------------------------------
-
-TEST(AllocationPolicy, FuzzFastForwardBitIdenticalAcrossTopologies)
-{
-    const std::vector<std::string>& names = benchmarkNames();
-    std::mt19937_64 rng(20260809);
-    for (int trial = 0; trial < 6; ++trial) {
-        const std::array<std::uint32_t, 3> core_choices = {1, 2, 4};
-        const std::uint32_t cores = core_choices[rng() % 3];
-        const auto kind = static_cast<AllocPolicyKind>(rng() % 4);
-        std::vector<std::string> mix;
-        const std::size_t procs = 2 + rng() % (2 * cores);
-        for (std::size_t p = 0; p < procs; ++p)
-            mix.push_back(names[rng() % names.size()]);
-
-        MultiCoreConfig config = chipConfig(cores, kind);
-        config.system.seed = rng();
-        const MultiRunResult plain = runChip(config, mix, false);
-        const MultiRunResult fast = runChip(config, mix, true);
-        ASSERT_TRUE(plain.allComplete)
-            << "trial " << trial << " cores " << cores << " policy "
-            << allocPolicyName(kind);
-        expectIdentical(plain, fast);
-    }
-}
-
-// ---------------------------------------------------------------
-// Randomized topology fuzz: the parallel stepping engine is bit
-// identical to the serial reference for every worker count.
-// ---------------------------------------------------------------
-
-TEST(AllocationPolicy, FuzzStepThreadsBitIdenticalAcrossTopologies)
-{
-    const std::vector<std::string>& names = benchmarkNames();
-    std::mt19937_64 rng(0x20260809);
-    for (int trial = 0; trial < 8; ++trial) {
-        const std::array<std::uint32_t, 4> core_choices = {1, 2, 4,
-                                                           8};
-        const std::uint32_t cores = core_choices[rng() % 4];
-        // Cycle the policy deterministically so all four are hit.
-        const auto kind = static_cast<AllocPolicyKind>(trial % 4);
-        std::vector<std::string> mix;
-        const std::size_t procs = 2 + rng() % (2 * cores);
-        for (std::size_t p = 0; p < procs; ++p)
-            mix.push_back(names[rng() % names.size()]);
-
-        MultiCoreConfig config = chipConfig(cores, kind);
-        config.system.seed = rng();
-        const MultiRunResult reference =
-            runChip(config, mix, true, 1);
-        ASSERT_TRUE(reference.allComplete)
-            << "trial " << trial << " cores " << cores << " policy "
-            << allocPolicyName(kind);
-        for (const std::uint32_t threads : {2u, 4u, 0u}) {
-            SCOPED_TRACE("trial " + std::to_string(trial) +
-                         " cores " + std::to_string(cores) +
-                         " policy " + allocPolicyName(kind) +
-                         " step-threads " +
-                         std::to_string(threads));
-            const MultiRunResult parallel =
-                runChip(config, mix, true, threads);
-            expectIdentical(reference, parallel);
-        }
-    }
-}
-
-void
-failAllocation(std::size_t)
-{
-    throw std::bad_alloc();
-}
-
-TEST(AllocationPolicy, StepThreadsIdenticalUnderDegradedTraceSink)
-{
-    // A trace sink whose ring allocation failed must not perturb
-    // parallel stepping: the degraded sink suppresses the per-core
-    // shard machinery (shards only exist for an enabled sink), and
-    // results stay bit-identical to the serial reference with the
-    // same degraded sink attached.
-    const std::vector<std::string> mix = {"PseudoJBB", "jess",
-                                          "MolDyn", "db"};
-    const MultiCoreConfig config =
-        chipConfig(2, AllocPolicyKind::kIpcSymbiosis);
-
-    trace::TraceSink serial_sink(1u << 12, failAllocation);
-    ASSERT_TRUE(serial_sink.degraded());
-    serial_sink.setEnabled(true); // Ignored: stays degraded.
-    const MultiRunResult reference =
-        runChip(config, mix, true, 1, &serial_sink);
-    ASSERT_TRUE(reference.allComplete);
-
-    trace::TraceSink parallel_sink(1u << 12, failAllocation);
-    parallel_sink.setEnabled(true);
-    const MultiRunResult parallel =
-        runChip(config, mix, true, 4, &parallel_sink);
-    expectIdentical(reference, parallel);
-    EXPECT_EQ(serial_sink.size(), 0u);
-    EXPECT_EQ(parallel_sink.size(), 0u);
-}
-
-TEST(AllocationPolicy, StepThreadTraceShardsMergeDeterministically)
-{
-    // An enabled sink sees the same event sequence for every worker
-    // count: per-core shards are drained into the user's sink in
-    // core order at each epoch edge, which reproduces exactly what
-    // the serial reference captures.
-    const std::vector<std::string> mix = {"PseudoJBB", "jack",
-                                          "compress"};
-    const MultiCoreConfig config =
-        chipConfig(2, AllocPolicyKind::kRoundRobin);
-
-    trace::TraceSink serial_sink(1u << 15);
-    serial_sink.setEnabled(true);
-    const MultiRunResult reference =
-        runChip(config, mix, true, 1, &serial_sink);
-    ASSERT_TRUE(reference.allComplete);
-
-    trace::TraceSink parallel_sink(1u << 15);
-    parallel_sink.setEnabled(true);
-    const MultiRunResult parallel =
-        runChip(config, mix, true, 4, &parallel_sink);
-    expectIdentical(reference, parallel);
-
-    const std::vector<trace::TraceEvent> expected =
-        serial_sink.events();
-    const std::vector<trace::TraceEvent> actual =
-        parallel_sink.events();
-    ASSERT_GT(expected.size(), 0u);
-    ASSERT_EQ(expected.size(), actual.size());
-    EXPECT_EQ(serial_sink.dropped(), parallel_sink.dropped());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        SCOPED_TRACE("event " + std::to_string(i));
-        ASSERT_EQ(expected[i].ts, actual[i].ts);
-        ASSERT_EQ(expected[i].dur, actual[i].dur);
-        ASSERT_STREQ(expected[i].name, actual[i].name);
-        ASSERT_EQ(expected[i].track, actual[i].track);
-        ASSERT_EQ(expected[i].phase, actual[i].phase);
-        ASSERT_EQ(expected[i].argValue, actual[i].argValue);
-        ASSERT_EQ(expected[i].argText, actual[i].argText);
     }
 }
 

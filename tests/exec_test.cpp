@@ -2,11 +2,10 @@
  * @file
  * Tests for the parallel experiment engine: TaskPool scheduling and
  * exception semantics, the shared-L2 quantum view the parallel
- * stepping engine relies on, the result store (memo, spill and
- * manifest roles, and its fault handling), and the
- * determinism gate — the same measurements must be bit-identical
- * whether they run serially, across many jobs, or replay from the
- * cache.
+ * stepping engine relies on, and the result store (memo, spill and
+ * manifest roles, and its fault handling). That a result is
+ * bit-identical serially, on pool workers and replayed from the
+ * store is the equivalence harness's (equivalence_test.cpp).
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +22,6 @@
 #include "exec/result_store.h"
 #include "exec/task_pool.h"
 #include "expect_identical.h"
-#include "harness/solo.h"
 #include "jvm/benchmarks.h"
 #include "mem/memory_system.h"
 #include "os/allocation/multi_core.h"
@@ -33,8 +31,6 @@ namespace {
 
 using exec::ResultStore;
 using exec::TaskPool;
-
-constexpr double kTinyScale = 0.02;
 
 TEST(TaskPool, RunsEveryIndexExactlyOnce)
 {
@@ -530,95 +526,6 @@ TEST(RunCache, HashKeyIsFnv1a)
     // FNV-1a offset basis for the empty string; distinct elsewhere.
     EXPECT_EQ(exec::hashKey(""), 0xcbf29ce484222325ULL);
     EXPECT_NE(exec::hashKey("a"), exec::hashKey("b"));
-}
-
-// The determinism gate: the same measurement matrix must produce
-// bit-identical results serially, under many jobs, and through the
-// cache. On a single-core host the 8-job pool still exercises the
-// cross-thread path (7 workers plus the caller).
-TEST(ExecDeterminism, ParallelJobsMatchSerial)
-{
-    const SystemConfig config;
-    struct Point
-    {
-        const char* benchmark;
-        bool ht;
-    };
-    const std::vector<Point> points = {
-        {"compress", false},
-        {"compress", true},
-        {"jess", true},
-        {"db", false},
-    };
-    SoloOptions options;
-    options.threads = 1;
-    options.lengthScale = kTinyScale;
-
-    std::vector<RunResult> serial;
-    serial.reserve(points.size());
-    for (const Point& point : points) {
-        serial.push_back(measureSolo(config, point.benchmark,
-                                     point.ht, options));
-    }
-
-    TaskPool pool(8);
-    const std::vector<RunResult> parallel =
-        pool.map<RunResult>(points.size(), [&](std::size_t i) {
-            return measureSolo(config, points[i].benchmark,
-                               points[i].ht, options);
-        });
-
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdentical(serial[i], parallel[i]);
-}
-
-TEST(ExecDeterminism, CachedReplayMatchesFreshRun)
-{
-    const SystemConfig config;
-    SoloOptions options;
-    options.threads = 1;
-    options.lengthScale = kTinyScale;
-
-    const RunResult fresh =
-        measureSolo(config, "mpegaudio", true, options);
-
-    ResultStore cache;
-    const std::string key =
-        soloRunKey(config, "mpegaudio", true, options);
-    const auto compute = [&] {
-        return measureSolo(config, "mpegaudio", true, options);
-    };
-    const RunResult computed = cache.getOrCompute(key, compute);
-    const RunResult replayed = cache.getOrCompute(key, compute);
-    EXPECT_EQ(cache.hits(), 1u);
-    expectIdentical(fresh, computed);
-    expectIdentical(fresh, replayed);
-}
-
-TEST(ExecDeterminism, SpilledReplayMatchesFreshRun)
-{
-    const SystemConfig config;
-    SoloOptions options;
-    options.threads = 1;
-    options.lengthScale = kTinyScale;
-    const std::string key =
-        soloRunKey(config, "jack", false, options);
-    const std::string path =
-        testing::TempDir() + "jsmt_exec_test_roundtrip.json";
-
-    const RunResult fresh =
-        measureSolo(config, "jack", false, options);
-    {
-        ResultStore cache;
-        cache.insert(key, fresh);
-        ASSERT_TRUE(cache.save(path));
-    }
-    ResultStore warm(path, 0);
-    RunResult replayed;
-    ASSERT_TRUE(warm.lookup(key, &replayed));
-    expectIdentical(fresh, replayed);
-    std::remove(path.c_str());
 }
 
 // Every escaping exception is collected — not just the first — and

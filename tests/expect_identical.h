@@ -21,9 +21,9 @@ namespace jsmt {
 
 /**
  * Expect @p a and @p b to be the same run: cycles, completion,
- * every event on every context, and each process's benchmark,
- * duration, GC runs and allocated bytes. @p label prefixes every
- * failure message.
+ * cancellation, every event on every context, and each process's
+ * benchmark, completion cycle, duration, GC runs and allocated
+ * bytes. @p label prefixes every failure message.
  */
 inline void
 expectIdentical(const RunResult& a, const RunResult& b,
@@ -31,6 +31,7 @@ expectIdentical(const RunResult& a, const RunResult& b,
 {
     EXPECT_EQ(a.cycles, b.cycles) << label;
     EXPECT_EQ(a.allComplete, b.allComplete) << label;
+    EXPECT_EQ(a.cancelled, b.cancelled) << label;
     for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
         for (std::size_t e = 0; e < kNumEventIds; ++e) {
             ASSERT_EQ(a.events[ctx][e], b.events[ctx][e])
@@ -42,6 +43,9 @@ expectIdentical(const RunResult& a, const RunResult& b,
     ASSERT_EQ(a.processes.size(), b.processes.size()) << label;
     for (std::size_t i = 0; i < a.processes.size(); ++i) {
         EXPECT_EQ(a.processes[i].benchmark, b.processes[i].benchmark)
+            << label << " process " << i;
+        EXPECT_EQ(a.processes[i].completionCycle,
+                  b.processes[i].completionCycle)
             << label << " process " << i;
         EXPECT_EQ(a.processes[i].durationCycles,
                   b.processes[i].durationCycles)

@@ -129,16 +129,5 @@ TEST(MemorySystem, EventAccounting)
               pmu.rawTotal(EventId::kL2Miss));
 }
 
-TEST(MemorySystem, FlushAllColdens)
-{
-    Pmu pmu;
-    MemorySystem mem(MemConfig{}, pmu);
-    mem.dataAccess(1, 0x10000000, 0, false, 0);
-    mem.flushAll();
-    const auto again =
-        mem.dataAccess(1, 0x10000000, 0, false, 100);
-    EXPECT_FALSE(again.l1Hit);
-}
-
 } // namespace
 } // namespace jsmt

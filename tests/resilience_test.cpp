@@ -186,37 +186,6 @@ TEST(Cancellation, PreCancelledTokenStopsBeforeTheFirstCycle)
     EXPECT_EQ(result.cycles, 0u);
 }
 
-TEST(Cancellation, StopsOnTheCheckLatticeIdenticallyWithAndWithoutFastForward)
-{
-    const auto cancelledRun = [](bool fast_forward) {
-        SystemConfig config;
-        Machine machine(config);
-        Simulation sim(machine);
-        WorkloadSpec spec;
-        spec.benchmark = "jess";
-        spec.lengthScale = kTinyScale;
-        sim.addProcess(spec);
-
-        CancellationToken token;
-        Simulation::RunOptions options;
-        options.fastForward = fast_forward;
-        options.cancellation = &token;
-        options.cancelCheckIntervalCycles = 4096;
-        options.sampleIntervalCycles = 8192;
-        options.onSample = [&](Simulation&, Cycle now) {
-            if (now >= 16384)
-                token.cancel();
-        };
-        return sim.run(options);
-    };
-    const RunResult with_ff = cancelledRun(true);
-    const RunResult without_ff = cancelledRun(false);
-    EXPECT_TRUE(with_ff.cancelled);
-    EXPECT_TRUE(without_ff.cancelled);
-    EXPECT_FALSE(with_ff.allComplete);
-    expectIdentical(with_ff, without_ff);
-}
-
 TEST(Cancellation, MeasureSoloThrowsTaskCancelledError)
 {
     SystemConfig config;
@@ -227,22 +196,6 @@ TEST(Cancellation, MeasureSoloThrowsTaskCancelledError)
     options.cancel = &token;
     EXPECT_THROW(measureSolo(config, "jess", false, options),
                  TaskCancelledError);
-}
-
-TEST(Cancellation, UncancelledTokenDoesNotPerturbTheRun)
-{
-    SystemConfig config;
-    SoloOptions plain;
-    plain.lengthScale = kTinyScale;
-    const RunResult baseline =
-        measureSolo(config, "jess", true, plain);
-
-    CancellationToken token;
-    SoloOptions watched = plain;
-    watched.cancel = &token;
-    const RunResult supervised =
-        measureSolo(config, "jess", true, watched);
-    expectIdentical(baseline, supervised);
 }
 
 // ----------------------------------------------------------------
@@ -270,7 +223,9 @@ TEST(SinkDegradation, InjectedAllocationFailureDegradesGracefully)
     sink.instant(trace::Track::kSim, "ignored", 1);
     EXPECT_EQ(sink.size(), 0u);
 
-    // A run traced through a degraded sink is still correct.
+    // A run traced through a degraded sink still completes; that it
+    // is bit-identical to an untraced one is the equivalence
+    // harness's (equivalence_test.cpp).
     SystemConfig config;
     Machine machine(config);
     machine.setTraceSink(&sink);
@@ -279,13 +234,7 @@ TEST(SinkDegradation, InjectedAllocationFailureDegradesGracefully)
     spec.benchmark = "db";
     spec.lengthScale = kTinyScale;
     sim.addProcess(spec);
-    const RunResult traced = sim.run();
-    EXPECT_TRUE(traced.allComplete);
-
-    Machine plain_machine(config);
-    Simulation plain_sim(plain_machine);
-    plain_sim.addProcess(spec);
-    expectIdentical(traced, plain_sim.run());
+    EXPECT_TRUE(sim.run().allComplete);
 }
 
 TEST(SinkDegradation, HealthySinkIsUnaffectedByEmptyPlan)

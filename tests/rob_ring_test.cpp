@@ -5,11 +5,11 @@
  * at machine construction; these tests hammer the wrap-around logic
  * with deliberately tiny window geometries (constant wrapping, every
  * full/empty edge), check the partition-cap invariants under both
- * Hyper-Threading modes and both partition policies, verify that
- * fast-forward stays bit-identical to the cycle-by-cycle loop at
- * every geometry, and assert that the
- * steady-state cycle loop performs no heap allocation and that a
- * chip builds only the L2 state its slices use.
+ * Hyper-Threading modes and both partition policies, and assert that
+ * the steady-state cycle loop performs no heap allocation and that a
+ * chip builds only the L2 state its slices use. Fast-forward
+ * bit-identity at every geometry is the equivalence harness's
+ * (equivalence_test.cpp).
  */
 
 #include <gtest/gtest.h>
@@ -17,12 +17,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <random>
-#include <string>
 #include <vector>
 
 #include "core/simulation.h"
-#include "expect_identical.h"
 #include "jvm/benchmarks.h"
 #include "os/allocation/multi_core.h"
 
@@ -107,81 +104,6 @@ configFor(const Geometry& g, bool ht)
     config.core.storeBufEntries = g.stq;
     config.core.partitionPolicy = g.policy;
     return config;
-}
-
-RunResult
-runGeometry(const Geometry& g, bool ht, bool fast_forward,
-            const char* benchmark, std::uint32_t threads)
-{
-    Machine machine(configFor(g, ht));
-    Simulation sim(machine);
-    WorkloadSpec spec;
-    spec.benchmark = benchmark;
-    spec.threads = threads;
-    spec.lengthScale = 0.01;
-    sim.addProcess(spec);
-    Simulation::RunOptions options;
-    options.fastForward = fast_forward;
-    return sim.run(options);
-}
-
-std::string
-describe(const Geometry& g, bool ht)
-{
-    return "rob=" + std::to_string(g.rob) + " ldq=" +
-           std::to_string(g.ldq) + " stq=" + std::to_string(g.stq) +
-           " ht=" + (ht ? "1" : "0");
-}
-
-// Tiny windows force the ring to wrap every few cycles and keep the
-// ROB/LDQ/STQ pinned against their caps; large ones exercise the
-// uncontended path. Every geometry must complete, respect the caps
-// and produce bit-identical results with fast-forward on and off,
-// HT on and off.
-TEST(RobRingStress, RandomizedGeometryBitIdentity)
-{
-    std::mt19937 rng(20050314); // Fixed seed: reproducible sweep.
-    std::vector<Geometry> sweep = {
-        // Hand-picked edges: minimum legal ROB, single-entry queues
-        // per context, odd sizes (truncating halves), P4 default.
-        {4, 2, 2, PartitionPolicy::kStatic},
-        {6, 3, 3, PartitionPolicy::kStatic},
-        {7, 2, 3, PartitionPolicy::kDynamic},
-        {126, 48, 24, PartitionPolicy::kStatic},
-    };
-    std::uniform_int_distribution<std::uint32_t> rob_d(4, 160);
-    std::uniform_int_distribution<std::uint32_t> q_d(2, 64);
-    for (int i = 0; i < 4; ++i) {
-        sweep.push_back({rob_d(rng), q_d(rng), q_d(rng),
-                         (rng() & 1) != 0
-                             ? PartitionPolicy::kDynamic
-                             : PartitionPolicy::kStatic});
-    }
-    for (const Geometry& g : sweep) {
-        for (const bool ht : {false, true}) {
-            const RunResult ff =
-                runGeometry(g, ht, true, "compress", 1);
-            const RunResult plain =
-                runGeometry(g, ht, false, "compress", 1);
-            EXPECT_TRUE(ff.allComplete);
-            expectIdentical(ff, plain, describe(g, ht));
-        }
-    }
-}
-
-// Multithreaded + GC workload on a tiny window: maximum scheduler
-// churn (context switches replace ring contents wholesale) while the
-// ring is wrapping constantly.
-TEST(RobRingStress, MultithreadTinyWindowBitIdentity)
-{
-    const Geometry g{8, 4, 4, PartitionPolicy::kStatic};
-    for (const bool ht : {false, true}) {
-        const RunResult ff = runGeometry(g, ht, true, "MolDyn", 2);
-        const RunResult plain =
-            runGeometry(g, ht, false, "MolDyn", 2);
-        EXPECT_TRUE(ff.allComplete);
-        expectIdentical(ff, plain, describe(g, ht));
-    }
 }
 
 // Occupancy must never exceed the partition cap on any sampled

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "core/simulation.h"
-#include "expect_identical.h"
 #include "jvm/benchmarks.h"
 
 namespace jsmt {
@@ -229,74 +228,6 @@ TEST(Simulation, ProcessResultsPopulated)
     EXPECT_TRUE(pr.complete);
     EXPECT_GT(pr.durationCycles, 0u);
     EXPECT_GT(pr.allocatedBytes, 0u);
-}
-
-RunResult
-runWorkloads(const std::vector<WorkloadSpec>& specs,
-             bool hyper_threading, bool fast_forward,
-             Cycle sample_interval = 0, int* samples = nullptr)
-{
-    SystemConfig config;
-    config.hyperThreading = hyper_threading;
-    Machine machine(config);
-    Simulation sim(machine);
-    for (const WorkloadSpec& spec : specs)
-        sim.addProcess(spec);
-    Simulation::RunOptions options;
-    options.fastForward = fast_forward;
-    if (sample_interval > 0) {
-        options.sampleIntervalCycles = sample_interval;
-        options.onSample = [&](Simulation&, Cycle) {
-            if (samples)
-                ++*samples;
-        };
-    }
-    return sim.run(options);
-}
-
-TEST(SimulationFastForward, IdenticalToCycleByCycleSolo)
-{
-    WorkloadSpec spec;
-    spec.benchmark = "compress";
-    spec.threads = 1;
-    spec.lengthScale = kTinyScale;
-    for (const bool ht : {false, true}) {
-        const RunResult ff = runWorkloads({spec}, ht, true);
-        const RunResult plain = runWorkloads({spec}, ht, false);
-        expectIdentical(ff, plain);
-    }
-}
-
-TEST(SimulationFastForward, IdenticalToCycleByCycleMultiprogrammed)
-{
-    WorkloadSpec a;
-    a.benchmark = "jess";
-    a.threads = 1;
-    a.lengthScale = kTinyScale;
-    WorkloadSpec b;
-    b.benchmark = "db";
-    b.threads = 1;
-    b.lengthScale = kTinyScale;
-    const RunResult ff = runWorkloads({a, b}, true, true);
-    const RunResult plain = runWorkloads({a, b}, true, false);
-    expectIdentical(ff, plain);
-}
-
-TEST(SimulationFastForward, SamplingSeesTheSameClockEdges)
-{
-    WorkloadSpec spec;
-    spec.benchmark = "mpegaudio";
-    spec.threads = 1;
-    spec.lengthScale = kTinyScale;
-    int ff_samples = 0;
-    int plain_samples = 0;
-    const RunResult ff =
-        runWorkloads({spec}, true, true, 10'000, &ff_samples);
-    const RunResult plain =
-        runWorkloads({spec}, true, false, 10'000, &plain_samples);
-    expectIdentical(ff, plain);
-    EXPECT_EQ(ff_samples, plain_samples);
-    EXPECT_GT(ff_samples, 0);
 }
 
 TEST(SimulationDeath, UnknownBenchmark)

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the observability layer: TraceSink ring semantics and
- * Chrome trace_event export, MetricsRegistry/MetricsCollector
- * accounting, and the no-observer-effect gate — tracing on vs off
- * must leave every RunResult bit-identical, with and without
- * fast-forward, serially and across a parallel task pool.
+ * Chrome trace_event export, and MetricsRegistry/MetricsCollector
+ * accounting, which must not perturb the run. That tracing leaves
+ * every result bit-identical (with and without fast-forward,
+ * serially and on a task pool) is the equivalence harness's
+ * (equivalence_test.cpp).
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 
 #include "common/json.h"
 #include "core/simulation.h"
-#include "exec/task_pool.h"
 #include "expect_identical.h"
 #include "trace/metrics.h"
 #include "trace/trace_sink.h"
@@ -168,59 +168,6 @@ TEST(TraceExport, RealRunProducesValidMonotonicChromeTrace)
     ASSERT_NE(metadata, nullptr);
     EXPECT_EQ(json::asNumber(metadata->field("dropped_events")),
               sink.dropped());
-}
-
-// ----------------------------------------------------------------
-// No observer effect
-// ----------------------------------------------------------------
-
-TEST(TraceDeterminism, TracingOnVsOffIsBitIdentical)
-{
-    for (const bool ht : {false, true}) {
-        for (const bool fast_forward : {true, false}) {
-            const RunResult off =
-                runSolo("jess", ht, fast_forward, nullptr);
-            TraceSink sink;
-            sink.setEnabled(true);
-            const RunResult on =
-                runSolo("jess", ht, fast_forward, &sink);
-            EXPECT_GT(sink.size(), 0u);
-            expectIdentical(off, on);
-        }
-    }
-}
-
-TEST(TraceDeterminism, AttachedButDisabledSinkIsInert)
-{
-    const RunResult bare = runSolo("db", true, true, nullptr);
-    TraceSink sink; // Never enabled.
-    const RunResult with_sink = runSolo("db", true, true, &sink);
-    EXPECT_EQ(sink.size(), 0u);
-    expectIdentical(bare, with_sink);
-}
-
-TEST(TraceDeterminism, TracedParallelRunsMatchSerialUntraced)
-{
-    const std::vector<std::string> benchmarks = {
-        "compress", "jess", "db", "mpegaudio"};
-    std::vector<RunResult> serial;
-    serial.reserve(benchmarks.size());
-    for (const std::string& name : benchmarks)
-        serial.push_back(runSolo(name, true, true, nullptr));
-
-    // Each parallel task owns a machine AND a sink (sinks are not
-    // thread-safe, machines never were shared).
-    exec::TaskPool pool(8);
-    const std::vector<RunResult> traced =
-        pool.map<RunResult>(benchmarks.size(), [&](std::size_t i) {
-            TraceSink sink;
-            sink.setEnabled(true);
-            return runSolo(benchmarks[i], true, true, &sink);
-        });
-
-    ASSERT_EQ(traced.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdentical(serial[i], traced[i]);
 }
 
 // ----------------------------------------------------------------
