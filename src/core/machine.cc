@@ -9,9 +9,8 @@ Machine::Machine(const SystemConfig& config, Cache* shared_l2)
       _branch(config.branch, _pmu),
       _scheduler(config.os, _pmu),
       _core(config.core, _mem, _branch, _scheduler, _pmu,
-            config.seed)
+            config.seed, config.hyperThreading)
 {
-    _core.setHyperThreading(config.hyperThreading);
 }
 
 void

@@ -259,11 +259,14 @@ Simulation::Stepper::advance(Cycle bound)
             // the skipped cycles instead of simulating them. The
             // jump is capped one cycle short of the next sample and
             // cancellation edges so both fire on the exact clock
-            // edge the cycle-by-cycle path would produce.
+            // edge the cycle-by-cycle path would produce. A core
+            // that may progress now leaves nothing to bound further.
+            const Cycle stall = core.stallBound(sim._cycle);
             const Cycle target =
-                std::min({core.stallBound(sim._cycle),
-                          _horizon.schedulerBound(sim._cycle),
-                          _horizon.jumpCap()});
+                stall > sim._cycle
+                    ? std::min({stall, _horizon.schedulerBound(sim._cycle),
+                                _horizon.jumpCap()})
+                    : stall;
             if (target > sim._cycle) {
                 core.fastForwardAccount(sim._cycle, target);
                 sim._cycle = target;

@@ -1,5 +1,6 @@
 #include "mem/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.h"
@@ -38,21 +39,8 @@ Cache::Cache(const CacheConfig& config)
     _numSets = static_cast<std::uint32_t>(sets);
     _lineShift = static_cast<std::uint32_t>(
         std::countr_zero(static_cast<std::uint64_t>(config.lineBytes)));
-    _lines.resize(static_cast<std::size_t>(_numSets) * config.ways);
-}
-
-std::uint32_t
-Cache::setIndex(Addr addr, ContextId ctx) const
-{
-    const Addr line = addr >> _lineShift;
-    if (!_partitioned)
-        return static_cast<std::uint32_t>(line & (_numSets - 1));
-    // Static partition: each context indexes only its half of the
-    // sets, modelling the P4's per-logical-processor split.
-    const std::uint32_t half = _numSets / 2;
-    const auto within =
-        static_cast<std::uint32_t>(line & (half - 1));
-    return within + (ctx % kNumContexts) * half;
+    _numLines = static_cast<std::size_t>(_numSets) * config.ways;
+    _block.resize(2 * _numLines);
 }
 
 void
@@ -62,36 +50,35 @@ Cache::keyTooWide() const
           ": address/asid exceeds packed-key width");
 }
 
-bool
-Cache::access(Asid asid, Addr addr, ContextId ctx)
+std::uint32_t
+Cache::victimWay(const std::uint64_t* stamps, std::uint32_t ways)
 {
-    ++_accesses;
-    ++_useClock;
-    const std::uint32_t set = setIndex(addr, ctx);
-    const LineKey key = keyOf(asid, addr);
-    Line* const base =
-        &_lines[static_cast<std::size_t>(set) * _config.ways];
-    const std::uint32_t ways = _config.ways;
     std::uint32_t victim = 0;
-    const std::uint32_t hit = walkSet(base, ways, key, victim);
-    if (hit != ways) {
-        base[hit].lastUse = _useClock;
-        return true;
+    std::uint64_t oldest = ~std::uint64_t{0};
+    for (std::uint32_t w = 0; w < ways; ++w) {
+        const bool older = stamps[w] <= oldest;
+        victim = older ? w : victim;
+        oldest = older ? stamps[w] : oldest;
     }
+    return victim;
+}
 
-    Line& line = base[victim];
+void
+Cache::fill(std::size_t first, LineKey key)
+{
+    const std::size_t line =
+        first + victimWay(&_block[_numLines + first], _config.ways);
+    const LineKey victim = _block[line];
     ++_misses;
-    if (line.key != 0) {
+    if (victim != 0) {
         ++_evictions;
-        if ((line.key >> kAsidShift) !=
-            (static_cast<LineKey>(asid) + 1))
+        if ((victim >> kAsidShift) != (key >> kAsidShift))
             ++_crossAsidEvictions;
     } else {
         ++_validLines;
     }
-    line.key = key;
-    line.lastUse = _useClock;
-    return false;
+    _block[line] = key;
+    _block[_numLines + line] = _useClock;
 }
 
 bool
@@ -101,20 +88,18 @@ Cache::lookup(Asid asid, Addr addr, ContextId ctx) const
     const Addr tag = addr >> _lineShift;
     if ((tag >> kAsidShift) != 0 || asid >= kMaxAsid)
         return false; // Could never have been installed.
-    const LineKey key = makeKey(asid, tag);
-    const Line* base = setLines(set);
-    for (std::uint32_t w = 0; w < _config.ways; ++w) {
-        if (base[w].key == key)
-            return true;
-    }
-    return false;
+    const std::uint32_t ways = _config.ways;
+    return findWay(&_block[static_cast<std::size_t>(set) * ways], ways,
+                   makeKey(asid, tag)) != ways;
 }
 
 void
 Cache::flush()
 {
-    for (Line& line : _lines)
-        line = Line{};
+    // Every fill counts a valid line, so none means all zeros.
+    if (_validLines == 0)
+        return;
+    std::fill(_block.begin(), _block.end(), 0);
     _validLines = 0;
 }
 

@@ -14,6 +14,7 @@
 #ifndef JSMT_MEM_CACHE_H
 #define JSMT_MEM_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -83,7 +84,23 @@ class Cache
      *            partitioned structures).
      * @return true on hit.
      */
-    bool access(Asid asid, Addr addr, ContextId ctx);
+    bool
+    access(Asid asid, Addr addr, ContextId ctx)
+    {
+        ++_accesses;
+        ++_useClock;
+        const std::size_t first =
+            static_cast<std::size_t>(setIndex(addr, ctx)) * _config.ways;
+        const LineKey key = keyOf(asid, addr);
+        const std::uint32_t way =
+            findWay(&_block[first], _config.ways, key);
+        if (way == _config.ways) {
+            fill(first, key);
+            return false;
+        }
+        _block[_numLines + first + way] = _useClock;
+        return true;
+    }
 
     /** Probe without filling. @return true on hit. */
     bool lookup(Asid asid, Addr addr, ContextId ctx) const;
@@ -138,46 +155,50 @@ class Cache
     friend class L2Overlay;
 
     /**
-     * One line's bookkeeping. An invalid line has key 0 and
-     * lastUse 0; a valid line's lastUse is a distinct positive
-     * stamp.
-     */
-    struct Line
-    {
-        LineKey key = 0;
-        std::uint64_t lastUse = 0;
-    };
-
-    /**
-     * The set walk behind access(), shared with L2Overlay. One
-     * pass over every way, selects instead of branches and no early
-     * exit: it finds the way holding @p key, if any, and the victim
-     * a miss fills — the last invalid way if there is one, else the
-     * least recently used. Invalid lines stamp 0 and valid stamps are distinct and
-     * positive, so the victim is the last way whose stamp is <=
-     * every earlier one.
+     * The hit scan behind access(), shared with L2Overlay: one pass
+     * over the keys of a set's @p ways lines, selects instead of
+     * branches and no early exit.
      *
      * @return the way holding @p key, or @p ways on a miss.
      */
     static std::uint32_t
-    walkSet(const Line* set, std::uint32_t ways, LineKey key,
-            std::uint32_t& victim)
+    findWay(const LineKey* keys, std::uint32_t ways, LineKey key)
     {
         std::uint32_t hit = ways;
-        victim = 0;
-        std::uint64_t oldest = ~std::uint64_t{0};
-        for (std::uint32_t w = 0; w < ways; ++w) {
-            const Line& line = set[w];
-            hit = line.key == key ? w : hit;
-            const bool older = line.lastUse <= oldest;
-            victim = older ? w : victim;
-            oldest = older ? line.lastUse : oldest;
-        }
+        for (std::uint32_t w = 0; w < ways; ++w)
+            hit = keys[w] == key ? w : hit;
         return hit;
     }
 
+    /**
+     * The way a miss fills, shared with L2Overlay: the last invalid
+     * way if there is one, else the least recently used. Invalid
+     * lines stamp 0 and valid stamps are distinct and positive, so
+     * it is the last way whose stamp is <= every earlier one.
+     */
+    static std::uint32_t victimWay(const std::uint64_t* stamps,
+                                   std::uint32_t ways);
+
+    /**
+     * The miss path of access(): fill the victim way of the set
+     * whose first line is @p first with @p key, counting the miss
+     * and any eviction.
+     */
+    void fill(std::size_t first, LineKey key);
+
     /** @return the set @p addr indexes from context @p ctx. */
-    std::uint32_t setIndex(Addr addr, ContextId ctx) const;
+    std::uint32_t
+    setIndex(Addr addr, ContextId ctx) const
+    {
+        const Addr line = addr >> _lineShift;
+        if (!_partitioned)
+            return static_cast<std::uint32_t>(line & (_numSets - 1));
+        // Static partition: each context indexes only its half of
+        // the sets, modelling the P4's per-logical-processor split.
+        const std::uint32_t half = _numSets / 2;
+        const auto within = static_cast<std::uint32_t>(line & (half - 1));
+        return within + (ctx % kNumContexts) * half;
+    }
 
     /**
      * @return the key of the line holding @p addr in @p asid; a
@@ -192,13 +213,6 @@ class Cache
         return makeKey(asid, tag);
     }
 
-    /** @return the ways() lines of set @p set, in way order. */
-    const Line*
-    setLines(std::uint32_t set) const
-    {
-        return &_lines[static_cast<std::size_t>(set) * _config.ways];
-    }
-
     /** The fatal error of keyOf(), kept out of the inlined path. */
     [[noreturn]] void keyTooWide() const;
 
@@ -206,7 +220,14 @@ class Cache
     std::uint32_t _numSets;
     std::uint32_t _lineShift;
     bool _partitioned;
-    std::vector<Line> _lines;     ///< numSets * ways, row-major.
+    std::size_t _numLines;
+    /**
+     * Every line's key (0: invalid), set-major, then every line's
+     * LRU stamp (0: invalid, else distinct and positive) in the
+     * same order: one zero-initialised allocation, so a hit reads
+     * only its set's keys and a flush is one fill.
+     */
+    std::vector<std::uint64_t> _block;
     std::uint64_t _useClock = 0;  ///< LRU timestamp source.
     std::uint64_t _accesses = 0;
     std::uint64_t _misses = 0;

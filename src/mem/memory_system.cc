@@ -115,16 +115,20 @@ L2Overlay::access(Asid asid, Addr addr)
     if (_slotOf[set] == 0) {
         _sets.push_back(set);
         _slotOf[set] = static_cast<std::uint32_t>(_sets.size());
-        const Cache::Line* lines = _shared.setLines(set);
-        _lines.insert(_lines.end(), lines, lines + ways);
+        const auto keys =
+            _shared._block.begin() + static_cast<std::size_t>(set) * ways;
+        const auto stamps = keys + _shared._numLines;
+        _lines.insert(_lines.end(), keys, keys + ways);
+        _lines.insert(_lines.end(), stamps, stamps + ways);
     }
-    Cache::Line* const base =
-        &_lines[static_cast<std::size_t>(_slotOf[set] - 1) * ways];
-    std::uint32_t victim = 0;
-    const std::uint32_t hit = Cache::walkSet(base, ways, key, victim);
-    Cache::Line& line = base[hit != ways ? hit : victim];
-    line.key = key;
-    line.lastUse = _useClock;
+    std::uint64_t* const keys =
+        &_lines[static_cast<std::size_t>(_slotOf[set] - 1) * 2 * ways];
+    std::uint64_t* const stamps = keys + ways;
+    const std::uint32_t hit = Cache::findWay(keys, ways, key);
+    const std::uint32_t way =
+        hit != ways ? hit : Cache::victimWay(stamps, ways);
+    keys[way] = key;
+    stamps[way] = _useClock;
     return hit != ways;
 }
 

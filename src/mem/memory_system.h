@@ -99,8 +99,9 @@ struct L2LogEntry
  * §11): the shared L2 as it stood at the quantum start, plus the
  * slice's own fills and LRU updates since. It holds only the sets
  * the slice touched this quantum, each copied from the shared L2 on
- * first touch into a compact pool and then walked exactly as
- * Cache::access() walks it; the shared L2 itself is only read.
+ * first touch into a compact pool and then walked by the hit scan
+ * and victim choice of Cache::access(); the shared L2 itself is
+ * only read.
  */
 class L2Overlay
 {
@@ -125,8 +126,11 @@ class L2Overlay
     std::vector<std::uint32_t> _slotOf;
     /** The sets copied this quantum, in first-touch order. */
     std::vector<std::uint32_t> _sets;
-    /** Their lines: ways() per copied set, slot-major. */
-    std::vector<Cache::Line> _lines;
+    /**
+     * Their lines, slot-major: per copied set its ways() keys, then
+     * their ways() stamps.
+     */
+    std::vector<std::uint64_t> _lines;
 };
 
 /**

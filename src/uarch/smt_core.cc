@@ -28,7 +28,7 @@ stallName(EventId event)
 
 SmtCore::SmtCore(const CoreConfig& config, MemorySystem& mem,
                  BranchUnit& branch, Scheduler& scheduler, Pmu& pmu,
-                 std::uint64_t seed)
+                 std::uint64_t seed, bool hyper_threading)
     : _config(config),
       _mem(mem),
       _branch(branch),
@@ -51,11 +51,18 @@ SmtCore::SmtCore(const CoreConfig& config, MemorySystem& mem,
     // every ROB entry, and reset() never reallocates.
     for (ContextState& cs : _ctx)
         cs.rob.init(config.robEntries);
-    setHyperThreading(true);
+    applyMode(hyper_threading);
 }
 
 void
 SmtCore::setHyperThreading(bool enabled)
+{
+    applyMode(enabled);
+    reset();
+}
+
+void
+SmtCore::applyMode(bool enabled)
 {
     _hyperThreading = enabled;
     _dynamicShared =
@@ -69,7 +76,6 @@ SmtCore::setHyperThreading(bool enabled)
     _scheduler.setNumContexts(enabled ? kNumContexts : 1);
     _mem.setHyperThreading(enabled);
     _branch.setHyperThreading(enabled);
-    reset();
 }
 
 std::uint32_t
@@ -592,10 +598,12 @@ SmtCore::stallBound(Cycle now) const
     for (ContextId ctx = 0; ctx < contexts; ++ctx) {
         const ContextState& cs = _ctx[ctx];
         // Incrementally maintained ROB-head completion (kNoCycle
-        // when the ROB is empty) — no ring access here.
+        // when the ROB is empty) — no ring access here. Here and
+        // below, a bound at now cannot drop further: stop probing.
         const Cycle head = cs.headCompletion;
-        if (head != kNoCycle)
-            bound = std::min(bound, head > now ? head : now);
+        if (head <= now)
+            return now;
+        bound = std::min(bound, head);
         const SoftwareThread* thread = _scheduler.active(ctx);
         if (!thread)
             continue;
@@ -616,6 +624,8 @@ SmtCore::stallBound(Cycle now) const
         if (gate > now || !fe.valid) {
             // Fetch-gated, or a new trace line could be fetched at
             // the next owned slot.
+            if (at == now)
+                return now;
             bound = std::min(bound, at);
             continue;
         }
@@ -627,8 +637,11 @@ SmtCore::stallBound(Cycle now) const
             robFull(ctx) ||
             (uop.type == UopType::kLoad && ldqFull(ctx)) ||
             (uop.type == UopType::kStore && stqFull(ctx));
-        if (!blocked)
+        if (!blocked) {
+            if (at == now)
+                return now;
             bound = std::min(bound, at);
+        }
     }
     return bound;
 }

@@ -76,9 +76,14 @@ class SmtCore
         bool threadEvent = false;
     };
 
+    /**
+     * A drained core in Hyper-Threading mode @p hyper_threading,
+     * applied to the scheduler, ITLB and BTB as setHyperThreading()
+     * would, but with the fresh pipeline state left as built.
+     */
     SmtCore(const CoreConfig& config, MemorySystem& mem,
             BranchUnit& branch, Scheduler& scheduler, Pmu& pmu,
-            std::uint64_t seed = 1);
+            std::uint64_t seed, bool hyper_threading);
 
     /**
      * Enable/disable Hyper-Threading. Propagates to the scheduler
@@ -218,6 +223,13 @@ class SmtCore
     StageProfiler* profiler() const { return _profiler; }
 
   private:
+    /**
+     * Set the mode and its derived capacities, and propagate it to
+     * the scheduler, memory system and branch unit; pipeline state
+     * is left alone.
+     */
+    void applyMode(bool enabled);
+
     /**
      * Retired-entry bookkeeping for one in-flight µop. Only the µop
      * attributes the retire stage and its onRetire consumers read

@@ -1,14 +1,15 @@
 /**
  * @file
  * The equivalence harness: fast-forward ≡ the plain loop, parallel ≡
- * serial stepping, traced ≡ untraced, replayed ≡ fresh. Each draw is
- * a one-line config (pinned ones, then seeded random ones) with one
- * reference run (fast-forward on, one step thread, no sink, no token,
- * on the caller's thread) that expectIdentical compares with rows of
- * one variant table. A mismatch names the variant, the draw, the
- * first sample window (one machine) or epoch (a chip, bisected over
- * fresh truncated runs) whose counts differ and its first event, and
- * the smallest workload set that still fails.
+ * serial stepping, traced ≡ untraced, replayed ≡ fresh, switched to
+ * an HT mode ≡ built in it. Each draw is a one-line config (pinned
+ * ones, then seeded random ones) with one reference run (fast-forward
+ * on, one step thread, no sink, no token, on the caller's thread)
+ * that expectIdentical compares with rows of one variant table. A
+ * mismatch names the variant, the draw, the first sample window (one
+ * machine) or epoch (a chip, bisected over fresh truncated runs)
+ * whose counts differ and its first event, and the smallest workload
+ * set that still fails.
  */
 
 #include <gtest/gtest-spi.h>
@@ -176,9 +177,10 @@ parseDraw(const std::string& name, std::uint64_t seed,
  * 4 and 8 cores so every count meets two of the four policies; odd
  * ones are one machine with optional warm-up, sampling and mid-run
  * cancel. Each runs every row that applies: a chip has no sampling
- * hook and no relaunch into a used asid, and the store holds
- * finished measurements only. Runs are capped, so a narrow machine
- * ends quickly; each arm stops at the same clock.
+ * hook, no relaunch into a used asid and no HT switch before its
+ * first process, and the store holds finished measurements only. Runs
+ * are capped, so a narrow machine ends quickly; each arm stops at the
+ * same clock.
  */
 std::string
 randomDraw(std::uint64_t index, std::uint64_t seed)
@@ -224,7 +226,8 @@ randomDraw(std::uint64_t index, std::uint64_t seed)
         out << " cancel=" << rng.between(sample, 6 * sample) * 1'000
             << " check=" << pick({1'024, 4'096, 65'536});
     }
-    rows += cancel ? ",task-pool" : ",task-pool,token,memo-replay,spill-replay";
+    rows += cancel ? ",task-pool,ht-switched"
+                   : ",task-pool,ht-switched,token,memo-replay,spill-replay";
     return out.str() + rows + (warmup || sample ? "" : ",chip-1-static-pin");
 }
 
@@ -255,7 +258,8 @@ draws()
             for (const auto& ring : rings) {
                 list.push_back(parseDraw(
                     ring[0] + std::string(ht == "1" ? "_HtOn" : "_HtOff"), 0,
-                    "ht=" + ht + ' ' + ring[1] + " rows=plain-loop"));
+                    "ht=" + ht + ' ' + ring[1] +
+                        " rows=plain-loop,ht-switched"));
             }
         }
         const char* const pinned[][2] = {
@@ -315,6 +319,8 @@ struct Arm
     SinkKind sink = SinkKind::kNone;
     bool token = false;  ///< Attach a token nobody cancels.
     bool asChip = false; ///< Run a machine draw as a 1-core static-pin chip.
+    /** Build the machine in the other HT mode, then switch it back. */
+    bool htSwitched = false;
     Cycle cap = 0;            ///< Diagnosis: a chip's cap (0: the draw's).
     Cycle sampleInterval = 0; ///< Diagnosis: a machine's (0: the draw's).
 };
@@ -367,7 +373,11 @@ runArm(const Draw& draw, const Arm& arm)
         out.chip = sim.run(options);
         return out;
     }
-    Machine machine(draw.config);
+    SystemConfig built = draw.config;
+    built.hyperThreading = built.hyperThreading != arm.htSwitched;
+    Machine machine(built);
+    if (arm.htSwitched)
+        machine.setHyperThreading(draw.config.hyperThreading);
     Simulation sim(machine);
     Simulation::RunOptions options;
     options.maxCycles = draw.maxCycles;
@@ -447,7 +457,8 @@ const Variant kVariants[] = {
          std::remove(path.c_str());
          return replayed;
      }},
-    {"chip-1-static-pin", {.asChip = true}}};
+    {"chip-1-static-pin", {.asChip = true}},
+    {"ht-switched", {.htSwitched = true}}};
 
 std::vector<const Variant*>
 variantsOf(const Draw& draw)

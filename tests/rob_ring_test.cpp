@@ -6,10 +6,10 @@
  * with deliberately tiny window geometries (constant wrapping, every
  * full/empty edge), check the partition-cap invariants under both
  * Hyper-Threading modes and both partition policies, and assert that
- * the steady-state cycle loop performs no heap allocation and that a
- * chip builds only the L2 state its slices use. Fast-forward
- * bit-identity at every geometry is the equivalence harness's
- * (equivalence_test.cpp).
+ * the steady-state cycle loop performs no heap allocation, that a
+ * chip builds only the L2 state its slices use and that a cache is
+ * one allocation. Fast-forward bit-identity at every geometry is the
+ * equivalence harness's (equivalence_test.cpp).
  */
 
 #include <gtest/gtest.h>
@@ -220,6 +220,32 @@ TEST(ChipConstruction, SlicesBuildNoPrivateL2)
         g_newBytes.load(std::memory_order_relaxed) - before;
     EXPECT_LT(bytes, config.cores * slice_l2_bytes)
         << "a 4-core chip allocated " << bytes << " bytes";
+}
+
+// A cache keeps every line's key and LRU stamp in one block, so
+// building one is a single allocation of numSets x ways x 16 B: a
+// machine's set-up pays one allocation and one zero fill per cache.
+TEST(CacheConstruction, OneBlockOfSixteenBytesPerLine)
+{
+    for (const std::uint32_t ways : {1u, 2u, 4u, 8u, 16u}) {
+        for (const std::uint64_t size : {4096ULL, 1ULL << 20}) {
+            CacheConfig config;
+            config.name = "c"; // Short enough to need no allocation.
+            config.sizeBytes = size;
+            config.ways = ways;
+            const std::uint64_t calls =
+                g_newCalls.load(std::memory_order_relaxed);
+            const std::uint64_t bytes =
+                g_newBytes.load(std::memory_order_relaxed);
+            const Cache cache(config);
+            EXPECT_EQ(g_newCalls.load(std::memory_order_relaxed) - calls,
+                      1u)
+                << size << " B, " << ways << " ways";
+            EXPECT_EQ(g_newBytes.load(std::memory_order_relaxed) - bytes,
+                      std::uint64_t{cache.numSets()} * cache.ways() * 16)
+                << size << " B, " << ways << " ways";
+        }
+    }
 }
 
 } // namespace
