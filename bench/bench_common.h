@@ -3,11 +3,10 @@
  * Shared helpers for the experiment (figure/table) binaries.
  *
  * Every binary accepts an optional positional scale argument plus
- * `--jobs=N` and `--pair-runs=N` flags, with JSMT_SCALE, JSMT_JOBS
- * and JSMT_PAIR_RUNS environment fallbacks (tests and CI use small
- * scales; 1.0 reproduces the paper-scale runs). A malformed argument
- * is fatal (exit 1); a malformed environment value warns and falls
- * back to its default.
+ * `--jobs=N` and `--pair-runs=N` flags (tests and CI use small
+ * scales; 1.0 reproduces the paper-scale runs). Without `--jobs`,
+ * the job count comes from JSMT_JOBS or the host. A malformed
+ * argument is fatal (exit 1).
  */
 
 #ifndef JSMT_BENCH_BENCH_COMMON_H
@@ -37,15 +36,13 @@ countFlag(const std::string& arg, std::size_t prefix)
     return static_cast<std::size_t>(value);
 }
 
-/** Build the experiment config from argv/env. */
+/** Build the experiment config from argv. */
 inline ExperimentConfig
 benchConfig(int argc, char** argv, double default_scale = 1.0)
 {
     setVerbose(std::getenv("JSMT_VERBOSE") != nullptr);
     ExperimentConfig config;
-    config.lengthScale = envDouble("JSMT_SCALE", default_scale);
-    config.pairMinRuns = static_cast<std::size_t>(
-        envUint("JSMT_PAIR_RUNS", config.pairMinRuns));
+    config.lengthScale = default_scale;
     // config.jobs stays 0 here: TaskPool resolves 0 through
     // JSMT_JOBS and hardware_concurrency, so only explicit flags
     // need to override it.

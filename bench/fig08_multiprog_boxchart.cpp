@@ -15,8 +15,8 @@
  * down.
  *
  * Note: the cross product is the most expensive experiment; the
- * default scale is reduced (override with argv[1]/JSMT_SCALE, and
- * JSMT_PAIR_RUNS for the per-pair completion count).
+ * default scale is reduced (override with argv[1], and
+ * --pair-runs=N for the per-pair completion count).
  */
 
 #include "bench/bench_common.h"

@@ -16,8 +16,9 @@
  * must reproduce exactly (sink attached or not), and the chip's
  * simulated Mcycles/s over its plain runs.
  *
- * Usage: sink_overhead (no arguments). Prints one JSON line;
- * bench/check_throughput.py gates it against BENCH_throughput.json.
+ * Usage: sink_overhead (no arguments). Prints one JSON line, and
+ * exits 1 when a run simulated different cycles or either median
+ * overhead is over the budget. CI runs it as its sink gate.
  */
 
 #include <algorithm>
@@ -40,6 +41,9 @@ using namespace jsmt;
 
 /** Workload length scale of every probe run. */
 constexpr double kScale = 0.05;
+
+/** The trace layer's promise: a disabled sink costs at most this. */
+constexpr double kBudgetPct = 2.0;
 
 /**
  * Timed pairs per path. On a 4-vCPU host under load, 150 pairs left
@@ -199,5 +203,12 @@ main(int argc, char** /*argv*/)
                 solo.lowPct, solo.highPct, chip.cycles,
                 chip.cycles / 1e6 / chip.plainSeconds, chip.pct,
                 chip.lowPct, chip.highPct);
+    if (solo.pct > kBudgetPct || chip.pct > kBudgetPct) {
+        std::fprintf(stderr,
+                     "sink_overhead: median overhead over the %.0f%% "
+                     "budget (solo %.2f%%, chip %.2f%%)\n",
+                     kBudgetPct, solo.pct, chip.pct);
+        return 1;
+    }
     return 0;
 }

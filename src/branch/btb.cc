@@ -53,10 +53,4 @@ Btb::setHyperThreading(bool enabled)
     _cache.flush();
 }
 
-void
-Btb::flush()
-{
-    _cache.flush();
-}
-
 } // namespace jsmt

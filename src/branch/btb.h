@@ -45,9 +45,6 @@ class Btb
     /** Switch context tagging (HT on/off). Flushes the structure. */
     void setHyperThreading(bool enabled);
 
-    /** Invalidate all entries. */
-    void flush();
-
     /** @return total lookups. */
     std::uint64_t accesses() const { return _cache.accesses(); }
 

@@ -60,22 +60,6 @@ envUint(const char* name, std::uint64_t fallback, std::uint64_t min)
     return value;
 }
 
-double
-envDouble(const char* name, double fallback, double min)
-{
-    const char* raw = std::getenv(name);
-    if (raw == nullptr)
-        return fallback;
-    double value = 0.0;
-    if (!parseDouble(raw, &value) || value < min) {
-        warn(std::string(name) + "='" + raw +
-             "' is not a number >= " + std::to_string(min) +
-             "; using default " + std::to_string(fallback));
-        return fallback;
-    }
-    return value;
-}
-
 std::string
 envPath(const char* name, const std::string& fallback)
 {

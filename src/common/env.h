@@ -30,13 +30,6 @@ std::uint64_t envUint(const char* name, std::uint64_t fallback,
                       std::uint64_t min = 0);
 
 /**
- * Read @p name as a double. Same warn-and-default contract as
- * envUint; values below @p min (or NaN) fall back.
- */
-double envDouble(const char* name, double fallback,
-                 double min = 0.0);
-
-/**
  * Read @p name as a filesystem path. A variable that is set but
  * empty (JSMT_RUN_CACHE= ...) warns and falls back: an empty path
  * is always an operator slip — were it passed through it would

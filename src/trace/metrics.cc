@@ -169,18 +169,6 @@ MetricsRegistry::counterTotal(std::size_t id) const
     return state.current - state.base;
 }
 
-double
-MetricsRegistry::gaugeValue(std::size_t id) const
-{
-    return _gauges.at(id).value;
-}
-
-const MetricDef&
-MetricsRegistry::counterDef(std::size_t id) const
-{
-    return _counters.at(id).def;
-}
-
 std::string
 MetricsRegistry::toJson(
     const std::vector<std::pair<std::string, double>>& derived)

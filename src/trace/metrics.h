@@ -103,20 +103,11 @@ class MetricsRegistry
     /** @return counter's total since its baseline. */
     std::uint64_t counterTotal(std::size_t id) const;
 
-    /** @return gauge's current value. */
-    double gaugeValue(std::size_t id) const;
-
     /** @return all interval rows so far. */
     const std::vector<MetricsSnapshot>& snapshots() const
     {
         return _snapshots;
     }
-
-    /** @return number of registered counters. */
-    std::size_t numCounters() const { return _counters.size(); }
-
-    /** @return catalogue entry of counter @p id. */
-    const MetricDef& counterDef(std::size_t id) const;
 
     /**
      * Export everything as one JSON document. @p derived appends

@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
-"""Verdict rules and tree copies of tools/ab.py on canned data."""
+"""Verdict rules, exit rules and tree copies of tools/ab.py on canned
+data."""
 
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -45,6 +48,88 @@ class Verdict(unittest.TestCase):
         self.assertFalse(ab.within_bound([1.0], [1.3], "lower", 0.25))
         self.assertTrue(ab.within_bound([1.0], [0.8], "higher", 0.25))
         self.assertFalse(ab.within_bound([1.0], [0.7], "higher", 0.25))
+
+
+def pairs_of(base, change, name="wall_s", digests=("d", "d")):
+    """Canned pairs: one metric, no failed runs."""
+    return [{"base": (digests[0], 0, 1, {name: b}),
+             "change": (digests[1], 0, 1, {name: c})}
+            for b, c in zip(base, change)]
+
+
+def problems(pairs, specs, goldens_moved=False):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return ab.report("w", pairs, specs, goldens_moved)
+
+
+class ExitRule(unittest.TestCase):
+    WALL = {"wall_s": ("lower", 0.25)}
+
+    def test_digest_mismatch_fails_unless_a_golden_changed(self):
+        pairs = pairs_of(BASE, BASE, digests=("a", "b"))
+        self.assertEqual(problems(pairs, self.WALL),
+                         ["w: sim_digest differs and no golden file "
+                          "changed"])
+        self.assertEqual(problems(pairs, self.WALL, goldens_moved=True),
+                         [])
+
+    def test_goldens_differ_reads_only_the_golden_directory(self):
+        tree = {"src/a.cc": (0o644, b"x"),
+                "tests/golden/a.json": (0o644, b"1")}
+        other_src = dict(tree, **{"src/a.cc": (0o644, b"y")})
+        self.assertFalse(ab.goldens_differ(tree, other_src))
+        for golden in ({"tests/golden/a.json": (0o644, b"2")},
+                       {"tests/golden/b.json": (0o644, b"1")}):
+            self.assertTrue(ab.goldens_differ(tree, dict(tree, **golden)))
+        deleted = {"src/a.cc": (0o644, b"x")}
+        self.assertTrue(ab.goldens_differ(tree, deleted))
+
+    def test_goldens_differ_ignores_file_modes(self):
+        # `git archive` writes 0664 where a checkout usually has 0644.
+        archived = {"tests/golden/a.json": (0o664, b"1")}
+        checked_out = {"tests/golden/a.json": (0o644, b"1")}
+        self.assertFalse(ab.goldens_differ(archived, checked_out))
+
+    def test_out_of_bound_but_unresolved_passes(self):
+        # Median 1.5x the base's, but the base wins only 8 pairs.
+        change = [b * 1.5 for b in BASE]
+        change[0] = change[1] = 0.1
+        self.assertEqual(ab.verdict(BASE, change, "lower"), "unresolved")
+        self.assertFalse(ab.within_bound(BASE, change, "lower", 0.25))
+        self.assertEqual(problems(pairs_of(BASE, change), self.WALL), [])
+
+    def test_worse_and_out_of_bound_fails(self):
+        change = [b * 2.0 for b in BASE]
+        self.assertEqual(problems(pairs_of(BASE, change), self.WALL),
+                         ["w: wall_s worse and outside its bound"])
+
+    def test_worse_inside_the_bound_passes(self):
+        change = [b * 1.2 for b in BASE]
+        self.assertEqual(ab.verdict(BASE, change, "lower"), "worse")
+        self.assertEqual(problems(pairs_of(BASE, change), self.WALL), [])
+
+    def test_worse_step_scaling_fails_on_the_verdict_alone(self):
+        spec = {"per_layer": [
+            {"name": "alloc.step_scaling", "better": "higher"},
+            {"name": "core.build_ms", "better": "lower"}]}
+        specs = ab.metric_specs(spec, ab.argparse.Namespace(
+            spans=None, trace=1))
+        self.assertEqual(specs, {"alloc.step_scaling": ("higher", None),
+                                 "core.build_ms": ("lower", None)})
+        slower = [b / 1.3 for b in BASE]  # 1.3x scaling lost.
+        self.assertEqual(
+            problems(pairs_of(BASE, slower, "alloc.step_scaling"), specs),
+            ["w: alloc.step_scaling worse"])
+        # An ungated per-layer metric reports 'worse' but never fails.
+        self.assertEqual(
+            problems(pairs_of(BASE, [b * 2 for b in BASE],
+                              "core.build_ms"), specs), [])
+        # Unresolved scaling passes, however far its median moved.
+        noisy = list(slower)
+        noisy[0] = noisy[1] = 5.0
+        self.assertEqual(
+            problems(pairs_of(BASE, noisy, "alloc.step_scaling"), specs),
+            [])
 
 
 class Trees(unittest.TestCase):

@@ -6,6 +6,7 @@
         --seconds 5 --workloads chip4-pinned
     python3 tools/ab.py --spans alloc.build --workloads chip4-pinned
 
+It is also CI's throughput gate: each change against its merge-base.
 Run it from inside the repository. Each side is copied into its own
 directory under .ab_build/ at the repository root: the base with `git
 archive`, the change the same way when --change names a revision, else
@@ -25,7 +26,10 @@ read from the jsmtbench program's own output.
 
 Checks, per workload:
 
-* identity: sim_digest must be equal on both sides in every pair;
+* identity: sim_digest must be equal on both sides in every pair,
+  unless the change also changes a file under tests/golden/: goldens
+  change only on purpose, so a moved golden marks a deliberate model
+  change;
 * failures: the change may not fail a run the base did not;
 * per metric: each side's median and quartiles, the change/base ratio
   of the medians, how many pairs each side won, and a verdict.
@@ -35,7 +39,11 @@ Checks, per workload:
   'unresolved'. An end-to-end metric also reports whether the change's
   median is inside BENCHMARK.json's bound.
 
-Exit status 1 when an identity, failure or bound check fails.
+Exit status 1 when an identity or failure check fails, when an
+end-to-end metric is both 'worse' and outside its bound, or when the
+one gated per-layer metric, alloc.step_scaling, is 'worse'. A median outside its
+bound that the pairs leave unresolved is printed, not failed: where
+the spread is wider than the bound, noise alone could put it there.
 """
 
 import argparse
@@ -52,6 +60,10 @@ import tarfile
 WIN_SHARE = 0.9
 WORKLOADS = ("solo-sweep", "pair-matrix", "chip4-pinned")
 STAMP = ".ab_source"
+GOLDEN_DIR = "tests/golden/"
+# The per-layer metrics a traced pass gates. Both sides share one
+# host, so any 'worse' verdict fails.
+GATED_PER_LAYER = {"alloc.step_scaling"}
 
 
 # ------------------------------------------------------------------
@@ -122,6 +134,18 @@ def working_files(root):
             with open(full, "rb") as f:
                 out[path] = (os.stat(full).st_mode & 0o777, f.read())
     return out
+
+
+def goldens_differ(base, change):
+    """Whether any file under GOLDEN_DIR differs between two trees.
+
+    Only paths and bytes count: `git archive` and the working tree
+    give the same file different modes.
+    """
+    def goldens(files):
+        return {path: data for path, (_, data) in files.items()
+                if path.startswith(GOLDEN_DIR)}
+    return goldens(base) != goldens(change)
 
 
 def source_hash(files):
@@ -205,13 +229,18 @@ def metric_specs(spec, args):
     """{metric: (better, bound or None)} from BENCHMARK.json `spec`."""
     if args.spans:
         return {name: ("lower", None) for name in args.spans}
-    section = "per_layer" if args.trace else "end_to_end"
-    return {e["name"]: (e["better"], e.get("bound"))
-            for e in spec[section]}
+    if args.trace:
+        return {e["name"]: (e["better"], None) for e in spec["per_layer"]}
+    return {e["name"]: (e["better"], e["bound"])
+            for e in spec["end_to_end"]}
 
 
-def report(workload, pairs, specs):
-    """Print one workload's pairs and verdicts; return its problems."""
+def report(workload, pairs, specs, goldens_moved):
+    """Print one workload's pairs and verdicts; return its problems.
+
+    `goldens_moved` says whether the change changes a golden file,
+    which makes a sim_digest mismatch deliberate.
+    """
     problems = []
     names = [n for n in specs if n in pairs[0]["base"][3]]
     print("\n## %s: %d pairs (P = base first, C = change first)\n" % (
@@ -233,10 +262,13 @@ def report(workload, pairs, specs):
         problems.append("%s: the change failed more runs" % workload)
     digests = {(p["base"][0], p["change"][0]) for p in pairs}
     same = all(b == c for b, c in digests)
-    print("sim_digest: %s" % ", ".join(sorted(
-        "%s/%s" % d for d in digests)) + ("" if same else "  MISMATCH"))
-    if not same:
-        problems.append("%s: sim_digest differs" % workload)
+    note = "" if same else "  MISMATCH" + (
+        " (goldens changed too: accepted)" if goldens_moved else "")
+    print("sim_digest: %s%s" % (", ".join(sorted(
+        "%s/%s" % d for d in digests)), note))
+    if not same and not goldens_moved:
+        problems.append("%s: sim_digest differs and no golden file "
+                        "changed" % workload)
 
     print("\n| metric | base median [q1, q3] | change median [q1, q3] "
           "| ratio | change wins | verdict | bound |")
@@ -248,18 +280,20 @@ def report(workload, pairs, specs):
         bq, cq = quartiles(base), quartiles(change)
         change_wins, _ = wins(base, change, better)
         ratio = cq[1] / bq[1] if bq[1] else float("nan")
+        decided = verdict(base, change, better)
         bound_text = "-"
         if bound is not None:
             ok = within_bound(base, change, better, bound)
             bound_text = "ok" if ok else "OUT (%g)" % bound
-            if not ok:
-                problems.append("%s: %s outside its bound" % (workload,
-                                                               name))
+            if not ok and decided == "worse":
+                problems.append("%s: %s worse and outside its bound" % (
+                    workload, name))
+        elif name in GATED_PER_LAYER and decided == "worse":
+            problems.append("%s: %s worse" % (workload, name))
         print("| %s (%s) | %.6g [%.6g, %.6g] | %.6g [%.6g, %.6g] | %.3f "
               "| %d/%d | %s | %s |" % (
                   name, better, bq[1], bq[0], bq[2], cq[1], cq[0], cq[2],
-                  ratio, change_wins, len(pairs),
-                  verdict(base, change, better), bound_text))
+                  ratio, change_wins, len(pairs), decided, bound_text))
     return problems
 
 
@@ -289,9 +323,12 @@ def main():
     root = git("rev-parse", "--show-toplevel").decode().strip()
     trees = {side: os.path.join(root, ".ab_build", side)
              for side in ("base", "change")}
-    materialize(files_at(args.base), trees["base"])
-    materialize(files_at(args.change) if args.change
-                else working_files(root), trees["change"])
+    base_files = files_at(args.base)
+    change_files = (files_at(args.change) if args.change
+                    else working_files(root))
+    goldens_moved = goldens_differ(base_files, change_files)
+    materialize(base_files, trees["base"])
+    materialize(change_files, trees["change"])
     with open(os.path.join(trees["base"], "BENCHMARK.json")) as f:
         spec = json.load(f)
     specs = metric_specs(spec, args)
@@ -317,7 +354,7 @@ def main():
             for i in range(args.pairs):
                 order = ("change", "base") if i % 2 else ("base", "change")
                 pairs.append({side: run(side, workload) for side in order})
-            problems += report(workload, pairs, specs)
+            problems += report(workload, pairs, specs, goldens_moved)
             sys.stdout.flush()
     except RunFailed as error:
         problems.append(str(error))
