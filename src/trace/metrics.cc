@@ -1,10 +1,13 @@
 #include "trace/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/json.h"
-#include "common/log.h"
 #include "core/machine.h"
 #include "exec/result_store.h"
 #include "exec/task_pool.h"
@@ -66,195 +69,131 @@ ratioOf(std::uint64_t num, std::uint64_t den)
                    : 0.0;
 }
 
-} // namespace
 
-// ----------------------------------------------------------------
-// MetricsRegistry
-// ----------------------------------------------------------------
-
-std::size_t
-MetricsRegistry::addCounter(std::string module, std::string name,
-                            std::string context)
+/** Catalogue name of a structure counter or gauge. */
+struct MetricName
 {
-    CounterState state;
-    state.def = {std::move(module), std::move(name),
-                 std::move(context), MetricKind::kCounter};
-    _counters.push_back(std::move(state));
-    return _counters.size() - 1;
+    const char* module;
+    const char* name;
+    const char* context; ///< "" = machine-wide.
+};
+
+/** SeriesRow::counters, in row order. */
+constexpr MetricName kCounterNames[kSeriesCounters] = {
+    {"branch", "btb_cross_ctx_evictions", ""},
+    {"mem", "trace_cache_evictions", ""},
+    {"mem", "trace_cache_cross_evictions", ""},
+    {"mem", "l1d_evictions", ""},
+    {"mem", "l2_evictions", ""},
+    {"os", "migrations", ""},
+    {"core", "fast_forward_cycles", ""},
+};
+constexpr std::size_t kFastForwardCycles = 6;
+
+/** SeriesRow::gauges, in row order: three per context, then four. */
+constexpr MetricName kGaugeNames[kSeriesGauges] = {
+    {"core", "rob_occupancy", "lcpu0"},
+    {"core", "ldq_occupancy", "lcpu0"},
+    {"core", "stq_occupancy", "lcpu0"},
+    {"core", "rob_occupancy", "lcpu1"},
+    {"core", "ldq_occupancy", "lcpu1"},
+    {"core", "stq_occupancy", "lcpu1"},
+    {"os", "run_queue_depth", ""},
+    {"mem", "trace_cache_occupancy", ""},
+    {"mem", "l1d_occupancy", ""},
+    {"mem", "l2_occupancy", ""},
+};
+constexpr std::size_t kGaugesPerContext = 3;
+constexpr std::size_t kMachineGauges = kNumContexts * kGaugesPerContext;
+
+/** Bucket count of the rob_occupancy_sampled histogram. */
+constexpr std::size_t kRobBuckets = 8;
+
+double
+occupancyOf(const Cache& cache)
+{
+    const std::uint64_t lines =
+        static_cast<std::uint64_t>(cache.numSets()) * cache.ways();
+    return ratioOf(cache.validLines(), lines);
 }
 
-std::size_t
-MetricsRegistry::addGauge(std::string module, std::string name,
-                          std::string context)
+/**
+ * Counter deltas from @p earlier to @p later in catalogue order:
+ * each tracked event per context, then the structure counters.
+ */
+std::vector<std::uint64_t>
+counterDeltas(const SeriesRow& later, const SeriesRow& earlier)
 {
-    GaugeState state;
-    state.def = {std::move(module), std::move(name),
-                 std::move(context), MetricKind::kGauge};
-    _gauges.push_back(std::move(state));
-    return _gauges.size() - 1;
-}
-
-std::size_t
-MetricsRegistry::addHistogram(std::string module, std::string name,
-                              std::size_t buckets)
-{
-    if (buckets == 0)
-        fatal("metrics: histogram needs at least one bucket");
-    HistogramState state;
-    state.def = {std::move(module), std::move(name), "",
-                 MetricKind::kHistogram};
-    state.buckets.assign(buckets, 0);
-    _histograms.push_back(std::move(state));
-    return _histograms.size() - 1;
-}
-
-void
-MetricsRegistry::setCounter(std::size_t id,
-                            std::uint64_t absolute_total)
-{
-    CounterState& state = _counters.at(id);
-    if (!state.initialized) {
-        state.initialized = true;
-        state.base = absolute_total;
-        state.lastSnapshot = absolute_total;
+    const EventCounts delta = countsDelta(later.counts, earlier.counts);
+    std::vector<std::uint64_t> out;
+    for (const EventId event : CounterSeries::trackedEvents()) {
+        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx)
+            out.push_back(delta[ctx][static_cast<std::size_t>(event)]);
     }
-    state.current = absolute_total;
-}
-
-void
-MetricsRegistry::setGauge(std::size_t id, double value)
-{
-    _gauges.at(id).value = value;
-}
-
-void
-MetricsRegistry::observe(std::size_t id, std::size_t bucket)
-{
-    HistogramState& state = _histograms.at(id);
-    const std::size_t capped =
-        bucket < state.buckets.size() ? bucket
-                                      : state.buckets.size() - 1;
-    ++state.buckets[capped];
-}
-
-void
-MetricsRegistry::setHistogramBucket(std::size_t id,
-                                    std::size_t bucket,
-                                    std::uint64_t count)
-{
-    _histograms.at(id).buckets.at(bucket) = count;
-}
-
-void
-MetricsRegistry::snapshot(Cycle now)
-{
-    MetricsSnapshot row;
-    row.cycle = now;
-    row.counterDeltas.reserve(_counters.size());
-    for (CounterState& state : _counters) {
-        row.counterDeltas.push_back(state.current -
-                                    state.lastSnapshot);
-        state.lastSnapshot = state.current;
-    }
-    row.gaugeValues.reserve(_gauges.size());
-    for (const GaugeState& state : _gauges)
-        row.gaugeValues.push_back(state.value);
-    _snapshots.push_back(std::move(row));
-}
-
-std::uint64_t
-MetricsRegistry::counterTotal(std::size_t id) const
-{
-    const CounterState& state = _counters.at(id);
-    return state.current - state.base;
-}
-
-std::string
-MetricsRegistry::toJson(
-    const std::vector<std::pair<std::string, double>>& derived)
-    const
-{
-    std::string out = "{\"version\":1,\"metrics\":[\n";
-    bool first = true;
-    const auto emitHeader = [&](const MetricDef& def,
-                                const char* kind) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += "{\"module\":";
-        json::appendEscaped(out, def.module);
-        out += ",\"name\":";
-        json::appendEscaped(out, def.name);
-        if (!def.context.empty()) {
-            out += ",\"context\":";
-            json::appendEscaped(out, def.context);
-        }
-        out += ",\"kind\":\"";
-        out += kind;
-        out += "\"";
-    };
-    for (const CounterState& state : _counters) {
-        emitHeader(state.def, "counter");
-        out += ",\"total\":" +
-               std::to_string(state.current - state.base) + "}";
-    }
-    for (const GaugeState& state : _gauges) {
-        emitHeader(state.def, "gauge");
-        out += ",\"value\":";
-        appendDouble(out, state.value);
-        out += "}";
-    }
-    for (const HistogramState& state : _histograms) {
-        emitHeader(state.def, "histogram");
-        out += ",\"buckets\":[";
-        for (std::size_t i = 0; i < state.buckets.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            out += std::to_string(state.buckets[i]);
-        }
-        out += "]}";
-    }
-    out += "\n],\"snapshots\":[\n";
-    first = true;
-    for (const MetricsSnapshot& row : _snapshots) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += "{\"cycle\":" + std::to_string(row.cycle) +
-               ",\"counters\":[";
-        for (std::size_t i = 0; i < row.counterDeltas.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            out += std::to_string(row.counterDeltas[i]);
-        }
-        out += "],\"gauges\":[";
-        for (std::size_t i = 0; i < row.gaugeValues.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            appendDouble(out, row.gaugeValues[i]);
-        }
-        out += "]}";
-    }
-    out += "\n],\"derived\":{";
-    first = true;
-    for (const auto& [name, value] : derived) {
-        if (!first)
-            out += ',';
-        first = false;
-        json::appendEscaped(out, name);
-        out += ":";
-        appendDouble(out, value);
-    }
-    out += "}}\n";
+    for (std::size_t i = 0; i < kSeriesCounters; ++i)
+        out.push_back(later.counters[i] - earlier.counters[i]);
     return out;
 }
 
-// ----------------------------------------------------------------
-// MetricsCollector
-// ----------------------------------------------------------------
+/** Append @p values, comma-separated, formatted by @p format. */
+template <typename T, typename Format>
+void
+appendList(std::string& out, const T& values, Format format)
+{
+    bool first = true;
+    for (const auto& value : values) {
+        if (!first)
+            out += ',';
+        first = false;
+        format(out, value);
+    }
+}
+
+void
+appendUint(std::string& out, std::uint64_t value)
+{
+    out += std::to_string(value);
+}
+
+} // namespace
+
+CounterSeries::CounterSeries(Machine& machine, Cycle now)
+    : _machine(machine)
+{
+    record(now);
+}
+
+void
+CounterSeries::record(Cycle now)
+{
+    SeriesRow row;
+    row.cycle = now;
+    row.counts = _machine.pmu().counts();
+    const MemorySystem& mem = _machine.mem();
+    SmtCore& core = _machine.core();
+    row.counters = {_machine.branch().btb().crossAsidEvictions(),
+                    mem.traceCache().evictions(),
+                    mem.traceCache().crossAsidEvictions(),
+                    mem.l1d().evictions(),
+                    mem.l2().evictions(),
+                    _machine.scheduler().migrations(),
+                    core.fastForwardedCycles()};
+    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+        double* gauges = &row.gauges[ctx * kGaugesPerContext];
+        gauges[0] = static_cast<double>(core.robOccupancy(ctx));
+        gauges[1] = static_cast<double>(core.ldqOccupancy(ctx));
+        gauges[2] = static_cast<double>(core.stqOccupancy(ctx));
+    }
+    row.gauges[kMachineGauges] =
+        static_cast<double>(_machine.scheduler().runQueueDepth());
+    row.gauges[kMachineGauges + 1] = occupancyOf(mem.traceCache());
+    row.gauges[kMachineGauges + 2] = occupancyOf(mem.l1d());
+    row.gauges[kMachineGauges + 3] = occupancyOf(mem.l2());
+    _rows.push_back(row);
+}
 
 const std::vector<EventId>&
-MetricsCollector::trackedEvents()
+CounterSeries::trackedEvents()
 {
     static const std::vector<EventId> kEvents = {
         EventId::kCycles,
@@ -294,168 +233,149 @@ MetricsCollector::trackedEvents()
     return kEvents;
 }
 
-MetricsCollector::MetricsCollector(Machine& machine)
-    : _machine(machine)
-{
-    const std::vector<EventId>& events = trackedEvents();
-    _eventIds.resize(events.size());
-    for (std::size_t e = 0; e < events.size(); ++e) {
-        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-            _eventIds[e][ctx] = _registry.addCounter(
-                eventModule(events[e]),
-                std::string(eventName(events[e])),
-                kContextLabels[ctx]);
-        }
-    }
-
-    _btbCrossEvictions =
-        _registry.addCounter("branch", "btb_cross_ctx_evictions");
-    _tcEvictions =
-        _registry.addCounter("mem", "trace_cache_evictions");
-    _tcCrossEvictions =
-        _registry.addCounter("mem", "trace_cache_cross_evictions");
-    _l1dEvictions = _registry.addCounter("mem", "l1d_evictions");
-    _l2Evictions = _registry.addCounter("mem", "l2_evictions");
-    _schedMigrations = _registry.addCounter("os", "migrations");
-    _ffCycles = _registry.addCounter("core", "fast_forward_cycles");
-
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        _robOcc[ctx] = _registry.addGauge("core", "rob_occupancy",
-                                          kContextLabels[ctx]);
-        _ldqOcc[ctx] = _registry.addGauge("core", "ldq_occupancy",
-                                          kContextLabels[ctx]);
-        _stqOcc[ctx] = _registry.addGauge("core", "stq_occupancy",
-                                          kContextLabels[ctx]);
-    }
-    _runQueueDepth = _registry.addGauge("os", "run_queue_depth");
-    _tcOccupancy =
-        _registry.addGauge("mem", "trace_cache_occupancy");
-    _l1dOccupancy = _registry.addGauge("mem", "l1d_occupancy");
-    _l2Occupancy = _registry.addGauge("mem", "l2_occupancy");
-
-    _retireHistogram =
-        _registry.addHistogram("core", "retire_width", 4);
-    _robHistogram =
-        _registry.addHistogram("core", "rob_occupancy_sampled", 8);
-
-    update(); // Baseline every counter at construction time.
-}
-
-std::size_t
-MetricsCollector::counterIdOf(EventId event, ContextId ctx) const
-{
-    const std::vector<EventId>& events = trackedEvents();
-    for (std::size_t e = 0; e < events.size(); ++e) {
-        if (events[e] == event)
-            return _eventIds[e][ctx];
-    }
-    fatal("metrics: event '" + std::string(eventName(event)) +
-          "' is not tracked");
-}
 
 void
-MetricsCollector::update()
+writeMetricsJson(std::ostream& out, const CounterSeries& series,
+                 const AllocTotals* alloc)
 {
-    const Pmu& pmu = _machine.pmu();
-    const std::vector<EventId>& events = trackedEvents();
-    for (std::size_t e = 0; e < events.size(); ++e) {
+    const std::vector<SeriesRow>& rows = series.rows();
+    const SeriesRow& last = rows.back();
+    std::vector<std::pair<const char*, std::uint64_t>> alloc_counters;
+    if (alloc != nullptr) {
+        alloc_counters = {{"epochs", alloc->epochs},
+                          {"migrations", alloc->migrations},
+                          {"steals", alloc->steals}};
+    }
+
+    std::string doc = "{\"version\":1,\"metrics\":[\n";
+    bool first = true;
+    const auto header = [&](const char* module,
+                            std::string_view name,
+                            const char* context, const char* kind) {
+        if (!first)
+            doc += ",\n";
+        first = false;
+        doc += "{\"module\":";
+        json::appendEscaped(doc, module);
+        doc += ",\"name\":";
+        json::appendEscaped(doc, std::string(name));
+        if (*context != '\0') {
+            doc += ",\"context\":";
+            json::appendEscaped(doc, context);
+        }
+        doc += ",\"kind\":\"";
+        doc += kind;
+        doc += "\"";
+    };
+
+    // Counters: run totals, the last row minus the baseline.
+    const std::vector<std::uint64_t> totals =
+        counterDeltas(last, rows.front());
+    std::size_t k = 0;
+    for (const EventId event : CounterSeries::trackedEvents()) {
         for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-            _registry.setCounter(_eventIds[e][ctx],
-                                 pmu.raw(events[e], ctx));
+            header(eventModule(event), eventName(event),
+                   kContextLabels[ctx], "counter");
+            doc += ",\"total\":" + std::to_string(totals[k++]) + "}";
         }
     }
-
-    const Btb& btb = _machine.branch().btb();
-    _registry.setCounter(_btbCrossEvictions,
-                         btb.crossAsidEvictions());
-    const MemorySystem& mem = _machine.mem();
-    _registry.setCounter(_tcEvictions,
-                         mem.traceCache().evictions());
-    _registry.setCounter(_tcCrossEvictions,
-                         mem.traceCache().crossAsidEvictions());
-    _registry.setCounter(_l1dEvictions, mem.l1d().evictions());
-    _registry.setCounter(_l2Evictions, mem.l2().evictions());
-    _registry.setCounter(_schedMigrations,
-                         _machine.scheduler().migrations());
-
-    SmtCore& core = _machine.core();
-    _registry.setCounter(_ffCycles, core.fastForwardedCycles());
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-        _registry.setGauge(
-            _robOcc[ctx],
-            static_cast<double>(core.robOccupancy(ctx)));
-        _registry.setGauge(
-            _ldqOcc[ctx],
-            static_cast<double>(core.ldqOccupancy(ctx)));
-        _registry.setGauge(
-            _stqOcc[ctx],
-            static_cast<double>(core.stqOccupancy(ctx)));
+    for (const MetricName& name : kCounterNames) {
+        header(name.module, name.name, name.context, "counter");
+        doc += ",\"total\":" + std::to_string(totals[k++]) + "}";
     }
-    _registry.setGauge(
-        _runQueueDepth,
-        static_cast<double>(_machine.scheduler().runQueueDepth()));
+    for (const auto& [name, total] : alloc_counters) {
+        header("alloc", name, "", "counter");
+        doc += ",\"total\":" + std::to_string(total) + "}";
+    }
+    for (std::size_t g = 0; g < kSeriesGauges; ++g) {
+        header(kGaugeNames[g].module, kGaugeNames[g].name,
+               kGaugeNames[g].context, "gauge");
+        doc += ",\"value\":";
+        appendDouble(doc, last.gauges[g]);
+        doc += "}";
+    }
 
-    const auto occupancyFrac = [](const Cache& cache) {
-        const std::uint64_t lines =
-            static_cast<std::uint64_t>(cache.numSets()) *
-            cache.ways();
-        return ratioOf(cache.validLines(), lines);
-    };
-    _registry.setGauge(_tcOccupancy,
-                       occupancyFrac(mem.traceCache()));
-    _registry.setGauge(_l1dOccupancy, occupancyFrac(mem.l1d()));
-    _registry.setGauge(_l2Occupancy, occupancyFrac(mem.l2()));
-
+    // retire_width holds the last row's absolute PMU totals, not run
+    // deltas; rob_occupancy_sampled bins every row, the baseline
+    // included.
+    std::array<std::uint64_t, 4> retire{};
     static constexpr EventId kRetireBins[4] = {
         EventId::kRetire0, EventId::kRetire1, EventId::kRetire2,
         EventId::kRetire3};
-    for (std::size_t b = 0; b < 4; ++b) {
-        _registry.setHistogramBucket(
-            _retireHistogram, b,
-            _machine.pmu().rawTotal(kRetireBins[b]));
+    for (std::size_t b = 0; b < retire.size(); ++b) {
+        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+            retire[b] +=
+                last.counts[ctx][static_cast<std::size_t>(
+                    kRetireBins[b])];
+        }
     }
-    std::uint32_t rob_total = 0;
-    for (ContextId ctx = 0; ctx < kNumContexts; ++ctx)
-        rob_total += core.robOccupancy(ctx);
-    _registry.observe(_robHistogram, rob_total / 16);
-}
+    std::array<std::uint64_t, kRobBuckets> rob{};
+    for (const SeriesRow& row : rows) {
+        std::uint32_t rob_total = 0;
+        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+            rob_total += static_cast<std::uint32_t>(
+                row.gauges[ctx * kGaugesPerContext]);
+        }
+        ++rob[std::min<std::size_t>(rob_total / 16, kRobBuckets - 1)];
+    }
+    header("core", "retire_width", "", "histogram");
+    doc += ",\"buckets\":[";
+    appendList(doc, retire, appendUint);
+    doc += "]}";
+    header("core", "rob_occupancy_sampled", "", "histogram");
+    doc += ",\"buckets\":[";
+    appendList(doc, rob, appendUint);
+    doc += "]}";
 
-void
-MetricsCollector::collect(Cycle now)
-{
-    update();
-    _registry.snapshot(now);
-}
+    // One snapshot per row after the baseline; the alloc counters
+    // have no series, so their totals join the last snapshot.
+    doc += "\n],\"snapshots\":[\n";
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+        if (i > 1)
+            doc += ",\n";
+        std::vector<std::uint64_t> deltas =
+            counterDeltas(rows[i], rows[i - 1]);
+        if (i + 1 == rows.size()) {
+            for (const auto& counter : alloc_counters)
+                deltas.push_back(counter.second);
+        }
+        doc += "{\"cycle\":" + std::to_string(rows[i].cycle) +
+               ",\"counters\":[";
+        appendList(doc, deltas, appendUint);
+        doc += "],\"gauges\":[";
+        appendList(doc, rows[i].gauges, appendDouble);
+        doc += "]}";
+    }
 
-void
-MetricsCollector::writeJson(std::ostream& out) const
-{
-    const Pmu& pmu = _machine.pmu();
-    const std::uint64_t instr =
-        pmu.rawTotal(EventId::kInstrRetired);
-    const std::uint64_t cycles = pmu.rawTotal(EventId::kCycles);
+    const EventCounts run = countsDelta(last.counts, rows.front().counts);
+    const auto total = [&](EventId event) {
+        std::uint64_t sum = 0;
+        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx)
+            sum += run[ctx][static_cast<std::size_t>(event)];
+        return sum;
+    };
+    const std::uint64_t instr = total(EventId::kInstrRetired);
+    const std::uint64_t cycles = total(EventId::kCycles);
     const auto mpki = [&](EventId event) {
         return instr > 0 ? 1000.0 *
-                               static_cast<double>(
-                                   pmu.rawTotal(event)) /
+                               static_cast<double>(total(event)) /
                                static_cast<double>(instr)
                          : 0.0;
     };
-    std::vector<std::pair<std::string, double>> derived = {
-        {"ipc", ratioOf(pmu.rawTotal(EventId::kUopsRetired),
-                        cycles)},
+    const std::pair<const char*, double> derived[] = {
+        {"ipc", ratioOf(total(EventId::kUopsRetired), cycles)},
         // Share of simulated cycles the event-horizon engine
         // fast-forwarded instead of simulating (DESIGN.md §9).
         {"horizon_skip_pct",
-         100.0 * ratioOf(_machine.core().fastForwardedCycles(),
+         100.0 * ratioOf(last.counters[kFastForwardCycles] -
+                             rows.front().counters[kFastForwardCycles],
                          cycles)},
         {"trace_cache_mpki", mpki(EventId::kTraceCacheMiss)},
         {"l1d_mpki", mpki(EventId::kL1dMiss)},
         {"l2_mpki", mpki(EventId::kL2Miss)},
         {"itlb_mpki", mpki(EventId::kItlbMiss)},
         {"btb_miss_ratio",
-         ratioOf(pmu.rawTotal(EventId::kBtbMiss),
-                 pmu.rawTotal(EventId::kBtbAccess))},
+         ratioOf(total(EventId::kBtbMiss), total(EventId::kBtbAccess))},
         {"run_cache_hit_ratio",
          ratioOf(exec::ResultStore::global().hits(),
                  exec::ResultStore::global().hits() +
@@ -487,7 +407,18 @@ MetricsCollector::writeJson(std::ostream& out) const
         {"run_cache_spill_load_rejects",
          static_cast<double>(exec::ResultStore::totalLoadRejects())},
     };
-    out << _registry.toJson(derived);
+    doc += "\n],\"derived\":{";
+    first = true;
+    for (const auto& [name, value] : derived) {
+        if (!first)
+            doc += ',';
+        first = false;
+        json::appendEscaped(doc, name);
+        doc += ":";
+        appendDouble(doc, value);
+    }
+    doc += "}}\n";
+    out << doc;
 }
 
 } // namespace jsmt::trace

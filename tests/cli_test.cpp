@@ -470,6 +470,90 @@ TEST(CliRun, SampleIntervalSeriesCoversTheRun)
     EXPECT_GE(sums[1], totals[1] * 9 / 10) << r.output;
 }
 
+/** @return the data rows of @p output's time-series table. */
+std::vector<std::vector<unsigned long long>>
+seriesRows(const std::string& output)
+{
+    std::vector<std::vector<unsigned long long>> rows;
+    std::istringstream lines(output.substr(output.find("time series")));
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.empty() || !std::isdigit(line[0]))
+            continue;
+        std::istringstream fields(line);
+        std::vector<unsigned long long> row;
+        unsigned long long cell = 0;
+        while (fields >> cell)
+            row.push_back(cell);
+        rows.push_back(row);
+    }
+    return rows;
+}
+
+TEST(CliRun, SampleTableAndMetricsRenderOneSeries)
+{
+    // The --sample-interval table and the --metrics snapshots are
+    // rendered from one recorded series: each table row is the
+    // matching snapshot's two context deltas summed, and the file
+    // has one more snapshot, the run end.
+    const std::string metrics_path =
+        testing::TempDir() + "jsmt_cli_series_metrics.json";
+    std::remove(metrics_path.c_str());
+    // gc_uops is not a --metrics event; the table still shows it.
+    const std::vector<std::string> events = {
+        "cycles", "uops_retired", "l1d_miss", "gc_uops",
+        "context_switches"};
+    const CommandResult r = runCommand(
+        binary() + " --benchmark MolDyn:2 --scale 0.02"
+                   " --sample-interval 20000 --events"
+                   " cycles,uops_retired,l1d_miss,gc_uops,"
+                   "context_switches --metrics \"" +
+        metrics_path + "\" 2>&1");
+    ASSERT_EQ(r.status, 0) << r.output;
+    const auto table = seriesRows(r.output);
+    ASSERT_GT(table.size(), 2u) << r.output;
+
+    json::Value metrics;
+    ASSERT_TRUE(json::parse(readFile(metrics_path), &metrics));
+    const json::Value* list = metrics.field("metrics");
+    const json::Value* snapshots = metrics.field("snapshots");
+    ASSERT_NE(list, nullptr);
+    ASSERT_NE(snapshots, nullptr);
+    ASSERT_EQ(snapshots->items.size(), table.size() + 1);
+
+    // Counters lead the catalogue, so an event's catalogue position
+    // on a context is its index in each snapshot's counters.
+    std::size_t tracked = 0;
+    for (std::size_t c = 0; c < events.size(); ++c) {
+        std::vector<std::size_t> ids;
+        for (std::size_t id = 0; id < list->items.size(); ++id) {
+            const json::Value& metric = list->items[id];
+            if (json::asString(metric.field("kind")) == "counter" &&
+                json::asString(metric.field("name")) == events[c] &&
+                !json::asString(metric.field("context")).empty())
+                ids.push_back(id);
+        }
+        if (ids.empty())
+            continue;
+        ASSERT_EQ(ids.size(), 2u) << events[c];
+        ++tracked;
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            const json::Value& snapshot = snapshots->items[i];
+            ASSERT_EQ(table[i].size(), events.size() + 1);
+            EXPECT_EQ(table[i][0],
+                      json::asNumber(snapshot.field("cycle")));
+            const json::Value* counters = snapshot.field("counters");
+            ASSERT_NE(counters, nullptr);
+            EXPECT_EQ(table[i][c + 1],
+                      json::asNumber(&counters->items.at(ids[0])) +
+                          json::asNumber(&counters->items.at(ids[1])))
+                << events[c] << " at row " << i;
+        }
+    }
+    EXPECT_EQ(tracked, events.size() - 1);
+    std::remove(metrics_path.c_str());
+}
+
 TEST(CliSweep, ResumeAcrossStepThreadCountsIsBitIdentical)
 {
     // Sweep entries are invariant to the stepping engine's worker

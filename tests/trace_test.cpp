@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the observability layer: TraceSink ring semantics and
- * Chrome trace_event export, and MetricsRegistry/MetricsCollector
- * accounting, which must not perturb the run. That tracing leaves
+ * Chrome trace_event export, and the CounterSeries behind
+ * --sample-interval and --metrics, which must not perturb the run. That tracing leaves
  * every result bit-identical (with and without fast-forward,
  * serially and on a task pool) is the equivalence harness's
  * (equivalence_test.cpp).
@@ -24,7 +24,7 @@
 namespace jsmt {
 namespace {
 
-using trace::MetricsCollector;
+using trace::CounterSeries;
 using trace::TraceSink;
 using trace::Track;
 
@@ -174,59 +174,115 @@ TEST(TraceExport, RealRunProducesValidMonotonicChromeTrace)
 // Metrics
 // ----------------------------------------------------------------
 
-TEST(Metrics, RegistryBaselinesCountersOnFirstSet)
+/** A fresh machine set up to run @p benchmark at the tiny scale. */
+struct TinyRun
 {
-    trace::MetricsRegistry registry;
-    const std::size_t id = registry.addCounter("core", "c");
-    registry.setCounter(id, 1000); // Baseline.
-    EXPECT_EQ(registry.counterTotal(id), 0u);
-    registry.setCounter(id, 1250);
-    EXPECT_EQ(registry.counterTotal(id), 250u);
-    registry.snapshot(10);
-    registry.setCounter(id, 1300);
-    registry.snapshot(20);
-    const auto& rows = registry.snapshots();
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows[0].counterDeltas[0], 250u);
-    EXPECT_EQ(rows[1].counterDeltas[0], 50u);
+    explicit TinyRun(const std::string& benchmark)
+        : machine(SystemConfig{}), sim(machine)
+    {
+        WorkloadSpec spec;
+        spec.benchmark = benchmark;
+        spec.lengthScale = kTinyScale;
+        sim.addProcess(spec);
+    }
+
+    Machine machine;
+    Simulation sim;
+};
+
+/** @return the --metrics document of @p series. */
+json::Value
+metricsJson(const CounterSeries& series)
+{
+    std::ostringstream out;
+    trace::writeMetricsJson(out, series, nullptr);
+    json::Value root;
+    EXPECT_TRUE(json::parse(out.str(), &root)) << out.str();
+    return root;
+}
+
+TEST(Metrics, SeriesBaselinesAtConstruction)
+{
+    // A series constructed mid-run measures only what follows: the
+    // exported totals are the last row minus the baseline, and each
+    // snapshot's counters are the deltas from the row before.
+    TinyRun run("jess");
+    Simulation::RunOptions first_half;
+    first_half.maxCycles = 50'000;
+    run.sim.run(first_half);
+    ASSERT_GT(run.machine.pmu().rawTotal(EventId::kCycles), 0u);
+
+    CounterSeries series(run.machine, run.sim.now());
+    Simulation::RunOptions rest;
+    rest.sampleIntervalCycles = 20'000;
+    rest.onSample = [&](Simulation&, Cycle now) { series.record(now); };
+    const RunResult result = run.sim.run(rest);
+    ASSERT_TRUE(result.allComplete);
+    series.record(run.sim.now());
+
+    const json::Value root = metricsJson(series);
+    const json::Value* metrics = root.field("metrics");
+    const json::Value* snapshots = root.field("snapshots");
+    ASSERT_NE(metrics, nullptr);
+    ASSERT_NE(snapshots, nullptr);
+    const std::vector<trace::SeriesRow>& rows = series.rows();
+    ASSERT_EQ(snapshots->items.size(), rows.size() - 1);
+    // The catalogue opens with each tracked event on lcpu0, lcpu1.
+    const std::vector<EventId>& events = CounterSeries::trackedEvents();
+    for (std::size_t e = 0; e < events.size(); ++e) {
+        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+            const std::size_t id = e * kNumContexts + ctx;
+            const json::Value& metric = metrics->items.at(id);
+            ASSERT_EQ(json::asString(metric.field("name")),
+                      eventName(events[e]));
+            EXPECT_EQ(json::asNumber(metric.field("total")),
+                      result.event(events[e], ctx))
+                << eventName(events[e]) << " on context "
+                << static_cast<int>(ctx);
+            const auto line = static_cast<std::size_t>(events[e]);
+            for (std::size_t i = 1; i < rows.size(); ++i) {
+                const json::Value* counters =
+                    snapshots->items[i - 1].field("counters");
+                ASSERT_NE(counters, nullptr);
+                EXPECT_EQ(json::asNumber(&counters->items.at(id)),
+                          rows[i].counts[ctx][line] -
+                              rows[i - 1].counts[ctx][line]);
+            }
+        }
+    }
 }
 
 TEST(Metrics, SnapshotDeltasSumToRunResultTotals)
 {
-    SystemConfig config;
-    Machine machine(config);
-    Simulation sim(machine);
-    WorkloadSpec spec;
-    spec.benchmark = "MolDyn";
-    spec.lengthScale = kTinyScale;
-    sim.addProcess(spec);
-
-    // Constructed immediately before run(): counter baselines line
+    TinyRun run("MolDyn");
+    // Constructed immediately before run(): the baseline row lines
     // up with the RunResult's own PMU snapshot.
-    MetricsCollector collector(machine);
+    CounterSeries series(run.machine, run.sim.now());
     Simulation::RunOptions options;
     options.sampleIntervalCycles = 10'000;
-    options.onSample = [&](Simulation&, Cycle now) {
-        collector.collect(now);
-    };
-    const RunResult result = sim.run(options);
+    options.onSample = [&](Simulation&, Cycle now) { series.record(now); };
+    const RunResult result = run.sim.run(options);
     ASSERT_TRUE(result.allComplete);
-    collector.finish(sim.now());
+    series.record(run.sim.now());
 
-    const auto& rows = collector.registry().snapshots();
-    ASSERT_GT(rows.size(), 1u);
-    for (const EventId event : MetricsCollector::trackedEvents()) {
+    const std::vector<trace::SeriesRow>& rows = series.rows();
+    ASSERT_GT(rows.size(), 2u);
+    EventCounts summed{};
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+        EXPECT_LE(rows[i - 1].cycle, rows[i].cycle);
+        const EventCounts delta =
+            countsDelta(rows[i].counts, rows[i - 1].counts);
         for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-            const std::size_t id =
-                collector.counterIdOf(event, ctx);
-            std::uint64_t summed = 0;
-            for (const auto& row : rows)
-                summed += row.counterDeltas[id];
-            EXPECT_EQ(summed, result.event(event, ctx))
+            for (std::size_t e = 0; e < kNumEventIds; ++e)
+                summed[ctx][e] += delta[ctx][e];
+        }
+    }
+    for (std::size_t e = 0; e < kNumEventIds; ++e) {
+        const auto event = static_cast<EventId>(e);
+        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+            EXPECT_EQ(summed[ctx][e], result.event(event, ctx))
                 << "event " << eventName(event) << " on context "
                 << static_cast<int>(ctx);
-            EXPECT_EQ(collector.registry().counterTotal(id),
-                      result.event(event, ctx));
         }
     }
 }
@@ -235,40 +291,23 @@ TEST(Metrics, CollectionDoesNotPerturbTheRun)
 {
     const RunResult bare = runSolo("RayTracer", true, true, nullptr);
 
-    SystemConfig config;
-    Machine machine(config);
-    Simulation sim(machine);
-    WorkloadSpec spec;
-    spec.benchmark = "RayTracer";
-    spec.lengthScale = kTinyScale;
-    sim.addProcess(spec);
-    MetricsCollector collector(machine);
+    TinyRun run("RayTracer");
+    CounterSeries series(run.machine, run.sim.now());
     Simulation::RunOptions options;
     options.sampleIntervalCycles = 5'000;
-    options.onSample = [&](Simulation&, Cycle now) {
-        collector.collect(now);
-    };
-    const RunResult measured = sim.run(options);
+    options.onSample = [&](Simulation&, Cycle now) { series.record(now); };
+    const RunResult measured = run.sim.run(options);
     expectIdentical(bare, measured);
 }
 
 TEST(Metrics, JsonExportParsesWithTheSharedParser)
 {
-    SystemConfig config;
-    Machine machine(config);
-    Simulation sim(machine);
-    WorkloadSpec spec;
-    spec.benchmark = "compress";
-    spec.lengthScale = kTinyScale;
-    sim.addProcess(spec);
-    MetricsCollector collector(machine);
-    sim.run();
-    collector.finish(sim.now());
+    TinyRun run("compress");
+    CounterSeries series(run.machine, run.sim.now());
+    run.sim.run();
+    series.record(run.sim.now());
 
-    std::ostringstream out;
-    collector.writeJson(out);
-    json::Value root;
-    ASSERT_TRUE(json::parse(out.str(), &root));
+    const json::Value root = metricsJson(series);
     ASSERT_TRUE(root.isObject());
     EXPECT_EQ(json::asNumber(root.field("version")), 1u);
     const json::Value* metrics = root.field("metrics");

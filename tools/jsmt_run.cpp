@@ -75,9 +75,12 @@
  *     --trace FILE                 capture a Chrome trace_event JSON
  *                                  timeline of the run (open in
  *                                  Perfetto / chrome://tracing)
- *     --metrics FILE               export the metrics registry
- *                                  (counters, gauges, histograms and
- *                                  interval snapshots) as JSON
+ *     --metrics FILE               export the counter series as
+ *                                  JSON: run totals, gauges,
+ *                                  histograms and one snapshot per
+ *                                  sample edge (every
+ *                                  --sample-interval cycles, else
+ *                                  every 1M) and at the run end
  *     --list-benchmarks            print the registry and exit
  *     --list-events                print the event catalogue, exit
  *     --sweep NAMES                solo sweep of the
@@ -466,53 +469,32 @@ multiCoreConfig(const Options& options)
     return chip;
 }
 
-/** A chip's allocation activity, exported as the alloc metrics. */
-struct AllocTotals
+/** Add @p run's allocation activity to @p totals. */
+void
+addAlloc(trace::AllocTotals& totals, const MultiRunResult& run)
 {
-    std::uint64_t epochs = 0;
-    std::uint64_t migrations = 0;
-    std::uint64_t steals = 0;
-
-    void
-    add(const MultiRunResult& run)
-    {
-        epochs += run.epochs;
-        migrations += run.migrations;
-        steals += run.steals;
-    }
-};
+    totals.epochs += run.epochs;
+    totals.migrations += run.migrations;
+    totals.steals += run.steals;
+}
 
 /**
- * Write the --metrics file of every mode: @p collector's registry
- * after a final snapshot at @p now. A chip's @p alloc totals join
- * it as alloc counters, each baselined at zero so its exported
- * total is exactly the count.
+ * Write the --metrics file of every mode from @p series, with a
+ * chip's @p alloc totals as alloc counters.
  *
  * @return false (after saying why) when @p path cannot be written.
  */
 bool
 writeMetrics(const std::string& path,
-             trace::MetricsCollector& collector, Cycle now,
-             const AllocTotals* alloc)
+             const trace::CounterSeries& series,
+             const trace::AllocTotals* alloc)
 {
-    if (alloc != nullptr) {
-        trace::MetricsRegistry& registry = collector.registry();
-        for (const auto& [name, total] :
-             {std::pair{"epochs", alloc->epochs},
-              std::pair{"migrations", alloc->migrations},
-              std::pair{"steals", alloc->steals}}) {
-            const std::size_t id = registry.addCounter("alloc", name);
-            registry.setCounter(id, 0);
-            registry.setCounter(id, total);
-        }
-    }
-    collector.collect(now);
     std::ofstream out(path, std::ios::trunc);
     if (!out) {
         std::cerr << "cannot write metrics file '" << path << "'\n";
         return false;
     }
-    collector.writeJson(out);
+    trace::writeMetricsJson(out, series, alloc);
     return true;
 }
 
@@ -652,8 +634,9 @@ runSweep(const Options& options,
 
     if (!options.metricsFile.empty()) {
         Machine machine(config);
-        trace::MetricsCollector collector(machine);
-        if (!writeMetrics(options.metricsFile, collector, 0, nullptr))
+        trace::CounterSeries series(machine, 0);
+        series.record(0);
+        if (!writeMetrics(options.metricsFile, series, nullptr))
             return 1;
     }
     return report.ok() ? 0 : 1;
@@ -693,13 +676,13 @@ runPairMatrixMode(const Options& options)
     TextTable table({"pair", "cycles", "uops", "uops/cycle", "IPC",
                      "epochs", "migrations", "steals"});
     double throughput_sum = 0.0;
-    AllocTotals alloc;
+    trace::AllocTotals alloc;
     bool all_complete = true;
     for (const PairMatrixCell& cell : cells) {
         const MultiRunResult& result = cell.result;
         all_complete = all_complete && result.allComplete;
         throughput_sum += cell.uopThroughput;
-        alloc.add(result);
+        addAlloc(alloc, result);
         table.addRow(
             {cell.a + "+" + cell.b, TextTable::fmt(result.cycles),
              TextTable::fmt(result.total(EventId::kUopsRetired)),
@@ -723,8 +706,9 @@ runPairMatrixMode(const Options& options)
 
     if (!options.metricsFile.empty()) {
         Machine machine(config);
-        trace::MetricsCollector collector(machine);
-        if (!writeMetrics(options.metricsFile, collector, 0, &alloc))
+        trace::CounterSeries series(machine, 0);
+        series.record(0);
+        if (!writeMetrics(options.metricsFile, series, &alloc))
             return 1;
     }
     return all_complete ? 0 : 1;
@@ -865,25 +849,14 @@ runBenchmarks(const Options& options,
             sim->addProcess(spec);
     }
 
-    // The collector and profiler read one machine: on a chip that
-    // is slice 0, and the chip-wide PMU picture comes from the
-    // folded RunResult.
+    // The series and profiler read one machine: on a chip that is
+    // slice 0, and the chip-wide PMU picture comes from the folded
+    // RunResult.
     Machine& probed = on_chip ? system->machine(0) : *machine;
-    std::unique_ptr<trace::MetricsCollector> collector;
-    if (metrics)
-        collector = std::make_unique<trace::MetricsCollector>(probed);
+    trace::CounterSeries series(probed, 0);
     StageProfiler profiler;
     if (options.profile)
         probed.core().setProfiler(&profiler);
-
-    // --sample-interval: each row is the difference between the PMU
-    // snapshots at two consecutive sample edges, summed over both
-    // logical CPUs.
-    std::vector<std::string> series_headers = {"cycle"};
-    for (const EventId event : events)
-        series_headers.push_back(std::string(eventName(event)));
-    TextTable series(series_headers);
-    EventCounts last_sample = probed.pmu().counts();
 
     RunResult result;
     std::optional<MultiRunResult> chip;
@@ -900,31 +873,15 @@ runBenchmarks(const Options& options,
     } else {
         Simulation::RunOptions run_options;
         run_options.fastForward = options.fastForward;
-        // Metrics snapshots ride the same sample edge as the counter
-        // time series; without an explicit interval a metrics run
-        // still gets a coarse series.
+        // Without an explicit interval a metrics run still gets a
+        // coarse series.
         Cycle interval = options.sampleInterval;
         if (metrics && interval == 0)
             interval = 1'000'000;
         if (interval > 0) {
             run_options.sampleIntervalCycles = interval;
             run_options.onSample = [&](Simulation&, Cycle now) {
-                if (options.sampleInterval > 0) {
-                    const EventCounts counts = probed.pmu().counts();
-                    const EventCounts delta =
-                        countsDelta(counts, last_sample);
-                    last_sample = counts;
-                    std::vector<std::string> row = {
-                        TextTable::fmt(now)};
-                    for (const EventId event : events) {
-                        const auto e = static_cast<std::size_t>(event);
-                        row.push_back(
-                            TextTable::fmt(delta[0][e] + delta[1][e]));
-                    }
-                    series.addRow(row);
-                }
-                if (collector)
-                    collector->collect(now);
+                series.record(now);
             };
         }
         if (options.sampleInterval == 0 && !tracing && !metrics &&
@@ -946,6 +903,7 @@ runBenchmarks(const Options& options,
         }
         end = sim->now();
     }
+    series.record(end);
     const double run_wall =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - run_start)
@@ -965,11 +923,11 @@ runBenchmarks(const Options& options,
         }
         sink.writeChromeTrace(out);
     }
-    if (collector) {
-        AllocTotals alloc;
+    if (metrics) {
+        trace::AllocTotals alloc;
         if (chip)
-            alloc.add(*chip);
-        if (!writeMetrics(options.metricsFile, *collector, end,
+            addAlloc(alloc, *chip);
+        if (!writeMetrics(options.metricsFile, series,
                           chip ? &alloc : nullptr))
             return 1;
     }
@@ -1069,9 +1027,28 @@ runBenchmarks(const Options& options,
     counters.print(std::cout);
 
     if (options.sampleInterval > 0) {
+        // Each row is the difference between the series rows of two
+        // consecutive sample edges, summed over both logical CPUs;
+        // the series' last row is the run end, not an edge.
+        std::vector<std::string> series_headers = {"cycle"};
+        for (const EventId event : events)
+            series_headers.push_back(std::string(eventName(event)));
+        TextTable table(series_headers);
+        const std::vector<trace::SeriesRow>& rows = series.rows();
+        for (std::size_t i = 1; i + 1 < rows.size(); ++i) {
+            const EventCounts delta =
+                countsDelta(rows[i].counts, rows[i - 1].counts);
+            std::vector<std::string> row = {
+                TextTable::fmt(rows[i].cycle)};
+            for (const EventId event : events) {
+                const auto e = static_cast<std::size_t>(event);
+                row.push_back(TextTable::fmt(delta[0][e] + delta[1][e]));
+            }
+            table.addRow(row);
+        }
         std::cout << "\ntime series (interval "
                   << options.sampleInterval << " cycles):\n";
-        series.print(std::cout);
+        table.print(std::cout);
     }
     // A chip run that did not complete fails; a single-core run
     // reports [INCOMPLETE] and exits 0.
