@@ -155,6 +155,44 @@ appendUint(std::string& out, std::uint64_t value)
     out += std::to_string(value);
 }
 
+/**
+ * The derived figures of the run from @p first to @p last: IPC,
+ * horizon skip share, MPKIs and the BTB miss ratio.
+ */
+std::vector<std::pair<const char*, double>>
+machineFigures(const SeriesRow& first, const SeriesRow& last)
+{
+    const EventCounts run = countsDelta(last.counts, first.counts);
+    const auto total = [&](EventId event) {
+        std::uint64_t sum = 0;
+        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx)
+            sum += run[ctx][static_cast<std::size_t>(event)];
+        return sum;
+    };
+    const std::uint64_t instr = total(EventId::kInstrRetired);
+    const std::uint64_t cycles = total(EventId::kCycles);
+    const auto mpki = [&](EventId event) {
+        return instr > 0 ? 1000.0 * static_cast<double>(total(event)) /
+                               static_cast<double>(instr)
+                         : 0.0;
+    };
+    return {
+        {"ipc", ratioOf(total(EventId::kUopsRetired), cycles)},
+        // Share of simulated cycles the event-horizon engine
+        // fast-forwarded instead of simulating (DESIGN.md §9).
+        {"horizon_skip_pct",
+         100.0 * ratioOf(last.counters[kFastForwardCycles] -
+                             first.counters[kFastForwardCycles],
+                         cycles)},
+        {"trace_cache_mpki", mpki(EventId::kTraceCacheMiss)},
+        {"l1d_mpki", mpki(EventId::kL1dMiss)},
+        {"l2_mpki", mpki(EventId::kL2Miss)},
+        {"itlb_mpki", mpki(EventId::kItlbMiss)},
+        {"btb_miss_ratio",
+         ratioOf(total(EventId::kBtbMiss), total(EventId::kBtbAccess))},
+    };
+}
+
 } // namespace
 
 CounterSeries::CounterSeries(Machine& machine, Cycle now)
@@ -235,11 +273,12 @@ CounterSeries::trackedEvents()
 
 
 void
-writeMetricsJson(std::ostream& out, const CounterSeries& series,
+writeMetricsJson(std::ostream& out, const CounterSeries* series,
                  const AllocTotals* alloc)
 {
-    const std::vector<SeriesRow>& rows = series.rows();
-    const SeriesRow& last = rows.back();
+    static const std::vector<SeriesRow> kNoRows;
+    const std::vector<SeriesRow>& rows =
+        series != nullptr ? series->rows() : kNoRows;
     std::vector<std::pair<const char*, std::uint64_t>> alloc_counters;
     if (alloc != nullptr) {
         alloc_counters = {{"epochs", alloc->epochs},
@@ -268,64 +307,70 @@ writeMetricsJson(std::ostream& out, const CounterSeries& series,
         doc += "\"";
     };
 
-    // Counters: run totals, the last row minus the baseline.
-    const std::vector<std::uint64_t> totals =
-        counterDeltas(last, rows.front());
-    std::size_t k = 0;
-    for (const EventId event : CounterSeries::trackedEvents()) {
-        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-            header(eventModule(event), eventName(event),
-                   kContextLabels[ctx], "counter");
+    if (!rows.empty()) {
+        // Machine counters: run totals, the last row minus the
+        // baseline.
+        const std::vector<std::uint64_t> totals =
+            counterDeltas(rows.back(), rows.front());
+        std::size_t k = 0;
+        for (const EventId event : CounterSeries::trackedEvents()) {
+            for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+                header(eventModule(event), eventName(event),
+                       kContextLabels[ctx], "counter");
+                doc += ",\"total\":" + std::to_string(totals[k++]) + "}";
+            }
+        }
+        for (const MetricName& name : kCounterNames) {
+            header(name.module, name.name, name.context, "counter");
             doc += ",\"total\":" + std::to_string(totals[k++]) + "}";
         }
-    }
-    for (const MetricName& name : kCounterNames) {
-        header(name.module, name.name, name.context, "counter");
-        doc += ",\"total\":" + std::to_string(totals[k++]) + "}";
     }
     for (const auto& [name, total] : alloc_counters) {
         header("alloc", name, "", "counter");
         doc += ",\"total\":" + std::to_string(total) + "}";
     }
-    for (std::size_t g = 0; g < kSeriesGauges; ++g) {
-        header(kGaugeNames[g].module, kGaugeNames[g].name,
-               kGaugeNames[g].context, "gauge");
-        doc += ",\"value\":";
-        appendDouble(doc, last.gauges[g]);
-        doc += "}";
-    }
+    if (!rows.empty()) {
+        const SeriesRow& last = rows.back();
+        for (std::size_t g = 0; g < kSeriesGauges; ++g) {
+            header(kGaugeNames[g].module, kGaugeNames[g].name,
+                   kGaugeNames[g].context, "gauge");
+            doc += ",\"value\":";
+            appendDouble(doc, last.gauges[g]);
+            doc += "}";
+        }
 
-    // retire_width holds the last row's absolute PMU totals, not run
-    // deltas; rob_occupancy_sampled bins every row, the baseline
-    // included.
-    std::array<std::uint64_t, 4> retire{};
-    static constexpr EventId kRetireBins[4] = {
-        EventId::kRetire0, EventId::kRetire1, EventId::kRetire2,
-        EventId::kRetire3};
-    for (std::size_t b = 0; b < retire.size(); ++b) {
-        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-            retire[b] +=
-                last.counts[ctx][static_cast<std::size_t>(
+        // retire_width holds the last row's absolute PMU totals, not
+        // run deltas; rob_occupancy_sampled bins every row, the
+        // baseline included.
+        std::array<std::uint64_t, 4> retire{};
+        static constexpr EventId kRetireBins[4] = {
+            EventId::kRetire0, EventId::kRetire1, EventId::kRetire2,
+            EventId::kRetire3};
+        for (std::size_t b = 0; b < retire.size(); ++b) {
+            for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+                retire[b] += last.counts[ctx][static_cast<std::size_t>(
                     kRetireBins[b])];
+            }
         }
-    }
-    std::array<std::uint64_t, kRobBuckets> rob{};
-    for (const SeriesRow& row : rows) {
-        std::uint32_t rob_total = 0;
-        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
-            rob_total += static_cast<std::uint32_t>(
-                row.gauges[ctx * kGaugesPerContext]);
+        std::array<std::uint64_t, kRobBuckets> rob{};
+        for (const SeriesRow& row : rows) {
+            std::uint32_t rob_total = 0;
+            for (ContextId ctx = 0; ctx < kNumContexts; ++ctx) {
+                rob_total += static_cast<std::uint32_t>(
+                    row.gauges[ctx * kGaugesPerContext]);
+            }
+            ++rob[std::min<std::size_t>(rob_total / 16,
+                                        kRobBuckets - 1)];
         }
-        ++rob[std::min<std::size_t>(rob_total / 16, kRobBuckets - 1)];
+        header("core", "retire_width", "", "histogram");
+        doc += ",\"buckets\":[";
+        appendList(doc, retire, appendUint);
+        doc += "]}";
+        header("core", "rob_occupancy_sampled", "", "histogram");
+        doc += ",\"buckets\":[";
+        appendList(doc, rob, appendUint);
+        doc += "]}";
     }
-    header("core", "retire_width", "", "histogram");
-    doc += ",\"buckets\":[";
-    appendList(doc, retire, appendUint);
-    doc += "]}";
-    header("core", "rob_occupancy_sampled", "", "histogram");
-    doc += ",\"buckets\":[";
-    appendList(doc, rob, appendUint);
-    doc += "]}";
 
     // One snapshot per row after the baseline; the alloc counters
     // have no series, so their totals join the last snapshot.
@@ -347,66 +392,47 @@ writeMetricsJson(std::ostream& out, const CounterSeries& series,
         doc += "]}";
     }
 
-    const EventCounts run = countsDelta(last.counts, rows.front().counts);
-    const auto total = [&](EventId event) {
-        std::uint64_t sum = 0;
-        for (ContextId ctx = 0; ctx < kNumContexts; ++ctx)
-            sum += run[ctx][static_cast<std::size_t>(event)];
-        return sum;
-    };
-    const std::uint64_t instr = total(EventId::kInstrRetired);
-    const std::uint64_t cycles = total(EventId::kCycles);
-    const auto mpki = [&](EventId event) {
-        return instr > 0 ? 1000.0 *
-                               static_cast<double>(total(event)) /
-                               static_cast<double>(instr)
-                         : 0.0;
-    };
-    const std::pair<const char*, double> derived[] = {
-        {"ipc", ratioOf(total(EventId::kUopsRetired), cycles)},
-        // Share of simulated cycles the event-horizon engine
-        // fast-forwarded instead of simulating (DESIGN.md §9).
-        {"horizon_skip_pct",
-         100.0 * ratioOf(last.counters[kFastForwardCycles] -
-                             rows.front().counters[kFastForwardCycles],
-                         cycles)},
-        {"trace_cache_mpki", mpki(EventId::kTraceCacheMiss)},
-        {"l1d_mpki", mpki(EventId::kL1dMiss)},
-        {"l2_mpki", mpki(EventId::kL2Miss)},
-        {"itlb_mpki", mpki(EventId::kItlbMiss)},
-        {"btb_miss_ratio",
-         ratioOf(total(EventId::kBtbMiss), total(EventId::kBtbAccess))},
-        {"run_cache_hit_ratio",
-         ratioOf(exec::ResultStore::global().hits(),
-                 exec::ResultStore::global().hits() +
-                     exec::ResultStore::global().misses())},
-        {"task_pool_tasks_run",
-         static_cast<double>(exec::TaskPool::totalTasksRun())},
-        {"task_pool_batches_run",
-         static_cast<double>(exec::TaskPool::totalBatchesRun())},
-        {"task_pool_default_jobs",
-         static_cast<double>(exec::TaskPool::defaultJobs())},
-        {"supervisor_timeouts",
-         static_cast<double>(exec::TaskPool::totalTimeouts())},
-        {"supervisor_deadline_cancels",
-         static_cast<double>(exec::TaskPool::totalDeadlineCancels())},
-        {"supervisor_failures",
-         static_cast<double>(exec::TaskPool::totalFailures())},
-        // One result store serves the memo spill and the resume
-        // manifest, so each pair of names reads one counter.
-        {"checkpoint_entries_resumed",
-         static_cast<double>(exec::ResultStore::totalEntriesLoaded())},
-        {"checkpoint_flushes",
-         static_cast<double>(exec::ResultStore::totalSaves())},
-        {"checkpoint_load_rejects",
-         static_cast<double>(exec::ResultStore::totalLoadRejects())},
-        {"run_cache_spill_saves",
-         static_cast<double>(exec::ResultStore::totalSaves())},
-        {"run_cache_spill_save_failures",
-         static_cast<double>(exec::ResultStore::totalSaveFailures())},
-        {"run_cache_spill_load_rejects",
-         static_cast<double>(exec::ResultStore::totalLoadRejects())},
-    };
+    std::vector<std::pair<const char*, double>> derived;
+    if (!rows.empty())
+        derived = machineFigures(rows.front(), rows.back());
+    const exec::ResultStore& store = exec::ResultStore::global();
+    derived.insert(
+        derived.end(),
+        {
+            {"run_cache_hit_ratio",
+             ratioOf(store.hits(), store.hits() + store.misses())},
+            {"task_pool_tasks_run",
+             static_cast<double>(exec::TaskPool::totalTasksRun())},
+            {"task_pool_batches_run",
+             static_cast<double>(exec::TaskPool::totalBatchesRun())},
+            {"task_pool_default_jobs",
+             static_cast<double>(exec::TaskPool::defaultJobs())},
+            {"supervisor_timeouts",
+             static_cast<double>(exec::TaskPool::totalTimeouts())},
+            {"supervisor_deadline_cancels",
+             static_cast<double>(
+                 exec::TaskPool::totalDeadlineCancels())},
+            {"supervisor_failures",
+             static_cast<double>(exec::TaskPool::totalFailures())},
+            // One result store serves the memo spill and the resume
+            // manifest, so each pair of names reads one counter.
+            {"checkpoint_entries_resumed",
+             static_cast<double>(
+                 exec::ResultStore::totalEntriesLoaded())},
+            {"checkpoint_flushes",
+             static_cast<double>(exec::ResultStore::totalSaves())},
+            {"checkpoint_load_rejects",
+             static_cast<double>(
+                 exec::ResultStore::totalLoadRejects())},
+            {"run_cache_spill_saves",
+             static_cast<double>(exec::ResultStore::totalSaves())},
+            {"run_cache_spill_save_failures",
+             static_cast<double>(
+                 exec::ResultStore::totalSaveFailures())},
+            {"run_cache_spill_load_rejects",
+             static_cast<double>(
+                 exec::ResultStore::totalLoadRejects())},
+        });
     doc += "\n],\"derived\":{";
     first = true;
     for (const auto& [name, value] : derived) {

@@ -85,11 +85,12 @@ class CounterSeries
  * Write the --metrics document (schema version 1): the catalogue
  * with each counter's run total, the gauges and two histograms; one
  * snapshot per row after the baseline, holding counter deltas from
- * the row before and the row's gauges; and derived figures. A
- * non-null @p alloc adds the alloc counters, whose deltas join the
- * last snapshot.
+ * the row before and the row's gauges; and derived figures. A null
+ * @p series (a batch mode, which probes no one machine) writes only
+ * the exec and result-store figures. A non-null @p alloc adds the
+ * alloc counters, whose totals join the last snapshot.
  */
-void writeMetricsJson(std::ostream& out, const CounterSeries& series,
+void writeMetricsJson(std::ostream& out, const CounterSeries* series,
                       const AllocTotals* alloc);
 
 } // namespace jsmt::trace

@@ -554,6 +554,75 @@ TEST(CliRun, SampleTableAndMetricsRenderOneSeries)
     std::remove(metrics_path.c_str());
 }
 
+TEST(CliRun, BatchMetricsHoldOnlyWhatTheBatchMeasured)
+{
+    // A batch probes no one machine: its --metrics file has no
+    // machine metrics and no snapshots, only the exec figures and,
+    // for the pair matrix, the alloc totals the aggregate prints.
+    const std::string metrics_path =
+        testing::TempDir() + "jsmt_cli_batch_metrics.json";
+    std::remove(metrics_path.c_str());
+    const CommandResult sweep = runCommand(
+        binary() + " --sweep jess --scale 0.02 --metrics \"" +
+        metrics_path + "\" 2>&1");
+    ASSERT_EQ(sweep.status, 0) << sweep.output;
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readFile(metrics_path), &doc));
+    ASSERT_NE(doc.field("metrics"), nullptr);
+    EXPECT_TRUE(doc.field("metrics")->items.empty());
+    ASSERT_NE(doc.field("snapshots"), nullptr);
+    EXPECT_TRUE(doc.field("snapshots")->items.empty());
+    const json::Value* derived = doc.field("derived");
+    ASSERT_NE(derived, nullptr);
+    EXPECT_EQ(derived->field("ipc"), nullptr);
+    EXPECT_EQ(derived->field("horizon_skip_pct"), nullptr);
+    EXPECT_EQ(json::asNumber(derived->field("task_pool_tasks_run")),
+              2u);
+
+    std::remove(metrics_path.c_str());
+    const CommandResult matrix = runCommand(
+        binary() +
+        " --pair-matrix --cores 2 --alloc ipc-symbiosis"
+        " --alloc-epoch 20000 --scale 0.01 --metrics \"" +
+        metrics_path + "\" 2>&1");
+    ASSERT_EQ(matrix.status, 0) << matrix.output;
+    const std::size_t line = matrix.output.find("aggregate: ");
+    ASSERT_NE(line, std::string::npos) << matrix.output;
+    double throughput = 0.0;
+    unsigned long long migrations = 0;
+    unsigned long long steals = 0;
+    ASSERT_EQ(std::sscanf(matrix.output.c_str() + line,
+                          "aggregate: mean throughput %lf uops/cycle,"
+                          " %llu migration(s), %llu steal(s)",
+                          &throughput, &migrations, &steals),
+              3)
+        << matrix.output;
+    EXPECT_GT(migrations, 0u) << matrix.output;
+    json::Value alloc;
+    ASSERT_TRUE(json::parse(readFile(metrics_path), &alloc));
+    ASSERT_NE(alloc.field("metrics"), nullptr);
+    std::vector<std::string> names;
+    for (const json::Value& metric : alloc.field("metrics")->items) {
+        EXPECT_EQ(json::asString(metric.field("module")), "alloc");
+        const std::string name = json::asString(metric.field("name"));
+        names.push_back(name);
+        const unsigned long long total =
+            json::asNumber(metric.field("total"));
+        if (name == "migrations") {
+            EXPECT_EQ(total, migrations);
+        } else if (name == "steals") {
+            EXPECT_EQ(total, steals);
+        }
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{"epochs", "migrations",
+                                               "steals"}));
+    ASSERT_NE(alloc.field("snapshots"), nullptr);
+    EXPECT_TRUE(alloc.field("snapshots")->items.empty());
+    ASSERT_NE(alloc.field("derived"), nullptr);
+    EXPECT_EQ(alloc.field("derived")->field("ipc"), nullptr);
+    std::remove(metrics_path.c_str());
+}
+
 TEST(CliSweep, ResumeAcrossStepThreadCountsIsBitIdentical)
 {
     // Sweep entries are invariant to the stepping engine's worker

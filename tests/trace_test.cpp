@@ -195,7 +195,7 @@ json::Value
 metricsJson(const CounterSeries& series)
 {
     std::ostringstream out;
-    trace::writeMetricsJson(out, series, nullptr);
+    trace::writeMetricsJson(out, &series, nullptr);
     json::Value root;
     EXPECT_TRUE(json::parse(out.str(), &root)) << out.str();
     return root;

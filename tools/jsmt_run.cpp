@@ -479,14 +479,14 @@ addAlloc(trace::AllocTotals& totals, const MultiRunResult& run)
 }
 
 /**
- * Write the --metrics file of every mode from @p series, with a
- * chip's @p alloc totals as alloc counters.
+ * Write the --metrics file of every mode from @p series (null in a
+ * batch mode), with a chip's @p alloc totals as alloc counters.
  *
  * @return false (after saying why) when @p path cannot be written.
  */
 bool
 writeMetrics(const std::string& path,
-             const trace::CounterSeries& series,
+             const trace::CounterSeries* series,
              const trace::AllocTotals* alloc)
 {
     std::ofstream out(path, std::ios::trunc);
@@ -632,13 +632,9 @@ runSweep(const Options& options,
               << exec::TaskPool::totalDeadlineCancels()
               << " deadline cancels process-wide\n";
 
-    if (!options.metricsFile.empty()) {
-        Machine machine(config);
-        trace::CounterSeries series(machine, 0);
-        series.record(0);
-        if (!writeMetrics(options.metricsFile, series, nullptr))
-            return 1;
-    }
+    if (!options.metricsFile.empty() &&
+        !writeMetrics(options.metricsFile, nullptr, nullptr))
+        return 1;
     return report.ok() ? 0 : 1;
 }
 
@@ -704,13 +700,9 @@ runPairMatrixMode(const Options& options)
               << " migration(s), " << alloc.steals << " steal(s)"
               << (all_complete ? "" : "  [INCOMPLETE]") << '\n';
 
-    if (!options.metricsFile.empty()) {
-        Machine machine(config);
-        trace::CounterSeries series(machine, 0);
-        series.record(0);
-        if (!writeMetrics(options.metricsFile, series, &alloc))
-            return 1;
-    }
+    if (!options.metricsFile.empty() &&
+        !writeMetrics(options.metricsFile, nullptr, &alloc))
+        return 1;
     return all_complete ? 0 : 1;
 }
 
@@ -927,7 +919,7 @@ runBenchmarks(const Options& options,
         trace::AllocTotals alloc;
         if (chip)
             addAlloc(alloc, *chip);
-        if (!writeMetrics(options.metricsFile, series,
+        if (!writeMetrics(options.metricsFile, &series,
                           chip ? &alloc : nullptr))
             return 1;
     }
