@@ -338,6 +338,14 @@ TEST(MigrationInvariants, HoldAtEveryEpochUnderEveryPolicy)
     }
 }
 
+// The cancellation tests' workload and deadline. An uncancelled run
+// of either chip takes at least three times the deadline in an
+// optimised build (0.09-0.12 s on a 4-vCPU host), so the deadline
+// fires mid-run, and the resume to completion stays short under
+// ThreadSanitizer.
+constexpr double kCancelScale = 0.1;
+constexpr double kCancelDeadlineSeconds = 0.03;
+
 TEST(MigrationInvariants, HoldAtSupervisorCancellationPoints)
 {
     // Multi-core runs under a tight wall-clock deadline: the
@@ -362,7 +370,7 @@ TEST(MigrationInvariants, HoldAtSupervisorCancellationPoints)
                  {"PseudoJBB", "jess", "MolDyn", "db"}) {
                 WorkloadSpec spec;
                 spec.benchmark = benchmark;
-                spec.lengthScale = 0.5;
+                spec.lengthScale = kCancelScale;
                 sim.addProcess(spec);
             }
             MultiCoreSimulation::RunOptions run;
@@ -381,7 +389,7 @@ TEST(MigrationInvariants, HoldAtSupervisorCancellationPoints)
                 checkThreadConservation(system, sim);
             }
         },
-        0.15);
+        kCancelDeadlineSeconds);
 }
 
 TEST(MigrationInvariants,
@@ -413,7 +421,7 @@ TEST(MigrationInvariants,
                  {"PseudoJBB", "jess", "MolDyn", "db"}) {
                 WorkloadSpec spec;
                 spec.benchmark = benchmark;
-                spec.lengthScale = 0.5;
+                spec.lengthScale = kCancelScale;
                 sim.addProcess(spec);
             }
             MultiCoreSimulation::RunOptions run;
@@ -431,7 +439,7 @@ TEST(MigrationInvariants,
                 checkThreadConservation(system, sim);
             }
         },
-        0.15);
+        kCancelDeadlineSeconds);
 }
 
 // ---------------------------------------------------------------
