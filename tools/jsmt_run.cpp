@@ -9,8 +9,10 @@
  * A --benchmark run takes one path whatever the topology: one core
  * runs a Simulation, --cores N a MultiCoreSimulation, and both
  * report from one folded RunResult (a chip adds its allocation
- * summary). One helper builds the machine of every mode and one
- * writer exports --metrics for all four (run, chip run, --sweep,
+ * summary). One helper builds the machine of every mode. One
+ * counter series of the probed machine feeds both the
+ * --sample-interval table and the --metrics file, and one writer
+ * exports --metrics for all four modes (run, chip run, --sweep,
  * --pair-matrix).
  *
  * Usage:
@@ -80,7 +82,10 @@
  *                                  histograms and one snapshot per
  *                                  sample edge (every
  *                                  --sample-interval cycles, else
- *                                  every 1M) and at the run end
+ *                                  every 1M) and at the run end;
+ *                                  --sweep and --pair-matrix export
+ *                                  only the exec figures (and the
+ *                                  pair matrix's alloc counters)
  *     --list-benchmarks            print the registry and exit
  *     --list-events                print the event catalogue, exit
  *     --sweep NAMES                solo sweep of the
