@@ -69,7 +69,6 @@ ratioOf(std::uint64_t num, std::uint64_t den)
                    : 0.0;
 }
 
-
 /** Catalogue name of a structure counter or gauge. */
 struct MetricName
 {
@@ -270,7 +269,6 @@ CounterSeries::trackedEvents()
     };
     return kEvents;
 }
-
 
 void
 writeMetricsJson(std::ostream& out, const CounterSeries* series,

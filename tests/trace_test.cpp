@@ -2,10 +2,10 @@
  * @file
  * Tests for the observability layer: TraceSink ring semantics and
  * Chrome trace_event export, and the CounterSeries behind
- * --sample-interval and --metrics, which must not perturb the run. That tracing leaves
- * every result bit-identical (with and without fast-forward,
- * serially and on a task pool) is the equivalence harness's
- * (equivalence_test.cpp).
+ * --sample-interval and --metrics, which must not perturb the run.
+ * That tracing leaves every result bit-identical (with and without
+ * fast-forward, serially and on a task pool) is the equivalence
+ * harness's (equivalence_test.cpp).
  */
 
 #include <gtest/gtest.h>
