@@ -103,7 +103,7 @@ constexpr MetricName kGaugeNames[kSeriesGauges] = {
     {"mem", "l2_occupancy", ""},
 };
 constexpr std::size_t kGaugesPerContext = 3;
-constexpr std::size_t kMachineGauges = kNumContexts * kGaugesPerContext;
+constexpr std::size_t kFirstMachineGauge = kNumContexts * kGaugesPerContext;
 
 /** Bucket count of the rob_occupancy_sampled histogram. */
 constexpr std::size_t kRobBuckets = 8;
@@ -221,11 +221,11 @@ CounterSeries::record(Cycle now)
         gauges[1] = static_cast<double>(core.ldqOccupancy(ctx));
         gauges[2] = static_cast<double>(core.stqOccupancy(ctx));
     }
-    row.gauges[kMachineGauges] =
+    row.gauges[kFirstMachineGauge] =
         static_cast<double>(_machine.scheduler().runQueueDepth());
-    row.gauges[kMachineGauges + 1] = occupancyOf(mem.traceCache());
-    row.gauges[kMachineGauges + 2] = occupancyOf(mem.l1d());
-    row.gauges[kMachineGauges + 3] = occupancyOf(mem.l2());
+    row.gauges[kFirstMachineGauge + 1] = occupancyOf(mem.traceCache());
+    row.gauges[kFirstMachineGauge + 2] = occupancyOf(mem.l1d());
+    row.gauges[kFirstMachineGauge + 3] = occupancyOf(mem.l2());
     _rows.push_back(row);
 }
 
