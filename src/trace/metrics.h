@@ -6,13 +6,13 @@
  * Pmu::counts(), seven structure counters (cache and BTB evictions,
  * scheduler migrations, fast-forwarded cycles) and ten gauges
  * (ROB/LDQ/STQ occupancy per logical CPU, run-queue depth, cache
- * occupancy). It reads a baseline row at construction, one row at
- * each sample edge and one after the run, so every counter figure is
- * a difference of two rows: jsmt_run's --sample-interval table is
- * the countsDelta() of consecutive rows, and writeMetricsJson()
- * renders the --metrics document from the same rows. Rows are read
- * only at sample edges and run end, so the series costs nothing on
- * the simulator hot path.
+ * occupancy). It reads a baseline row at construction; its owner
+ * records one row at each sample edge and one after the run, so
+ * every counter figure is a difference of two rows: jsmt_run's
+ * --sample-interval table is the countsDelta() of consecutive rows,
+ * and writeMetricsJson() renders the --metrics document from the
+ * same rows. Rows are read only at sample edges and run end, so the
+ * series costs nothing on the simulator hot path.
  */
 
 #ifndef JSMT_TRACE_METRICS_H

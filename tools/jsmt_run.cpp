@@ -900,11 +900,11 @@ runBenchmarks(const Options& options,
         }
         end = sim->now();
     }
-    series.record(end);
     const double run_wall =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - run_start)
             .count();
+    series.record(end);
     if (options.profile) {
         printProfile(profiler, run_wall, result.cycles,
                      probed.core().fastForwardedCycles(),
